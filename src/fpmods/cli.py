@@ -11,7 +11,9 @@ Reports go to <output>.csv and/or <output>.json (written to a temp file and
 renamed into place). CSV rows are byte-stable for a fixed (config, seed):
 wall-clock measurements and the run timestamp appear only in the JSON
 report. Exit codes: 0 ok, 2 usage error, 3 resource bound exceeded,
-4 I/O error.
+4 I/O error, 5 internal invariant violated (the message names p, n, seed and
+trial needed to reproduce it). --threads is accepted and validated but no
+longer changes speed or results: sampling is one vectorized kernel.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 
 from . import __version__
-from .errors import ResourceBoundError
+from .errors import InvariantError, ResourceBoundError
 from .pairing import SpaceShape, enumerate_maximal_isotropic
 from .probability import (
     RngSpec,
@@ -40,7 +42,7 @@ from .probability import (
     monte_carlo,
     tower_experiment,
 )
-from .series import check_level, check_prime
+from .series import check_level, check_prime, is_int
 from .submodules import (
     MAX_ENUM_SUBMODULES,
     count_maximal,
@@ -52,6 +54,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_IO = 4
+EXIT_INVARIANT = 5
 
 MODES = ("count", "exhaustive", "montecarlo", "tower", "isotropic")
 FORMATS = ("csv", "json", "both")
@@ -105,16 +108,18 @@ class ExperimentConfig:
                 raise UsageError(f"levels: {e}") from None
         if not self.output:
             raise UsageError("output: an output path prefix is required")
-        if self.trials < 1:
-            raise UsageError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise UsageError(f"seed must be in [0, 2^64), got {self.seed}")
+        if not is_int(self.trials) or self.trials < 1:
+            raise UsageError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not is_int(self.seed) or not 0 <= self.seed < 2**64:
+            raise UsageError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         if self.format not in FORMATS:
             raise UsageError(
                 f"format must be one of {', '.join(FORMATS)}, got {self.format!r}"
             )
-        if self.threads < 0:
-            raise UsageError(f"threads must be >= 0 (0 = auto), got {self.threads}")
+        if not is_int(self.threads) or self.threads < 0:
+            raise UsageError(
+                f"threads must be an integer >= 0 (0 = auto), got {self.threads!r}"
+            )
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -499,7 +504,9 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=FORMATS, help="report format(s)")
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument(
-        "--threads", type=int, help="worker threads, 0 = auto (never affects results)"
+        "--threads",
+        type=int,
+        help="accepted for compatibility, >= 0; changes neither speed nor results",
     )
     return parser
 
@@ -519,6 +526,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
+    except InvariantError as e:
+        print(f"internal invariant violated: {e}", file=sys.stderr)
+        return EXIT_INVARIANT
     print(_styled(f"{config.mode} p={config.prime} levels={','.join(map(str, config.levels))}"))
     for row in report.rows:
         exact = f"{row.exact.numerator}/{row.exact.denominator}"

@@ -4,30 +4,46 @@ Two independent uniform maximal cyclic submodules at level n coincide with
 probability 1/((p+1)p^(n-1)) (one over the census), so they intersect
 nontrivially below the top with probability at least 1 - 1/((p+1)p^(n-1)),
 a bound increasing in n. The exact values are kept as Fractions end to end;
-floats appear only in summaries. Sampling draws one uniform canonical index
-per submodule, which makes every submodule exactly equally likely, puts the
-kind-'A' branch at probability p/(p+1), and vectorizes for uniformity tests.
+floats appear only in summaries.
 
-Randomness is reproducible and order-independent: every trial derives its
-own generator pair from (seed, trial, coordinate) spawn keys, so results do
-not depend on how trials are chunked across threads.
+Sampling draws each submodule's canonical index as n mixed-radix digits: a
+top digit in [0, p+1), which is param[n-1] of a kind-'A' submodule when it
+is below p and marks kind 'B' when it equals p, and n-1 digits in [0, p),
+the remaining parameter coefficients. Every submodule is exactly equally
+likely and kind 'A' has probability p/(p+1). Each digit is a SplitMix64-mixed
+64-bit word keyed by (seed, trial, coordinate, digit, attempt), a
+counter-based draw in the manner of Salmon et al. (SC'11); a word at or above
+the largest multiple of the digit's bound is rejected and redrawn with the
+next attempt (Lemire, ACM TOMACS 2019), so digits are exactly uniform. Every
+draw is a pure function of (seed, trial, coordinate): results do not depend
+on how trials are chunked, and the `threads` argument is validated but no
+longer changes the work done.
+
+Monte Carlo and tower trials run as one numpy kernel over trial-index
+arrays, in fixed chunks of CHUNK_TRIALS, using the closed forms on canonical
+indices: v is the first differing digit for kind-'A' pairs, min(1 + first
+differing digit, n) for kind-'B' pairs and 0 for mixed pairs; the quotient
+by the sum is cyclic of size p^v, and tower stage k has exponent min(v, k).
+In every call the first trial of each observed (kind pair, v) class is
+recomputed through the scalar path (`intersect` and the linear-algebra
+`sum_and_quotient`, or the full `SubmoduleTower` path for towers); a
+disagreement raises InvariantError naming (p, n, seed, trial).
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 
-from .errors import ResourceBoundError
-from .series import check_level, check_prime
+from .errors import InvariantError, ResourceBoundError
+from .series import check_level, check_prime, is_int
 from .submodules import (
     CyclicSubmodule,
+    QuotientStructure,
     SubmoduleTower,
     count_maximal,
     enumerate_maximal,
@@ -38,16 +54,24 @@ from .submodules import (
 )
 
 MAX_CENSUS_PAIRS = 4_000_000
+CHUNK_TRIALS = 1 << 14
+
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_ATTEMPT_STEP = (1 << 9) * _GOLDEN
+_KIND_PAIRS = 4  # 2 * [first is kind B] + [second is kind B]
 
 
 @dataclass(frozen=True)
 class RngSpec:
-    """A 64-bit root seed; named streams derive from integer spawn keys."""
+    """A 64-bit root seed: it keys the sampling kernel's draws, and `stream`
+    derives numpy generators from integer spawn keys."""
 
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
     def stream(self, *path: int) -> np.random.Generator:
@@ -114,41 +138,216 @@ def collision_probability_census(p: int, n: int) -> Fraction:
     return Fraction(hits, pairs)
 
 
+def _check_trials(trials: int) -> None:
+    if not is_int(trials) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+
+
+def _check_threads(threads: int) -> None:
+    if not is_int(threads) or threads < 0:
+        raise ValueError(f"threads must be an integer >= 0, got {threads!r}")
+
+
+# ------------------------------------------------------- counter-based draws
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer, elementwise on uint64 (wrapping mod 2^64)."""
+    z = z ^ (z >> 30)
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    return z
+
+
+def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """One 64-bit key per trial in [start, stop), a pure function of (seed, trial)."""
+    root = _mix64(np.array([seed], dtype=np.uint64))
+    trials = np.arange(start, stop, dtype=np.uint64)
+    return _mix64(root + (trials + 1) * np.uint64(_GOLDEN))
+
+
+def _stream(keys: np.ndarray, coord: int, j: int) -> np.ndarray:
+    """Keys offset for digit j of submodule `coord`.
+
+    Attempt a of the digit mixes key + c * golden with counter
+    c = (a << 9 | coord << 8 | j) + 1, that is, stream + a * _ATTEMPT_STEP.
+    """
+    return keys + np.uint64(((coord << 8 | j) + 1) * _GOLDEN % 2**64)
+
+
+def _accept_max(bound: np.ndarray) -> np.ndarray:
+    """Largest accepted word: one below the largest multiple of bound <= 2^64.
+
+    (2^64 - bound) % bound is 2^64 % bound, and ~x is 2^64 - 1 - x.
+    """
+    return ~((-bound) % bound)
+
+
+def _uniform(stream: np.ndarray, bound) -> np.ndarray:
+    """Exactly uniform integers in [0, bound), one per stream element.
+
+    bound is one int or one per element. A word above _accept_max is redrawn
+    with the next attempt until it is accepted.
+    """
+    bound = np.asarray(bound, dtype=np.uint64).reshape(-1)
+    last = _accept_max(bound)
+    x = _mix64(stream)
+    rejected = x > last
+    attempt = 0
+    while rejected.any():
+        attempt += 1
+        step = np.uint64(attempt * _ATTEMPT_STEP % 2**64)
+        x[rejected] = _mix64(stream[rejected] + step)
+        rejected = x > last
+    return (x % bound).astype(np.int64)
+
+
+def _digit(keys: np.ndarray, coord: int, j: int, bound: int) -> np.ndarray:
+    """Digit j of submodule `coord` for each trial key, uniform in [0, bound)."""
+    return _uniform(_stream(keys, coord, j), bound)
+
+
+def _top_digit(p: int, n: int, keys: np.ndarray, coord: int) -> np.ndarray:
+    return _digit(keys, coord, n - 1, p + 1)
+
+
+def _pair_exponents(
+    p: int, n: int, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(kind pair, v) of the pair drawn for each trial key.
+
+    kind pair is 2 * [first is kind B] + [second is kind B], and p^v is the
+    size of the intersection.
+    """
+    top1 = _top_digit(p, n, keys, 0)
+    top2 = _top_digit(p, n, keys, 1)
+    # first differing lower digit, n - 1 when all n - 1 of them agree;
+    # descending j leaves the smallest differing j in place
+    first = np.full(len(keys), n - 1, dtype=np.int64)
+    for j in range(n - 2, -1, -1):
+        first[_digit(keys, 0, j, p) != _digit(keys, 1, j, p)] = j
+    b1 = top1 == p
+    b2 = top2 == p
+    v_a = np.where((first == n - 1) & (top1 == top2), n, first)
+    v_b = np.minimum(first + 1, n)
+    v = np.where(b1 != b2, 0, np.where(b1, v_b, v_a))
+    return 2 * b1 + b2, v
+
+
+def _kernel_indices(p: int, n: int, keys: np.ndarray, coord: int) -> np.ndarray:
+    """Canonical indices of submodule `coord` for each trial key (int64, so
+    only for censuses below 2^63)."""
+    index = _top_digit(p, n, keys, coord)
+    for j in range(n - 2, -1, -1):
+        index = index * p + _digit(keys, coord, j, p)
+    return index
+
+
+def _submodule(p: int, n: int, digits: list[int]) -> CyclicSubmodule:
+    """The submodule with canonical digits (lower digits, then the top one)."""
+    if digits[-1] < p:
+        return CyclicSubmodule(p, n, "A", tuple(digits))
+    return CyclicSubmodule(p, n, "B", tuple(digits[:-1]))
+
+
 def sample_maximal(p: int, n: int, rng: np.random.Generator) -> CyclicSubmodule:
-    """One uniform maximal cyclic submodule."""
+    """One uniform maximal cyclic submodule from a numpy generator."""
     return CyclicSubmodule.from_index(p, n, int(rng.integers(count_maximal(p, n))))
 
 
 def sample_pair(p: int, n: int, spec: RngSpec, trial: int) -> PairSample:
-    """The trial-th independent pair; deterministic given (spec, trial)."""
-    return PairSample(
-        sample_maximal(p, n, spec.stream(trial, 0)),
-        sample_maximal(p, n, spec.stream(trial, 1)),
-    )
+    """The trial-th pair: exactly the pair the sampling kernel uses for it."""
+    check_prime(p)
+    check_level(n)
+    keys = _trial_keys(spec.seed, trial, trial + 1)
+    streams = np.concatenate([_stream(keys, c, j) for c in (0, 1) for j in range(n)])
+    bounds = ([p] * (n - 1) + [p + 1]) * 2
+    first, second = _uniform(streams, bounds).reshape(2, n).tolist()
+    return PairSample(_submodule(p, n, first), _submodule(p, n, second))
 
 
 def chi_square_uniformity(
     p: int, n: int, draws: int, spec: RngSpec
 ) -> tuple[float, int]:
-    """Chi-square statistic and degrees of freedom for sampler uniformity."""
+    """Chi-square statistic and degrees of freedom for sampler uniformity.
+
+    The draws are the kernel's first-submodule indices of trials [0, draws).
+    """
     count = count_maximal(p, n)
-    idx = spec.stream().integers(0, count, size=draws)
-    observed = np.bincount(idx, minlength=count)
+    observed = np.zeros(count, dtype=np.int64)
+    for start in range(0, draws, CHUNK_TRIALS):
+        stop = min(start + CHUNK_TRIALS, draws)
+        keys = _trial_keys(spec.seed, start, stop)
+        observed += np.bincount(_kernel_indices(p, n, keys, 0), minlength=count)
     expected = draws / count
     stat = float((((observed - expected) ** 2) / expected).sum())
     return stat, count - 1
 
 
-def _resolve_threads(threads: int) -> int:
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
-    if threads == 0:
-        return min(8, os.cpu_count() or 1)
-    return threads
+def _check_trial(
+    p: int, n: int, spec: RngSpec, trial: int, kinds: int, v: int, tower: bool
+) -> None:
+    """Recompute one kernel trial through the scalar path; raise on mismatch."""
+    pair = sample_pair(p, n, spec, trial)
+    got = {
+        "kind pair": 2 * (pair.n1.kind == "B") + (pair.n2.kind == "B"),
+        "collision": pair.n1 == pair.n2,
+    }
+    want = {"kind pair": kinds, "collision": v == n}
+    if tower:
+        stages = zip(
+            SubmoduleTower.from_top(pair.n1).stages,
+            SubmoduleTower.from_top(pair.n2).stages,
+        )
+        got["stage exponents"] = [intersect(a, b).size_exponent for a, b in stages]
+        want["stage exponents"] = [min(v, k) for k in range(1, n + 1)]
+    else:
+        got["intersection exponent"] = intersect(pair.n1, pair.n2).size_exponent
+        got["quotient"] = sum_and_quotient(pair.n1, pair.n2)
+        want["intersection exponent"] = v
+        want["quotient"] = QuotientStructure(v, (v,) if v else ())
+    for key in want:
+        if got[key] != want[key]:
+            raise InvariantError(
+                f"sampling kernel disagrees with the scalar path on the "
+                f"{key}: kernel {want[key]}, scalar {got[key]}",
+                p=p, n=n, seed=spec.seed, trial=trial,
+            )
+
+
+def _exponent_census(
+    p: int, n: int, trials: int, spec: RngSpec, tower: bool
+) -> np.ndarray:
+    """Trial counts by v (index 0..n) over trials [0, trials).
+
+    Works in chunks of CHUNK_TRIALS so memory stays flat; the first trial of
+    every newly observed (kind pair, v) class goes through _check_trial.
+    """
+    width = n + 1
+    counts = np.zeros(_KIND_PAIRS * width, dtype=np.int64)
+    for start in range(0, trials, CHUNK_TRIALS):
+        stop = min(start + CHUNK_TRIALS, trials)
+        kinds, v = _pair_exponents(p, n, _trial_keys(spec.seed, start, stop))
+        classes = kinds * width + v
+        chunk = np.bincount(classes, minlength=len(counts))
+        if ((chunk > 0) & (counts == 0)).any():
+            seen, first = np.unique(classes, return_index=True)
+            for cls, i in zip(seen.tolist(), first.tolist()):
+                if counts[cls] == 0:
+                    kind_pair, exponent = divmod(cls, width)
+                    _check_trial(p, n, spec, start + i, kind_pair, exponent, tower)
+        counts += chunk
+    return counts.reshape(_KIND_PAIRS, width).sum(axis=0)
 
 
 def _sorted_counts(counter: Counter) -> dict:
     return dict(sorted(counter.items()))
+
+
+def _nonzero(by_exponent: np.ndarray) -> dict:
+    return {v: int(c) for v, c in enumerate(by_exponent.tolist()) if c}
 
 
 @dataclass(frozen=True)
@@ -178,72 +377,27 @@ class MonteCarloResult:
         return sqrt(q * (1 - q) / self.trials)
 
 
-def _mc_chunk(p, n, spec, start, stop):
-    collisions = 0
-    exps: Counter = Counter()
-    quots: Counter = Counter()
-    for t in range(start, stop):
-        pair = sample_pair(p, n, spec, t)
-        meet = intersect(pair.n1, pair.n2)
-        quotient = sum_and_quotient(pair.n1, pair.n2)
-        if meet.size_exponent != quotient.quotient_size_exponent:
-            raise RuntimeError(
-                f"intersection/quotient duality violated at trial {t}: "
-                f"{meet.size_exponent} != {quotient.quotient_size_exponent}"
-            )
-        exps[meet.size_exponent] += 1
-        quots[quotient.cyclic_structure] += 1
-        if pair.n1 == pair.n2:
-            collisions += 1
-    return collisions, exps, quots
-
-
-def _chunk_ranges(total: int, parts: int):
-    size, rem = divmod(total, parts)
-    start = 0
-    for i in range(parts):
-        stop = start + size + (1 if i < rem else 0)
-        if stop > start:
-            yield start, stop
-        start = stop
-
-
 def monte_carlo(
     p: int, n: int, trials: int, spec: RngSpec, threads: int = 1
 ) -> MonteCarloResult:
-    """Sample pairs, cross-check intersection against quotient, aggregate.
+    """Sample pairs, cross-check each observed class, aggregate.
 
-    Identical results for every thread count: trials own their generators
-    and chunk counts merge commutatively.
+    `threads` is validated (an integer >= 0, 0 meaning auto) but no longer
+    changes the work done; results are identical for every value.
     """
     check_prime(p)
     check_level(n)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    workers = _resolve_threads(threads)
-    ranges = list(_chunk_ranges(trials, workers))
-    if len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(
-                pool.map(lambda r: _mc_chunk(p, n, spec, r[0], r[1]), ranges)
-            )
-    else:
-        parts = [_mc_chunk(p, n, spec, 0, trials)]
-    collisions = 0
-    exps: Counter = Counter()
-    quots: Counter = Counter()
-    for c, e, q in parts:
-        collisions += c
-        exps.update(e)
-        quots.update(q)
+    _check_trials(trials)
+    _check_threads(threads)
+    exps = _nonzero(_exponent_census(p, n, trials, spec, tower=False))
     return MonteCarloResult(
         p=p,
         level=n,
         trials=trials,
         seed=spec.seed,
-        collisions=collisions,
-        exponent_counts=_sorted_counts(exps),
-        quotient_structure_counts=_sorted_counts(quots),
+        collisions=exps.get(n, 0),
+        exponent_counts=exps,
+        quotient_structure_counts={((v,) if v else ()): c for v, c in exps.items()},
         exact=collision_probability_exact(p, n),
     )
 
@@ -331,38 +485,16 @@ def tower_experiment(
     """Sample pairs at the top level and track intersections down the tower."""
     check_prime(p)
     check_level(max_level)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    collisions = 0
-    v_counts: Counter = Counter()
-    n0_counts: Counter = Counter()
-    for t in range(trials):
-        pair = sample_pair(p, max_level, spec, t)
-        tower1 = SubmoduleTower.from_top(pair.n1)
-        tower2 = SubmoduleTower.from_top(pair.n2)
-        exps = [
-            intersect(a, b).size_exponent
-            for a, b in zip(tower1.stages, tower2.stages)
-        ]
-        if pair.n1 == pair.n2:
-            collisions += 1
-            expected = list(range(1, max_level + 1))
-        else:
-            v = exps[-1]
-            v_counts[v] += 1
-            n0_counts[v + 1] += 1
-            expected = [min(v, k) for k in range(1, max_level + 1)]
-        if exps != expected:
-            raise RuntimeError(
-                f"stabilization violated at trial {t}: got {exps}, expected {expected}"
-            )
+    _check_trials(trials)
+    by_exponent = _exponent_census(p, max_level, trials, spec, tower=True)
+    exps = _nonzero(by_exponent[:max_level])
     return TowerReport(
         p=p,
         max_level=max_level,
         trials=trials,
         seed=spec.seed,
-        collisions=collisions,
-        exponent_counts=_sorted_counts(v_counts),
-        stabilization_level_counts=_sorted_counts(n0_counts),
+        collisions=int(by_exponent[max_level]),
+        exponent_counts=exps,
+        stabilization_level_counts={v + 1: c for v, c in exps.items()},
         exact=collision_probability_exact(p, max_level),
     )

@@ -23,14 +23,20 @@ _ODD_PRIMES = frozenset(
 )
 
 
+def is_int(x) -> bool:
+    """Whether x is an int and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_prime(p: int) -> int:
-    if not isinstance(p, int) or p not in _ODD_PRIMES:
+    # is_int inlined here and in check_level: both run for every submodule built
+    if not isinstance(p, int) or isinstance(p, bool) or p not in _ODD_PRIMES:
         raise ValueError(f"p must be an odd prime in [3, {MAX_PRIME}], got {p!r}")
     return p
 
 
 def check_level(n: int) -> int:
-    if not isinstance(n, int) or not 1 <= n <= MAX_LEVEL:
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_LEVEL:
         raise ValueError(f"level must be an integer in [1, {MAX_LEVEL}], got {n!r}")
     return n
 
@@ -59,7 +65,9 @@ class TruncatedSeries:
 
     def __init__(self, p: int, coeffs: Iterable[int], level: int | None = None):
         check_prime(p)
-        cs = tuple(int(c) % p for c in coeffs)
+        # from a list: tuple(generator) resizes its result, so every freed
+        # result grows CPython's tuple free list and long runs creep in RSS
+        cs = tuple([int(c) % p for c in coeffs])
         if level is None:
             level = len(cs)
         check_level(level)

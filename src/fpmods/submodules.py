@@ -10,10 +10,11 @@ generator of one of two kinds:
 
 for a total census of p^(n-1) * (p + 1). Intersections of two maximal
 submodules are again cyclic, of size p^v where the exponent v has a closed
-form for same-kind pairs and is computed by GF(p) linear algebra for mixed
-pairs; sums and quotients are handled by linear algebra on the flattened
-2n-dimensional coordinate space. Projections to lower levels truncate the
-canonical parameter and lifting enumerates the p^(m-n) parameter extensions.
+form in the canonical parameters (0 for mixed-kind pairs); the rank-based
+`intersection_exponent_linalg` is kept as a test oracle. Sums and quotients
+are handled by linear algebra on the flattened 2n-dimensional coordinate
+space. Projections to lower levels truncate the canonical parameter and
+lifting enumerates the p^(m-n) parameter extensions.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class CyclicSubmodule:
 
     @classmethod
     def type_b(cls, p: int, level: int, h: tuple[int, ...]) -> "CyclicSubmodule":
-        return cls(p, level, "B", tuple(int(c) % p for c in h))
+        return cls(p, level, "B", tuple([int(c) % p for c in h]))
 
     @property
     def generator(self) -> ModuleVector:
@@ -260,18 +261,19 @@ def intersect(n1: CyclicSubmodule, n2: CyclicSubmodule) -> Intersection:
 
     Same-kind pairs use the closed forms
         kind A: v = val(g - g'),  kind B: v = min(1 + val(h - h'), n)
-    and mixed pairs fall back to linear algebra. In every case the
-    intersection is the unique size-p^v submodule T^(n-v) * N1 of N1.
+    and mixed pairs meet trivially, v = 0: tau*(1, g) = sigma*(T h, 1)
+    forces tau = sigma*T*h and sigma = tau*g, so tau*(1 - g*T*h) = 0, and
+    1 - g*T*h is a unit, so tau = 0. In every case the intersection is the
+    unique size-p^v submodule T^(n-v) * N1 of N1.
     """
     _check_pair(n1, n2)
     n = n1.level
-    if n1.kind == n2.kind:
-        if n1.kind == "A":
-            v = _diff_valuation(n1.param, n2.param)
-        else:
-            v = min(1 + _diff_valuation(n1.param, n2.param), n)
+    if n1.kind != n2.kind:
+        v = 0
+    elif n1.kind == "A":
+        v = _diff_valuation(n1.param, n2.param)
     else:
-        v = intersection_exponent_linalg(n1, n2)
+        v = min(1 + _diff_valuation(n1.param, n2.param), n)
     if v == 0:
         return Intersection(0, None)
     t_shift = TruncatedSeries.monomial(n1.p, n, n - v)
@@ -385,4 +387,4 @@ class SubmoduleTower:
     ) -> "SubmoduleTower":
         if levels is None:
             levels = tuple(range(1, top.level + 1))
-        return cls(tuple(project(top, m) for m in levels))
+        return cls(tuple([project(top, m) for m in levels]))

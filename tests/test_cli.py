@@ -9,6 +9,7 @@ import pytest
 from fpmods import cli
 from fpmods.cli import (
     CSV_COLUMNS,
+    EXIT_INVARIANT,
     EXIT_IO,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -60,6 +61,10 @@ def test_config_defaults():
         (dict(seed=2**64), "seed"),
         (dict(format="xml"), "format"),
         (dict(threads=-1), "threads"),
+        (dict(prime=True), "prime"),
+        (dict(trials=True), "trials"),
+        (dict(seed=True), "seed"),
+        (dict(threads=True), "threads"),
     ],
 )
 def test_config_validation(overrides, fragment):
@@ -385,6 +390,42 @@ def test_main_io_error_exit(tmp_path, capsys):
     )
     assert code == EXIT_IO
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_main_invariant_exit(tmp_path, capsys, monkeypatch):
+    from fpmods import probability
+
+    original = probability._pair_exponents
+
+    def wrong_v(p, n, keys):
+        # label trial 9 a mixed pair of exponent n, a class of its own
+        kinds, v = original(p, n, keys)
+        kinds, v = kinds.copy(), v.copy()
+        kinds[9], v[9] = 1, n
+        return kinds, v
+
+    monkeypatch.setattr(probability, "_pair_exponents", wrong_v)
+    code = run_main(
+        tmp_path,
+        "--mode",
+        "montecarlo",
+        "--prime",
+        "3",
+        "--levels",
+        "3",
+        "--trials",
+        "50",
+        "--seed",
+        "8675309",
+        "--output",
+        str(tmp_path / "x"),
+    )
+    assert code == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "internal invariant violated" in err
+    assert "seed=8675309" in err
+    assert "trial=9" in err
+    assert not os.path.exists(tmp_path / "x.csv")
 
 
 def test_main_with_config_file(tmp_path, capsys):

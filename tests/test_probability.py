@@ -163,6 +163,22 @@ def test_monte_carlo_validation():
         monte_carlo(3, 2, 10, RngSpec(0), threads=-1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: RngSpec(True),
+        lambda: monte_carlo(3, 2, True, RngSpec(0)),
+        lambda: monte_carlo(3, 2, 10, RngSpec(0), threads=True),
+        lambda: tower_experiment(3, 2, True, RngSpec(0)),
+        lambda: tower_experiment(3, True, 10, RngSpec(0)),
+    ],
+    ids=["seed", "trials", "threads", "tower-trials", "tower-level"],
+)
+def test_bool_rejected_where_ints_are_expected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_pushforward_consistency_grid():
     for p, n, m in [(3, 1, 2), (3, 1, 3), (3, 2, 3), (5, 1, 2)]:
         report = pushforward_consistency(p, n, m)
