@@ -2,18 +2,19 @@
 
 Modes
     count       census of maximal cyclic submodules per level
-    exhaustive  exact collision probability, verified by double enumeration
+    exhaustive  exact collision probability, verified by an enumeration census
     montecarlo  sampled collision/intersection statistics
     tower       stabilization statistics down a tower of levels
     isotropic   maximal isotropic T-stable subspaces of a pairing space
 
-Reports go to <output>.csv and/or <output>.json (written to a temp file and
-renamed into place). CSV rows are byte-stable for a fixed (config, seed):
-wall-clock measurements and the run timestamp appear only in the JSON
-report. Exit codes: 0 ok, 2 usage error, 3 resource bound exceeded,
-4 I/O error, 5 internal invariant violated (the message names p, n, seed and
-trial needed to reproduce it). --threads is accepted and validated but no
-longer changes speed or results: sampling is one vectorized kernel.
+Reports go to <output>.csv and/or <output>.json (all rendered first, then
+each written to a temp file and renamed into place). CSV rows are
+byte-stable for a fixed (config, seed): wall-clock measurements and the run
+timestamp appear only in the JSON report. Exit codes: 0 ok, 2 usage error,
+3 resource bound exceeded, 4 I/O error, 5 internal invariant violated (the
+message names p and n, plus the seed and trial of a sampling failure).
+--threads is accepted and validated but no longer changes speed or results:
+sampling is one vectorized kernel.
 """
 
 from __future__ import annotations
@@ -171,157 +172,86 @@ def _structure_extra(counts: dict) -> str:
     return ";".join(parts)
 
 
-def _run_count(config: ExperimentConfig) -> list[ReportRow]:
-    rows = []
-    for n in config.levels:
-        t0 = time.perf_counter()
-        total = count_maximal(config.prime, n)
-        extra = f"generators={count_maximal_generators(config.prime, n)}"
-        if total <= MAX_ENUM_SUBMODULES:
-            enumerated = sum(1 for _ in enumerate_maximal(config.prime, n))
-            extra += f";enumerated={enumerated}"
-        else:
-            extra += ";enumerated=skipped"
-        rows.append(
-            ReportRow(
-                mode=config.mode,
-                p=config.prime,
-                n=n,
-                exact=Fraction(total),
-                seed=config.seed,
-                runtime_ms=int((time.perf_counter() - t0) * 1000),
-                extra=extra,
-            )
+def _count_fields(config: ExperimentConfig, n: int) -> dict:
+    total = count_maximal(config.prime, n)
+    extra = f"generators={count_maximal_generators(config.prime, n)}"
+    if total <= MAX_ENUM_SUBMODULES:
+        enumerated = sum(1 for _ in enumerate_maximal(config.prime, n))
+        extra += f";enumerated={enumerated}"
+    else:
+        extra += ";enumerated=skipped"
+    return dict(exact=Fraction(total), extra=extra)
+
+
+def _exhaustive_fields(config: ExperimentConfig, n: int) -> dict:
+    exact = collision_probability_exact(config.prime, n)
+    census = collision_probability_census(config.prime, n)
+    if census != exact:
+        raise InvariantError(
+            f"census {census} disagrees with closed form {exact}", p=config.prime, n=n
         )
-    return rows
+    bound = intersection_bound(config.prime, n)
+    extra = f"verified=true;bound={bound.numerator}/{bound.denominator}"
+    return dict(exact=exact, extra=extra)
 
 
-def _run_exhaustive(config: ExperimentConfig) -> list[ReportRow]:
-    rows = []
-    for n in config.levels:
-        t0 = time.perf_counter()
-        exact = collision_probability_exact(config.prime, n)
-        census = collision_probability_census(config.prime, n)
-        if census != exact:
-            raise RuntimeError(
-                f"census {census} disagrees with closed form {exact} at n={n}"
-            )
-        bound = intersection_bound(config.prime, n)
-        extra = f"verified=true;bound={bound.numerator}/{bound.denominator}"
-        rows.append(
-            ReportRow(
-                mode=config.mode,
-                p=config.prime,
-                n=n,
-                exact=exact,
-                seed=config.seed,
-                runtime_ms=int((time.perf_counter() - t0) * 1000),
-                extra=extra,
-            )
-        )
-    return rows
+def _montecarlo_fields(config: ExperimentConfig, n: int) -> dict:
+    res = monte_carlo(
+        config.prime, n, config.trials, RngSpec(config.seed), threads=config.threads
+    )
+    extra = ";".join(
+        [
+            f"collisions={res.collisions}",
+            f"delta={float_sci(res.delta)}",
+            _counts_extra("v", res.exponent_counts),
+            _structure_extra(res.quotient_structure_counts),
+        ]
+    )
+    return dict(
+        exact=res.exact,
+        empirical=res.frequency,
+        stderr=res.stderr,
+        trials=config.trials,
+        extra=extra,
+    )
 
 
-def _run_montecarlo(config: ExperimentConfig) -> list[ReportRow]:
-    rows = []
-    spec = RngSpec(config.seed)
-    for n in config.levels:
-        t0 = time.perf_counter()
-        res = monte_carlo(config.prime, n, config.trials, spec, threads=config.threads)
-        extra = ";".join(
-            [
-                f"collisions={res.collisions}",
-                f"delta={float_sci(res.delta)}",
-                _counts_extra("v", res.exponent_counts),
-                _structure_extra(res.quotient_structure_counts),
-            ]
-        )
-        rows.append(
-            ReportRow(
-                mode=config.mode,
-                p=config.prime,
-                n=n,
-                exact=res.exact,
-                empirical=res.frequency,
-                stderr=res.stderr,
-                trials=config.trials,
-                seed=config.seed,
-                runtime_ms=int((time.perf_counter() - t0) * 1000),
-                extra=extra,
-            )
-        )
-    return rows
+def _tower_fields(config: ExperimentConfig, n: int) -> dict:
+    res = tower_experiment(config.prime, n, config.trials, RngSpec(config.seed))
+    q = float(res.exact)
+    extra = ";".join(
+        [
+            f"collisions={res.collisions}",
+            _counts_extra("v", res.exponent_counts),
+            _counts_extra("n0_", res.stabilization_level_counts),
+        ]
+    )
+    return dict(
+        exact=res.exact,
+        empirical=Fraction(res.collisions, res.trials),
+        stderr=(q * (1 - q) / config.trials) ** 0.5,
+        trials=config.trials,
+        extra=extra,
+    )
 
 
-def _run_tower(config: ExperimentConfig) -> list[ReportRow]:
-    rows = []
-    spec = RngSpec(config.seed)
-    for n in config.levels:
-        t0 = time.perf_counter()
-        res = tower_experiment(config.prime, n, config.trials, spec)
-        q = float(res.exact)
-        stderr = (q * (1 - q) / config.trials) ** 0.5
-        extra = ";".join(
-            [
-                f"collisions={res.collisions}",
-                _counts_extra("v", res.exponent_counts),
-                _counts_extra("n0_", res.stabilization_level_counts),
-            ]
-        )
-        rows.append(
-            ReportRow(
-                mode=config.mode,
-                p=config.prime,
-                n=n,
-                exact=res.exact,
-                empirical=Fraction(res.collisions, res.trials),
-                stderr=stderr,
-                trials=config.trials,
-                seed=config.seed,
-                runtime_ms=int((time.perf_counter() - t0) * 1000),
-                extra=extra,
-            )
-        )
-    return rows
+def _isotropic_fields(config: ExperimentConfig, n: int) -> dict:
+    shape = SpaceShape(config.prime, n, config.shape)
+    splits = [report.splits for report in enumerate_maximal_isotropic(shape)]
+    extra = (
+        f"dim={shape.dim};splits_true={sum(splits)};"
+        f"splits_false={len(splits) - sum(splits)}"
+    )
+    return dict(exact=Fraction(len(splits)), extra=extra)
 
 
-def _run_isotropic(config: ExperimentConfig) -> list[ReportRow]:
-    rows = []
-    for n in config.levels:
-        t0 = time.perf_counter()
-        shape = SpaceShape(config.prime, n, config.shape)
-        splits_true = 0
-        splits_false = 0
-        total = 0
-        for report in enumerate_maximal_isotropic(shape):
-            total += 1
-            if report.splits:
-                splits_true += 1
-            else:
-                splits_false += 1
-        extra = (
-            f"dim={shape.dim};splits_true={splits_true};splits_false={splits_false}"
-        )
-        rows.append(
-            ReportRow(
-                mode=config.mode,
-                p=config.prime,
-                n=n,
-                exact=Fraction(total),
-                seed=config.seed,
-                runtime_ms=int((time.perf_counter() - t0) * 1000),
-                extra=extra,
-            )
-        )
-    return rows
-
-
-_RUNNERS = {
-    "count": _run_count,
-    "exhaustive": _run_exhaustive,
-    "montecarlo": _run_montecarlo,
-    "tower": _run_tower,
-    "isotropic": _run_isotropic,
+# Per mode, the fields of one level's row beyond mode, p, n, seed and runtime.
+_ROW_FIELDS = {
+    "count": _count_fields,
+    "exhaustive": _exhaustive_fields,
+    "montecarlo": _montecarlo_fields,
+    "tower": _tower_fields,
+    "isotropic": _isotropic_fields,
 }
 
 
@@ -332,7 +262,21 @@ def run(config: ExperimentConfig) -> ExperimentReport:
                 SpaceShape(config.prime, n, config.shape)
         except ValueError as e:
             raise UsageError(f"shape: {e}") from None
-    rows = _RUNNERS[config.mode](config)
+    fields = _ROW_FIELDS[config.mode]
+    rows = []
+    for n in config.levels:
+        t0 = time.perf_counter()
+        values = fields(config, n)
+        rows.append(
+            ReportRow(
+                mode=config.mode,
+                p=config.prime,
+                n=n,
+                seed=config.seed,
+                runtime_ms=int((time.perf_counter() - t0) * 1000),
+                **values,
+            )
+        )
     return ExperimentReport(
         config=config,
         rows=tuple(rows),
@@ -388,6 +332,10 @@ def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fpmods-")
     try:
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -400,17 +348,18 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def emit(report: ExperimentReport) -> list[str]:
-    paths = []
+    """Render every requested format, then write them: a render error writes
+    nothing."""
+    renderers = {"csv": render_csv, "json": render_json}
     fmt = report.config.format
-    if fmt in ("csv", "both"):
-        path = report.config.output + ".csv"
-        _atomic_write(path, render_csv(report))
-        paths.append(path)
-    if fmt in ("json", "both"):
-        path = report.config.output + ".json"
-        _atomic_write(path, render_json(report))
-        paths.append(path)
-    return paths
+    texts = {
+        f"{report.config.output}.{ext}": render(report)
+        for ext, render in renderers.items()
+        if fmt in (ext, "both")
+    }
+    for path, text in texts.items():
+        _atomic_write(path, text)
+    return list(texts)
 
 
 def _styled(text: str) -> str:
@@ -428,18 +377,39 @@ def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
         raise UsageError(f"{name}: expected comma-separated integers, got {text!r}") from None
 
 
+# Experiment settings: each is both a --flag and a config-file key. Keys in
+# _INT_LISTS take comma-separated integers; the "type" of a flag also
+# converts its config-file value.
+_SETTINGS = {
+    "mode": dict(choices=MODES, help="experiment to run"),
+    "prime": dict(type=int, help="odd prime p, 3 <= p <= 97"),
+    "levels": dict(help="comma-separated truncation levels"),
+    "trials": dict(type=int, help="sampled trials per level"),
+    "seed": dict(type=int, help="64-bit root seed"),
+    "shape": dict(help="comma-separated torsion block levels (isotropic mode)"),
+    "output": dict(help="output path prefix"),
+    "format": dict(choices=FORMATS, help="report format(s)"),
+    "threads": dict(
+        type=int,
+        help="accepted for compatibility, >= 0; changes neither speed nor results",
+    ),
+}
+_INT_LISTS = ("levels", "shape")
+
+
+def _setting(key: str, text: str):
+    """A config-file value, converted as its flag's value is."""
+    if key in _INT_LISTS:
+        return _parse_int_list(text, key)
+    if _SETTINGS[key].get("type") is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"{key}: expected an integer, got {text!r}") from None
+    return text
+
+
 def _read_config_file(path: str) -> dict:
-    keys = {
-        "mode",
-        "prime",
-        "levels",
-        "trials",
-        "seed",
-        "shape",
-        "output",
-        "format",
-        "threads",
-    }
     values: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -450,7 +420,7 @@ def _read_config_file(path: str) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in keys:
+            if key not in _SETTINGS:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = value.strip()
     return values
@@ -460,27 +430,11 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     settings: dict = {}
     if args.config:
         raw = _read_config_file(args.config)
-        for key in ("mode", "output", "format"):
-            if key in raw:
-                settings[key] = raw[key]
-        for key in ("prime", "trials", "seed", "threads"):
-            if key in raw:
-                try:
-                    settings[key] = int(raw[key])
-                except ValueError:
-                    raise UsageError(f"{key}: expected an integer, got {raw[key]!r}") from None
-        if "levels" in raw:
-            settings["levels"] = _parse_int_list(raw["levels"], "levels")
-        if "shape" in raw:
-            settings["shape"] = _parse_int_list(raw["shape"], "shape")
-    for key in ("mode", "prime", "trials", "seed", "output", "format", "threads"):
+        settings = {key: _setting(key, text) for key, text in raw.items()}
+    for key in _SETTINGS:
         value = getattr(args, key)
         if value is not None:
-            settings[key] = value
-    if args.levels is not None:
-        settings["levels"] = _parse_int_list(args.levels, "levels")
-    if args.shape is not None:
-        settings["shape"] = _parse_int_list(args.shape, "shape")
+            settings[key] = _parse_int_list(value, key) if key in _INT_LISTS else value
     for required in ("mode", "prime", "levels", "output"):
         if required not in settings:
             raise UsageError(f"{required} is required (flag --{required} or config file)")
@@ -492,22 +446,9 @@ def make_parser() -> argparse.ArgumentParser:
         prog="fpmods",
         description="Experiments on maximal cyclic submodules over F_p[T]/(T^n).",
     )
-    parser.add_argument("--mode", choices=MODES, help="experiment to run")
-    parser.add_argument("--prime", type=int, help="odd prime p, 3 <= p <= 97")
-    parser.add_argument("--levels", help="comma-separated truncation levels")
-    parser.add_argument("--trials", type=int, help="sampled trials per level")
-    parser.add_argument("--seed", type=int, help="64-bit root seed")
-    parser.add_argument(
-        "--shape", help="comma-separated torsion block levels (isotropic mode)"
-    )
-    parser.add_argument("--output", help="output path prefix")
-    parser.add_argument("--format", choices=FORMATS, help="report format(s)")
+    for key, options in _SETTINGS.items():
+        parser.add_argument(f"--{key}", **options)
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        help="accepted for compatibility, >= 0; changes neither speed nor results",
-    )
     return parser
 
 

@@ -6,14 +6,21 @@ class ResourceBoundError(RuntimeError):
 
 
 class InvariantError(RuntimeError):
-    """An internal invariant failed; the message names the failing trial.
+    """An internal invariant failed; the message names where.
 
-    (p, n, seed, trial) is enough to reproduce the failure with
-    `sample_pair(p, n, RngSpec(seed), trial)`.
+    p and n are always named. Sampling failures also name seed and trial:
+    (p, n, seed, trial) is enough to reproduce them with
+    `sample_pair(p, n, RngSpec(seed), trial)`. Deterministic computations
+    leave seed and trial as None.
     """
 
-    def __init__(self, detail: str, *, p: int, n: int, seed: int, trial: int):
-        super().__init__(f"{detail} (p={p}, n={n}, seed={seed}, trial={trial})")
+    def __init__(
+        self, detail: str, *, p: int, n: int,
+        seed: int | None = None, trial: int | None = None,
+    ):
+        where = {"p": p, "n": n, "seed": seed, "trial": trial}
+        named = ", ".join(f"{k}={v}" for k, v in where.items() if v is not None)
+        super().__init__(f"{detail} ({named})")
         self.p = p
         self.n = n
         self.seed = seed

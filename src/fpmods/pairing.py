@@ -17,7 +17,11 @@ This makes distinct blocks orthogonal and gives the generator relations
 (tau x, y) = (x, inv(tau) y), and skew-symmetry; the pairing is
 nondegenerate. Subspaces are GF(p) row spans of flattened coordinate
 vectors; orthogonal complements come from the Gram matrix, and maximal
-isotropic T-stable subspaces are enumerated by breadth-first extension.
+isotropic T-stable subspaces are enumerated breadth-first by socle
+extension: a T-stable isotropic M grows to M + <w> for each w orthogonal to
+M, outside M, with T w in M. Every T-stable isotropic subspace containing M
+properly contains such a w, because T is nilpotent, so every Lagrangian is
+reached one dimension at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .errors import ResourceBoundError
+from .errors import InvariantError, ResourceBoundError
 from .series import TruncatedSeries, check_level, check_prime, is_power_of
 
 MAX_TOTAL_DIM = 4096
@@ -386,21 +390,21 @@ def _normalized_rows(vecs: np.ndarray) -> np.ndarray:
     return vecs[nonzero & (lead_vals == 1)]
 
 
-def _outside(sub: FpSubspace, vecs: np.ndarray) -> np.ndarray:
-    residual = linalg.reduce_rows(sub.basis, sub.pivots, vecs, sub.p)
-    return vecs[residual.any(axis=1)]
-
-
 def enumerate_maximal_isotropic(shape: SpaceShape):
     """All maximal isotropic T-stable subspaces, with diagnostics.
 
-    Breadth-first search over isotropic T-stable subspaces: a state M is
-    extended by the T-span of M and w for each w in the complement of M
-    outside M whose cyclic span is self-isotropic ((w, T^j w) = 0 for all j);
-    the extension is then automatically isotropic. States of half dimension
-    equal their own complement, hence are maximal. Cost is proportional to
-    the number of isotropic T-stable subspaces, which is why the total
-    dimension is capped.
+    Breadth-first search over isotropic T-stable subspaces by socle
+    extension: a state M is extended by each w in the complement of M,
+    outside M, with T w in M, and the child is M + <w>. The child is
+    isotropic because w is orthogonal to M and the skew form is alternating
+    in odd characteristic, and T-stable because T w lies in M. No T-stable
+    isotropic L containing M properly is missed: T is nilpotent on L / M,
+    so some w in L outside M has T w in M, and M + <w> lies in L. Only one
+    w per line of M^perp / M is tried (reduced modulo M, leading coefficient
+    1), since w and c w + m give the same child and T w lies in M for both.
+    States of half dimension equal their own complement, hence are maximal.
+    Cost is proportional to the number of isotropic T-stable subspaces,
+    which is why the total dimension is capped.
     """
     if shape.dim > MAX_ENUM_DIM:
         raise ResourceBoundError(
@@ -408,11 +412,7 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
         )
     p = shape.p
     half = shape.dim // 2
-    gram = gram_matrix(shape)
     action = t_action_matrix(shape)
-    t_powers = [np.eye(shape.dim, dtype=np.int64)]
-    for _ in range(max(shape.block_levels) - 1):
-        t_powers.append(linalg.matmul(t_powers[-1], action, p))
 
     start = FpSubspace(shape)
     seen = {start.key()}
@@ -423,18 +423,22 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
         if current.dim == half:
             found[current.key()] = current
             continue
-        candidates = _normalized_rows(current.orthogonal_complement().vectors())
-        candidates = _outside(current, candidates)
-        if len(candidates) == 0:
-            continue
-        cg = linalg.matmul(candidates, gram, p)
-        ok = np.ones(len(candidates), dtype=bool)
-        for power in t_powers:
-            vals = np.einsum("ij,ij->i", cg, (candidates @ power) % p) % p
-            ok &= vals == 0
-        for w in candidates[ok]:
-            grown = FpSubspace.t_span(shape, np.vstack([current.basis, w[None]]))
-            assert grown.dim <= half
+        # reduced modulo current, perp's rows span a complement of current in
+        # perp whose vectors are the canonical representatives of perp / current
+        perp = current.orthogonal_complement()
+        reduced = linalg.reduce_rows(current.basis, current.pivots, perp.basis, p)
+        candidates = _normalized_rows(FpSubspace(shape, reduced).vectors())
+        shifted = linalg.reduce_rows(
+            current.basis, current.pivots, linalg.matmul(candidates, action, p), p
+        )
+        for w in candidates[~shifted.any(axis=1)]:
+            grown = FpSubspace(shape, np.vstack([current.basis, w[None]]))
+            if grown.dim != current.dim + 1:
+                raise InvariantError(
+                    f"socle extension of a dimension-{current.dim} state has "
+                    f"dimension {grown.dim}",
+                    p=p, n=shape.rank_level,
+                )
             key = grown.key()
             if key not in seen:
                 seen.add(key)

@@ -120,22 +120,20 @@ def intersection_bound(p: int, n: int) -> Fraction:
 
 
 def collision_probability_census(p: int, n: int) -> Fraction:
-    """Collision probability recomputed by full double enumeration."""
+    """Collision probability recomputed from the full enumeration.
+
+    Over all N^2 ordered pairs of enumerated forms, a form occurring c times
+    collides in c^2 of them, so the census needs one pass, not N^2 compares.
+    """
     total = count_maximal(p, n)
     if total * total > MAX_CENSUS_PAIRS:
         raise ResourceBoundError(
             f"{total * total} ordered pairs at (p={p}, n={n}) exceed the "
             f"census bound {MAX_CENSUS_PAIRS}"
         )
-    forms = list(enumerate_maximal(p, n))
-    hits = 0
-    pairs = 0
-    for a in forms:
-        for b in forms:
-            pairs += 1
-            if a == b:
-                hits += 1
-    return Fraction(hits, pairs)
+    multiplicity = Counter(enumerate_maximal(p, n))
+    pairs = sum(multiplicity.values()) ** 2
+    return Fraction(sum(c * c for c in multiplicity.values()), pairs)
 
 
 def _check_trials(trials: int) -> None:

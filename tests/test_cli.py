@@ -17,6 +17,7 @@ from fpmods.cli import (
     ExperimentConfig,
     UsageError,
     build_config,
+    emit,
     fraction_decimal,
     float_sci,
     make_parser,
@@ -439,3 +440,45 @@ def test_main_with_config_file(tmp_path, capsys):
     with open(out + ".csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[1]["extra"] == "verified=true;bound=11/12"
+
+
+def test_main_census_mismatch_is_invariant_exit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "collision_probability_census", lambda p, n: Fraction(1, 2))
+    out = tmp_path / "x"
+    code = run_main(
+        tmp_path, "--mode", "exhaustive", "--prime", "3", "--levels", "2",
+        "--output", str(out),
+    )
+    assert code == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "internal invariant violated: census 1/2 disagrees" in err
+    assert "(p=3, n=2)" in err
+    assert not os.path.exists(str(out) + ".csv")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_reports_get_umask_default_mode(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        out = str(tmp_path / "rep")
+        code = run_main(
+            tmp_path, "--mode", "count", "--prime", "3", "--levels", "1",
+            "--output", out, "--format", "both",
+        )
+    finally:
+        os.umask(old)
+    assert code == EXIT_OK
+    for ext in ("csv", "json"):
+        assert os.stat(f"{out}.{ext}").st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_emit_both_writes_nothing_when_a_render_fails(tmp_path, monkeypatch):
+    report = run(config(format="both", output=str(tmp_path / "rep")))
+
+    def broken(report):
+        raise ValueError("render failed")
+
+    monkeypatch.setattr(cli, "render_json", broken)
+    with pytest.raises(ValueError, match="render failed"):
+        emit(report)
+    assert os.listdir(tmp_path) == []

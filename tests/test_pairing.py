@@ -13,7 +13,8 @@ from fpmods import (
     isotropic_diagnostics,
     t_action_matrix,
 )
-from fpmods.errors import ResourceBoundError
+from fpmods import pairing
+from fpmods.errors import InvariantError, ResourceBoundError
 from fpmods.linalg import rank, row_basis
 
 ACCEPTANCE_SHAPES = [
@@ -264,6 +265,37 @@ def test_greedy_random_completion_lands_in_enumeration():
             assert options, "greedy growth got stuck below half dimension"
             current = options[int(rng.integers(len(options)))]
         assert current.key() in found_keys
+
+
+@pytest.mark.parametrize(
+    "shape, results, split",
+    [
+        # level 1: T = 0, so every Lagrangian counts: prod_{i<=g} (p^i + 1)
+        (SpaceShape(5, 1, (1,)), (5 + 1) * (25 + 1), 36),
+        (SpaceShape(7, 1, (1,)), (7 + 1) * (49 + 1), 64),
+        (SpaceShape(3, 3, (1,)), 184, 48),
+        (SpaceShape(3, 1, (3,)), 184, 64),
+    ],
+)
+def test_enumeration_counts_dim_four_and_eight(shape, results, split):
+    found = list(enumerate_maximal_isotropic(shape))
+    assert len(found) == results
+    assert sum(r.splits for r in found) == split
+    keys = [r.subspace.key() for r in found]
+    assert keys == sorted(set(keys))
+    for r in found:
+        sub = r.subspace
+        assert sub.dim == shape.dim // 2
+        assert sub.is_t_stable()
+        assert sub == sub.orthogonal_complement()
+
+
+def test_enumeration_rejects_a_non_growing_extension(monkeypatch):
+    # keeping the zero vector among the candidates extends a state by a
+    # vector it already contains, which the dimension check must catch
+    monkeypatch.setattr(pairing, "_normalized_rows", lambda vecs: vecs)
+    with pytest.raises(InvariantError, match="socle extension.*p=3, n=1"):
+        list(enumerate_maximal_isotropic(SpaceShape(3, 1)))
 
 
 def test_diagnostics_split_and_nonsplit_cases():
