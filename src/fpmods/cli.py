@@ -8,7 +8,7 @@ Modes
     isotropic   maximal isotropic T-stable subspaces of a pairing space
 
 Reports go to <output>.csv and/or <output>.json (all rendered first, then
-each written to a temp file and renamed into place). CSV rows are
+all written to temp files, then each renamed into place). CSV rows are
 byte-stable for a fixed (config, seed): wall-clock measurements and the run
 timestamp appear only in the JSON report. Exit codes: 0 ok, 2 usage error,
 3 resource bound exceeded, 4 I/O error, 5 internal invariant violated (the
@@ -328,28 +328,33 @@ def render_json(report: ExperimentReport) -> str:
     return json.dumps(report_to_dict(report), indent=2) + "\n"
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _stage(path: str, text: str) -> str:
+    """Write text to a new temp file beside path and return its name."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fpmods-")
     try:
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
-        os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        _discard(tmp)
         raise
+    return tmp
+
+
+def _discard(tmp: str) -> None:
+    try:
+        os.unlink(tmp)
+    except OSError:
+        pass
 
 
 def emit(report: ExperimentReport) -> list[str]:
-    """Render every requested format, then write them: a render error writes
-    nothing."""
+    """Render every requested format, stage each in a temp file, then rename
+    them into place: a render or staging error writes no report."""
     renderers = {"csv": render_csv, "json": render_json}
     fmt = report.config.format
     texts = {
@@ -357,8 +362,16 @@ def emit(report: ExperimentReport) -> list[str]:
         for ext, render in renderers.items()
         if fmt in (ext, "both")
     }
-    for path, text in texts.items():
-        _atomic_write(path, text)
+    staged: dict[str, str] = {}
+    try:
+        for path, text in texts.items():
+            staged[path] = _stage(path, text)
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in staged.values():
+            _discard(tmp)
+        raise
     return list(texts)
 
 

@@ -16,18 +16,22 @@ This makes distinct blocks orthogonal and gives the generator relations
 (g^k1 u_i, g^k2 v_i) = delta_{k1,k2} for g = 1 + T, equivariance
 (tau x, y) = (x, inv(tau) y), and skew-symmetry; the pairing is
 nondegenerate. Subspaces are GF(p) row spans of flattened coordinate
-vectors; orthogonal complements come from the Gram matrix, and maximal
-isotropic T-stable subspaces are enumerated breadth-first by socle
-extension: a T-stable isotropic M grows to M + <w> for each w orthogonal to
-M, outside M, with T w in M. Every T-stable isotropic subspace containing M
-properly contains such a w, because T is nilpotent, so every Lagrangian is
-reached one dimension at a time.
+vectors; orthogonal complements come from the Gram matrix.
+
+Maximal isotropic T-stable subspaces are enumerated by orderly generation,
+which builds each T-stable isotropic subspace once, from its canonical
+parent. T moves each coordinate to the next index inside its generator
+slice, so it strictly raises the leading column of a vector. Hence if M has
+reduced-row-echelon rows r_1, ..., r_k, then P = span(r_2, ..., r_k), the
+members of M vanishing on every column up to r_1's pivot, is T-stable and
+isotropic, and T r_1 lies in P. P is M's parent, and M is the span of P and
+a vector w that is orthogonal to P, has T w in P, vanishes on P's pivots and
+leads with a 1 before them; all such w come from one kernel per state.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -239,11 +243,24 @@ class FpSubspace:
         if mat.shape[1] != shape.dim:
             raise ValueError(f"rows must have length {shape.dim}")
         reduced, pivots = linalg.rref(mat, shape.p)
+        self._assign(shape, reduced[: len(pivots)], pivots)
+
+    def _assign(self, shape: SpaceShape, basis: np.ndarray, pivots: tuple[int, ...]):
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "basis", reduced[: len(pivots)])
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "_t_stable", None)
-        self.basis.setflags(write=False)
+        basis.setflags(write=False)
+
+    @classmethod
+    def _from_rref(
+        cls, shape: SpaceShape, basis: np.ndarray, pivots: tuple[int, ...]
+    ) -> "FpSubspace":
+        """The subspace whose reduced-row-echelon basis, entries in [0, p),
+        and pivot columns the caller already holds; no elimination is run."""
+        sub = cls.__new__(cls)
+        sub._assign(shape, basis, pivots)
+        return sub
 
     def __setattr__(self, name, value):
         if name == "_t_stable":
@@ -346,29 +363,29 @@ class MaximalIsotropic:
     splits: bool
 
 
-def _coordinate_section(sub: FpSubspace, zero_cols: slice) -> np.ndarray:
-    """Canonical basis of the members vanishing on the given coordinates."""
-    if sub.dim == 0:
-        return sub.basis
-    block = sub.basis[:, zero_cols]
-    combos = linalg.nullspace(block.T, sub.p)
-    return linalg.row_basis(linalg.matmul(combos, sub.basis, sub.p), sub.p)
-
-
 def isotropic_diagnostics(sub: FpSubspace) -> MaximalIsotropic:
-    """Decomposition diagnostics of an isotropic T-stable subspace."""
+    """Decomposition diagnostics of an isotropic T-stable subspace.
+
+    The rank columns come first, so in the reduced row echelon basis the
+    rows led by a rank column project to a basis of the rank-block
+    projection, and the other rows span the torsion part (the members that
+    vanish on the rank columns). Eliminating again with the torsion columns
+    first gives the rank part the same way: the rows led by a rank column.
+    """
     shape = sub.shape
     p = shape.p
-    rank_cols = slice(0, shape.rank_dim)
-    torsion_cols = slice(shape.rank_dim, shape.dim)
-    proj_dim = linalg.rank(sub.basis[:, rank_cols], p) if sub.dim else 0
-    rank_part = _coordinate_section(sub, torsion_cols)
-    torsion_part = _coordinate_section(sub, rank_cols)
-    shifted = linalg.matmul(rank_part, t_action_matrix(shape), p)
+    r = shape.rank_dim
+    proj_dim = sum(c < r for c in sub.pivots)
+    torsion_dim = sub.dim - proj_dim
+    reordered, pivots = linalg.rref(np.hstack([sub.basis[:, r:], sub.basis[:, :r]]), p)
+    led_by_rank = [i for i, c in enumerate(pivots) if c >= shape.dim - r]
+    rank_part = reordered[led_by_rank, shape.dim - r :]
+    # T maps the rank block into itself
+    shifted = linalg.matmul(rank_part, t_action_matrix(shape)[:r, :r], p)
     generators_needed = len(rank_part) - linalg.rank(shifted, p)
     cyclic = generators_needed <= 1
     splits = (
-        len(rank_part) + len(torsion_part) == sub.dim
+        len(rank_part) + torsion_dim == sub.dim
         and len(rank_part) == shape.rank_level
         and cyclic
     )
@@ -376,72 +393,116 @@ def isotropic_diagnostics(sub: FpSubspace) -> MaximalIsotropic:
         subspace=sub,
         rank_projection_dim=proj_dim,
         rank_intersection_dim=len(rank_part),
-        torsion_intersection_dim=len(torsion_part),
+        torsion_intersection_dim=torsion_dim,
         rank_intersection_cyclic=cyclic,
         splits=splits,
     )
 
 
-def _normalized_rows(vecs: np.ndarray) -> np.ndarray:
-    """Nonzero rows whose leading coefficient is 1 (one per projective line)."""
-    nonzero = vecs.any(axis=1)
-    lead = np.argmax(vecs != 0, axis=1)
-    lead_vals = vecs[np.arange(len(vecs)), lead]
-    return vecs[nonzero & (lead_vals == 1)]
+@lru_cache(maxsize=None)
+def _coefficients(p: int, count: int) -> np.ndarray:
+    """Every coefficient vector in GF(p)^count, one per row, lexicographic."""
+    out = np.array(list(itertools.product(range(p), repeat=count)), dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+def _socle_kernel(shape: SpaceShape, state: FpSubspace) -> np.ndarray:
+    """Reduced-row-echelon basis of the w that vanish on the state's pivot
+    columns, are orthogonal to the state and have T w in the state.
+
+    w is unknown only on the free (non-pivot) columns, and T w = w A lies in
+    the state P exactly when w A equals (w A)[pivots] P, so the conditions
+    are z C = 0 for z = w[free] and C = [A - A[:, pivots] P | G P^T][free].
+    The kernel comes from one elimination of C^T with its columns reversed:
+    linalg.nullspace returns one row per free column f, with a 1 at f, zeros
+    at the other free columns and entries only at pivot columns before f,
+    so reversing the columns back (and the rows) gives the reduced row
+    echelon form of the kernel, led by the former free columns.
+    """
+    p = shape.p
+    action = t_action_matrix(shape)
+    pivots = list(state.pivots)
+    free = [c for c in range(shape.dim) if c not in state.pivots]
+    shifted = (action - action[:, pivots] @ state.basis) % p
+    paired = linalg.matmul(gram_matrix(shape), state.basis.T, p)
+    constraints = np.hstack([shifted, paired])[free]
+    kernel = linalg.nullspace(constraints.T[:, ::-1], p)[::-1, ::-1]
+    out = np.zeros((len(kernel), shape.dim), dtype=np.int64)
+    out[:, free] = kernel
+    return out
 
 
 def enumerate_maximal_isotropic(shape: SpaceShape):
-    """All maximal isotropic T-stable subspaces, with diagnostics.
+    """All maximal isotropic T-stable subspaces, with diagnostics, sorted by
+    key.
 
-    Breadth-first search over isotropic T-stable subspaces by socle
-    extension: a state M is extended by each w in the complement of M,
-    outside M, with T w in M, and the child is M + <w>. The child is
-    isotropic because w is orthogonal to M and the skew form is alternating
-    in odd characteristic, and T-stable because T w lies in M. No T-stable
-    isotropic L containing M properly is missed: T is nilpotent on L / M,
-    so some w in L outside M has T w in M, and M + <w> lies in L. Only one
-    w per line of M^perp / M is tried (reduced modulo M, leading coefficient
-    1), since w and c w + m give the same child and T w lies in M for both.
+    Orderly generation (see the module docstring): each T-stable isotropic
+    subspace M is built once, from its parent P, the span of all but the
+    first row r_1 of M's reduced row echelon basis. T strictly raises the
+    leading column of a vector, so P is T-stable and T r_1 lies in P.
+
+    The children of a state P are the spans of P and w for each w in the
+    kernel of _socle_kernel (orthogonal to P, T w in P, zero on P's pivots)
+    whose leading entry is a 1 in a column q before P's first pivot: the
+    child is isotropic because the skew form is alternating in odd
+    characteristic, T-stable because T w lies in P, and [w; P's basis] is
+    already its reduced row echelon basis, so distinct w give distinct
+    children and no child needs elimination. Such w are one row of the
+    kernel's echelon basis with pivot q, plus any combination of the kernel
+    rows after it. A child with j rows and first pivot q can reach half
+    dimension only if q >= half - j, since its descendants add rows with
+    pivots before q; other children are not built.
+
     States of half dimension equal their own complement, hence are maximal.
-    Cost is proportional to the number of isotropic T-stable subspaces,
-    which is why the total dimension is capped.
+    Cost is proportional to the number of T-stable isotropic subspaces that
+    can still reach half dimension, which is why the total dimension is
+    capped; p^dim is bounded by MAX_SUBSPACE_VECTORS, which also bounds the
+    p^m combinations listed for a kernel row with m rows after it.
     """
     if shape.dim > MAX_ENUM_DIM:
         raise ResourceBoundError(
             f"total dimension {shape.dim} exceeds the enumeration bound {MAX_ENUM_DIM}"
         )
     p = shape.p
-    half = shape.dim // 2
-    action = t_action_matrix(shape)
-
-    start = FpSubspace(shape)
-    seen = {start.key()}
-    queue = deque([start])
-    found: dict[bytes, FpSubspace] = {}
-    while queue:
-        current = queue.popleft()
-        if current.dim == half:
-            found[current.key()] = current
-            continue
-        # reduced modulo current, perp's rows span a complement of current in
-        # perp whose vectors are the canonical representatives of perp / current
-        perp = current.orthogonal_complement()
-        reduced = linalg.reduce_rows(current.basis, current.pivots, perp.basis, p)
-        candidates = _normalized_rows(FpSubspace(shape, reduced).vectors())
-        shifted = linalg.reduce_rows(
-            current.basis, current.pivots, linalg.matmul(candidates, action, p), p
+    if p**shape.dim > MAX_SUBSPACE_VECTORS:
+        raise ResourceBoundError(
+            f"p^dim = {p ** shape.dim} member vectors exceed {MAX_SUBSPACE_VECTORS}"
         )
-        for w in candidates[~shifted.any(axis=1)]:
-            grown = FpSubspace(shape, np.vstack([current.basis, w[None]]))
-            if grown.dim != current.dim + 1:
+    half = shape.dim // 2
+
+    stack = [FpSubspace(shape)]
+    found: list[FpSubspace] = []
+    while stack:
+        state = stack.pop()
+        if state.dim == half:
+            found.append(state)
+            continue
+        first = state.pivots[0] if state.dim else shape.dim
+        lowest = half - state.dim - 1
+        kernel = _socle_kernel(shape, state)
+        leads = np.argmax(kernel != 0, axis=1)
+        for i in np.flatnonzero((leads >= lowest) & (leads < first)):
+            later = kernel[i + 1 :]
+            children = (kernel[i] + _coefficients(p, len(later)) @ later) % p
+            lead = np.argmax(children != 0, axis=1)
+            echelon = (
+                (lead < first)
+                & (children[np.arange(len(children)), lead] == 1)
+                & ~children[:, list(state.pivots)].any(axis=1)
+            )
+            if not echelon.all():
                 raise InvariantError(
-                    f"socle extension of a dimension-{current.dim} state has "
-                    f"dimension {grown.dim}",
+                    f"socle extension of a dimension-{state.dim} state by a vector "
+                    f"without a leading 1 before its first pivot {first} or zeros "
+                    f"on its pivots",
                     p=p, n=shape.rank_level,
                 )
-            key = grown.key()
-            if key not in seen:
-                seen.add(key)
-                queue.append(grown)
-    for key in sorted(found):
-        yield isotropic_diagnostics(found[key])
+            pivots = (int(leads[i]), *state.pivots)
+            for w in children:
+                stack.append(
+                    FpSubspace._from_rref(shape, np.vstack([w, state.basis]), pivots)
+                )
+    found.sort(key=FpSubspace.key)
+    for sub in found:
+        yield isotropic_diagnostics(sub)

@@ -482,3 +482,35 @@ def test_emit_both_writes_nothing_when_a_render_fails(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="render failed"):
         emit(report)
     assert os.listdir(tmp_path) == []
+
+
+def test_emit_both_writes_nothing_when_staging_the_second_fails(tmp_path, monkeypatch):
+    real_fdopen = os.fdopen
+    opened = []
+
+    def fdopen_failing_second(fd, *args, **kwargs):
+        opened.append(fd)
+        if len(opened) == 2:
+            os.close(fd)
+            raise OSError(28, "No space left on device")
+        return real_fdopen(fd, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "fdopen", fdopen_failing_second)
+    code = run_main(
+        tmp_path, "--mode", "count", "--prime", "3", "--levels", "1",
+        "--output", str(tmp_path / "rep"), "--format", "both",
+    )
+    assert code == EXIT_IO
+    assert len(opened) == 2
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("prime, shape", [("97", "1"), ("13", "1,1")])
+def test_main_isotropic_vector_bound_exit(tmp_path, capsys, prime, shape):
+    code = run_main(
+        tmp_path, "--mode", "isotropic", "--prime", prime, "--levels", "1",
+        "--shape", shape, "--output", str(tmp_path / "iso"), "--format", "both",
+    )
+    assert code == EXIT_RESOURCE
+    assert "member vectors exceed 2000000" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []

@@ -1,7 +1,10 @@
+import collections
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpmods import (
     FpSubspace,
@@ -15,7 +18,7 @@ from fpmods import (
 )
 from fpmods import pairing
 from fpmods.errors import InvariantError, ResourceBoundError
-from fpmods.linalg import rank, row_basis
+from fpmods.linalg import nullspace, rank, reduce_rows, row_basis
 
 ACCEPTANCE_SHAPES = [
     SpaceShape(3, 1),
@@ -290,12 +293,188 @@ def test_enumeration_counts_dim_four_and_eight(shape, results, split):
         assert sub == sub.orthogonal_complement()
 
 
-def test_enumeration_rejects_a_non_growing_extension(monkeypatch):
-    # keeping the zero vector among the candidates extends a state by a
-    # vector it already contains, which the dimension check must catch
-    monkeypatch.setattr(pairing, "_normalized_rows", lambda vecs: vecs)
+def test_enumeration_rejects_a_child_out_of_echelon_form(monkeypatch):
+    # an identity "kernel" offers w that are nonzero on the state's pivots,
+    # so [w; state basis] is not a reduced echelon basis; the child check
+    # must catch it before a wrong subspace is built
+    monkeypatch.setattr(
+        pairing, "_socle_kernel", lambda shape, state: np.eye(shape.dim, dtype=np.int64)
+    )
     with pytest.raises(InvariantError, match="socle extension.*p=3, n=1"):
-        list(enumerate_maximal_isotropic(SpaceShape(3, 1)))
+        list(enumerate_maximal_isotropic(SpaceShape(3, 1, (1,))))
+
+
+def socle_bfs_oracle(shape):
+    """Oracle: breadth-first socle extension, with repeats dropped by key.
+
+    A state M grows to M + <w> for one w per line of M^perp / M with T w in
+    M; every T-stable isotropic subspace is reached from each of its
+    parents. Returns the half-dimensional states sorted by key.
+    """
+    p = shape.p
+    half = shape.dim // 2
+    action = t_action_matrix(shape)
+    start = FpSubspace(shape)
+    seen = {start.key()}
+    queue = collections.deque([start])
+    found = {}
+    while queue:
+        current = queue.popleft()
+        if current.dim == half:
+            found[current.key()] = current
+            continue
+        perp = current.orthogonal_complement()
+        reduced = reduce_rows(current.basis, current.pivots, perp.basis, p)
+        vecs = FpSubspace(shape, reduced).vectors()
+        lead = np.argmax(vecs != 0, axis=1)
+        normalized = vecs.any(axis=1) & (vecs[np.arange(len(vecs)), lead] == 1)
+        candidates = vecs[normalized]
+        shifted = reduce_rows(current.basis, current.pivots, candidates @ action % p, p)
+        for w in candidates[~shifted.any(axis=1)]:
+            grown = FpSubspace(shape, np.vstack([current.basis, w[None]]))
+            assert grown.dim == current.dim + 1
+            if grown.key() not in seen:
+                seen.add(grown.key())
+                queue.append(grown)
+    return [found[key] for key in sorted(found)]
+
+
+def _coordinate_section(sub, zero_cols):
+    if sub.dim == 0:
+        return sub.basis
+    combos = nullspace(sub.basis[:, zero_cols].T, sub.p)
+    return row_basis(combos @ sub.basis % sub.p, sub.p)
+
+
+def diagnostics_oracle(sub):
+    """Oracle: the diagnostics from explicit coordinate sections, six
+    eliminations per subspace."""
+    shape = sub.shape
+    p = shape.p
+    rank_cols = slice(0, shape.rank_dim)
+    torsion_cols = slice(shape.rank_dim, shape.dim)
+    proj_dim = rank(sub.basis[:, rank_cols], p) if sub.dim else 0
+    rank_part = _coordinate_section(sub, torsion_cols)
+    torsion_part = _coordinate_section(sub, rank_cols)
+    shifted = rank_part @ t_action_matrix(shape) % p
+    cyclic = len(rank_part) - rank(shifted, p) <= 1
+    return pairing.MaximalIsotropic(
+        subspace=sub,
+        rank_projection_dim=proj_dim,
+        rank_intersection_dim=len(rank_part),
+        torsion_intersection_dim=len(torsion_part),
+        rank_intersection_cyclic=cyclic,
+        splits=(
+            len(rank_part) + len(torsion_part) == sub.dim
+            and len(rank_part) == shape.rank_level
+            and cyclic
+        ),
+    )
+
+
+ORACLE_SHAPES = [
+    SpaceShape(3, 1),
+    SpaceShape(3, 3),
+    SpaceShape(3, 1, (1,)),
+    SpaceShape(5, 1, (1,)),
+    SpaceShape(7, 1, (1,)),
+    SpaceShape(3, 3, (1,)),
+    SpaceShape(3, 1, (3,)),
+    SpaceShape(3, 1, (1, 1)),
+]
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
+def test_orderly_generation_matches_socle_bfs(shape):
+    # equal reports check both the search and, on every result, the
+    # diagnostics against the six-elimination oracle
+    found = list(enumerate_maximal_isotropic(shape))
+    expected = [diagnostics_oracle(sub) for sub in socle_bfs_oracle(shape)]
+    assert found == expected
+    assert [r.subspace.pivots for r in found] == [r.subspace.pivots for r in expected]
+    if shape == SpaceShape(3, 1, (1, 1)):
+        assert len(found) == (3 + 1) * (9 + 1) * (27 + 1) == 1120
+
+
+def test_orderly_generation_builds_each_state_once(monkeypatch):
+    built = []
+    from_rref = FpSubspace._from_rref.__func__
+
+    def recording(cls, shape, basis, pivots):
+        built.append(basis.tobytes())
+        return from_rref(cls, shape, basis, pivots)
+
+    monkeypatch.setattr(FpSubspace, "_from_rref", classmethod(recording))
+    assert len(list(enumerate_maximal_isotropic(SpaceShape(3, 1, (1, 1))))) == 1120
+    assert len(built) == len(set(built))
+
+
+@pytest.mark.parametrize(
+    "shape", [SpaceShape(3, 3, (1,)), SpaceShape(5, 1, (1,))], ids=str
+)
+def test_socle_kernel_is_the_echelon_basis_of_its_definition(shape):
+    # brute force over all of V: w zero on the state's pivots, orthogonal
+    # to the state, with T w in the state; the states are the first 20
+    # Lagrangians and every state on their parent chains
+    p = shape.p
+    action = t_action_matrix(shape)
+    gram = gram_matrix(shape)
+    space = FpSubspace(shape, np.eye(shape.dim, dtype=np.int64)).vectors()
+    lagrangians = [r.subspace for r in enumerate_maximal_isotropic(shape)][:20]
+    for lagrangian in lagrangians:
+        for k in range(lagrangian.dim + 1):
+            state = FpSubspace(shape, lagrangian.basis[k:])
+            members = space[~space[:, list(state.pivots)].any(axis=1)]
+            members = members[~(members @ gram @ state.basis.T % p).any(axis=1)]
+            shifted = reduce_rows(state.basis, state.pivots, members @ action % p, p)
+            expected = row_basis(members[~shifted.any(axis=1)], p)
+            kernel = pairing._socle_kernel(shape, state)
+            assert kernel.shape == expected.shape
+            assert (kernel == expected).all()
+
+
+@st.composite
+def t_stable_isotropic(draw):
+    """A random T-stable isotropic subspace, grown by socle extension."""
+    shape = draw(st.sampled_from(ORACLE_SHAPES[:7]))
+    action = t_action_matrix(shape)
+    current = FpSubspace(shape)
+    for _ in range(draw(st.integers(1, shape.dim // 2))):
+        perp = current.orthogonal_complement().vectors()
+        outside = reduce_rows(current.basis, current.pivots, perp, shape.p)
+        shifted = reduce_rows(
+            current.basis, current.pivots, perp @ action % shape.p, shape.p
+        )
+        options = perp[outside.any(axis=1) & ~shifted.any(axis=1)]
+        w = options[draw(st.integers(0, len(options) - 1))]
+        current = FpSubspace(shape, np.vstack([current.basis, w[None]]))
+    return current
+
+
+@settings(max_examples=60, deadline=None)
+@given(t_stable_isotropic())
+def test_dropping_the_first_echelon_row_leaves_a_t_stable_parent(sub):
+    shape = sub.shape
+    assert sub.is_t_stable() and sub.is_isotropic()
+    first = sub.basis[0]
+    parent = FpSubspace(shape, sub.basis[1:])
+    assert (parent.basis == sub.basis[1:]).all()
+    assert parent.is_t_stable()
+    assert parent.contains(first @ t_action_matrix(shape) % shape.p)
+    # the parent is exactly the members vanishing up to the first pivot
+    members = sub.vectors()
+    zero_prefix = members[~members[:, : sub.pivots[0] + 1].any(axis=1)]
+    assert FpSubspace(shape, zero_prefix) == parent
+
+
+@pytest.mark.parametrize(
+    "shape", [SpaceShape(97, 1, (1,)), SpaceShape(13, 1, (1, 1))], ids=str
+)
+def test_enumeration_refuses_more_vectors_than_the_listing_bound(shape):
+    # p^dim above MAX_SUBSPACE_VECTORS, though the dimension is within bound
+    message = r"p\^dim = \d+ member vectors exceed 2000000"
+    with pytest.raises(ResourceBoundError, match=message):
+        list(enumerate_maximal_isotropic(shape))
 
 
 def test_diagnostics_split_and_nonsplit_cases():
