@@ -8,11 +8,14 @@ Modes
     isotropic   maximal isotropic T-stable subspaces of a pairing space
 
 Reports go to <output>.csv and/or <output>.json (all rendered first, then
-all written to temp files, then each renamed into place). CSV rows are
-byte-stable for a fixed (config, seed): wall-clock measurements and the run
-timestamp appear only in the JSON report. Exit codes: 0 ok, 2 usage error,
-3 resource bound exceeded, 4 I/O error, 5 internal invariant violated (the
-message names p and n, plus the seed and trial of a sampling failure).
+all written to temp files, then each renamed into place; a failed rename
+removes the reports already placed, so either all are written or none).
+CSV rows are byte-stable for a fixed (config, seed): wall-clock
+measurements, the run timestamp and the provenance (Python, numpy,
+platform, CPU count, argv) appear only in the JSON report. Exit codes:
+0 ok, 2 usage error, 3 resource bound exceeded, 4 I/O error, 5 internal
+invariant violated (the message names p and n, plus the seed and trial of
+a sampling failure).
 --threads is accepted and validated but no longer changes speed or results:
 sampling is one vectorized kernel.
 """
@@ -24,6 +27,7 @@ import csv
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 import time
@@ -31,6 +35,8 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__
 from .errors import InvariantError, ResourceBoundError
@@ -149,6 +155,7 @@ class ExperimentReport:
     rows: tuple[ReportRow, ...]
     version: str
     timestamp: str
+    argv: tuple[str, ...] | None = None  # the arguments of main; None from run()
 
 
 def fraction_decimal(x: Fraction) -> str:
@@ -255,7 +262,9 @@ _ROW_FIELDS = {
 }
 
 
-def run(config: ExperimentConfig) -> ExperimentReport:
+def run(
+    config: ExperimentConfig, argv: tuple[str, ...] | None = None
+) -> ExperimentReport:
     if config.mode == "isotropic":
         try:
             for n in config.levels:
@@ -282,6 +291,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
         rows=tuple(rows),
         version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
+        argv=argv,
     )
 
 
@@ -320,6 +330,11 @@ def report_to_dict(report: ExperimentReport) -> dict:
             "library": "fpmods",
             "version": report.version,
             "timestamp": report.timestamp,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+            "cpu_count": os.cpu_count(),
+            "argv": None if report.argv is None else list(report.argv),
         },
     }
 
@@ -354,7 +369,9 @@ def _discard(tmp: str) -> None:
 
 def emit(report: ExperimentReport) -> list[str]:
     """Render every requested format, stage each in a temp file, then rename
-    them into place: a render or staging error writes no report."""
+    them into place: a render or staging error writes no report, and a
+    failed rename removes the reports this call already renamed (a report
+    they replaced is not restored)."""
     renderers = {"csv": render_csv, "json": render_json}
     fmt = report.config.format
     texts = {
@@ -363,14 +380,16 @@ def emit(report: ExperimentReport) -> list[str]:
         if fmt in (ext, "both")
     }
     staged: dict[str, str] = {}
+    placed: list[str] = []
     try:
         for path, text in texts.items():
             staged[path] = _stage(path, text)
         for path, tmp in staged.items():
             os.replace(tmp, path)
+            placed.append(path)
     except BaseException:
-        for tmp in staged.values():
-            _discard(tmp)
+        for name in [*staged.values(), *placed]:
+            _discard(name)
         raise
     return list(texts)
 
@@ -466,10 +485,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = tuple(sys.argv[1:] if argv is None else argv)
     args = make_parser().parse_args(argv)
     try:
         config = build_config(args)
-        report = run(config)
+        report = run(config, argv)
         paths = emit(report)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -15,6 +15,14 @@ form in the canonical parameters (0 for mixed-kind pairs); the rank-based
 are handled by linear algebra on the flattened 2n-dimensional coordinate
 space. Projections to lower levels truncate the canonical parameter and
 lifting enumerates the p^(m-n) parameter extensions.
+
+Validation happens at the public boundary, once per call: the
+`CyclicSubmodule(...)` constructor checks every field, and
+`enumerate_maximal`, `CyclicSubmodule.from_index`, `project` and `lifts`
+check their arguments, then build each result with the unchecked
+`CyclicSubmodule._trusted`, since a form made from validated parameters
+(a digit tuple, a slice of a valid param, a valid param plus digits) is
+valid by construction.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ResourceBoundError
-from .series import TruncatedSeries, check_level, check_prime
+from .series import TruncatedSeries, check_level, check_prime, is_int
 
 MAX_ENUM_SUBMODULES = 10_000
 MAX_ENUM_VECTORS = 1_000_000
@@ -67,7 +75,7 @@ def is_maximal(v: ModuleVector) -> bool:
     return v.first.is_unit() or v.second.is_unit()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclicSubmodule:
     """A maximal cyclic submodule in canonical form.
 
@@ -92,8 +100,25 @@ class CyclicSubmodule:
                 f"kind {self.kind} at level {self.level} needs {expected} "
                 f"parameter coefficients, got {len(self.param)}"
             )
-        if any(not isinstance(c, int) or not 0 <= c < self.p for c in self.param):
+        if any(not is_int(c) or not 0 <= c < self.p for c in self.param):
             raise ValueError("parameter coefficients must be reduced mod p")
+
+    @classmethod
+    def _trusted(
+        cls, p: int, level: int, kind: str, param: tuple[int, ...]
+    ) -> "CyclicSubmodule":
+        """Build without `__post_init__`: the caller guarantees valid fields.
+
+        For the module's own entry points only, which validate their
+        arguments once per call and pass a param tuple of reduced ints of
+        the length `kind` needs at `level`.
+        """
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "p", p)
+        object.__setattr__(sub, "level", level)
+        object.__setattr__(sub, "kind", kind)
+        object.__setattr__(sub, "param", param)
+        return sub
 
     @classmethod
     def type_a(cls, g: TruncatedSeries) -> "CyclicSubmodule":
@@ -149,11 +174,9 @@ class CyclicSubmodule:
 
     @classmethod
     def from_index(cls, p: int, level: int, i: int) -> "CyclicSubmodule":
-        check_prime(p)
-        check_level(level)
         total = count_maximal(p, level)
-        if not 0 <= i < total:
-            raise ValueError(f"index {i} out of range [0, {total})")
+        if not is_int(i) or not 0 <= i < total:
+            raise ValueError(f"index {i!r} out of range [0, {total})")
         if i < p**level:
             kind, size = "A", level
         else:
@@ -163,7 +186,7 @@ class CyclicSubmodule:
         for _ in range(size):
             digits.append(i % p)
             i //= p
-        return cls(p, level, kind, tuple(digits))
+        return cls._trusted(p, level, kind, tuple(digits))
 
 
 def canonical_form(v: ModuleVector) -> CyclicSubmodule:
@@ -192,15 +215,22 @@ def count_maximal_generators(p: int, n: int) -> int:
 
 
 def enumerate_maximal(p: int, n: int) -> Iterator[CyclicSubmodule]:
-    """All maximal cyclic submodules in canonical index order."""
+    """All maximal cyclic submodules in canonical index order.
+
+    Checks (p, n) and the census bound once, not each yielded form.
+    """
     total = count_maximal(p, n)
     if total > MAX_ENUM_SUBMODULES:
         raise ResourceBoundError(
             f"{total} submodules at (p={p}, n={n}) exceed the "
             f"enumeration bound {MAX_ENUM_SUBMODULES}"
         )
-    for i in range(total):
-        yield CyclicSubmodule.from_index(p, n, i)
+    trusted = CyclicSubmodule._trusted
+    for kind, size in (("A", n), ("B", n - 1)):
+        # product varies its last digit fastest and param[0] is the lowest
+        # index digit, so the reversed tuples come in index order
+        for digits in itertools.product(range(p), repeat=size):
+            yield trusted(p, n, kind, digits[::-1])
 
 
 def iter_module_vectors(p: int, n: int) -> Iterator[ModuleVector]:
@@ -332,7 +362,7 @@ def project(sub: CyclicSubmodule, m: int) -> CyclicSubmodule:
     if m > sub.level:
         raise ValueError(f"cannot project level {sub.level} up to level {m}")
     cut = m if sub.kind == "A" else m - 1
-    return CyclicSubmodule(sub.p, m, sub.kind, sub.param[:cut])
+    return CyclicSubmodule._trusted(sub.p, m, sub.kind, sub.param[:cut])
 
 
 def lifts(sub: CyclicSubmodule, m: int) -> Iterator[CyclicSubmodule]:
@@ -341,8 +371,9 @@ def lifts(sub: CyclicSubmodule, m: int) -> Iterator[CyclicSubmodule]:
     if m < sub.level:
         raise ValueError(f"cannot lift level {sub.level} down to level {m}")
     extra = m - sub.level
+    trusted = CyclicSubmodule._trusted
     for tail in itertools.product(range(sub.p), repeat=extra):
-        yield CyclicSubmodule(sub.p, m, sub.kind, sub.param + tail)
+        yield trusted(sub.p, m, sub.kind, sub.param + tail)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import os
+import platform
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fpmods import cli
@@ -279,6 +282,11 @@ def test_json_round_trip():
     assert data["config"]["levels"] == [1, 2]
     assert data["metadata"]["library"] == "fpmods"
     assert data["metadata"]["timestamp"] == report.timestamp
+    assert data["metadata"]["python"] == platform.python_version()
+    assert data["metadata"]["numpy"] == np.__version__
+    assert data["metadata"]["platform"] == platform.platform()
+    assert data["metadata"]["cpu_count"] == os.cpu_count()
+    assert data["metadata"]["argv"] is None
     assert [row["runtime_ms"] for row in data["rows"]] == [
         row.runtime_ms for row in report.rows
     ]
@@ -315,7 +323,27 @@ def test_main_writes_both_formats(tmp_path, capsys):
     with open(out + ".json") as fh:
         data = json.load(fh)
     assert [row["exact_num"] for row in data["rows"]] == [4, 12]
+    assert data["metadata"]["argv"] == [
+        "--mode", "count", "--prime", "3", "--levels", "1,2",
+        "--output", out, "--format", "both",
+    ]
     assert not [f for f in os.listdir(tmp_path) if f.startswith(".fpmods-")]
+
+
+def test_main_records_process_argv_when_called_without_argv(tmp_path, monkeypatch):
+    out = str(tmp_path / "rep")
+    argv = ["--mode", "count", "--prime", "3", "--levels", "1", "--output", out,
+            "--format", "json"]
+    monkeypatch.setattr(sys, "argv", ["fpmods", *argv])
+    assert cli.main() == EXIT_OK
+    with open(out + ".json") as fh:
+        assert json.load(fh)["metadata"]["argv"] == argv
+
+
+def test_provenance_leaves_csv_bytes_unchanged():
+    report = run(config(mode="exhaustive", levels=(1, 2)))
+    with_argv = run(config(mode="exhaustive", levels=(1, 2)), ("--mode", "exhaustive"))
+    assert render_csv(report) == render_csv(with_argv)
 
 
 def test_main_csv_identical_for_thread_counts(tmp_path):
@@ -502,6 +530,26 @@ def test_emit_both_writes_nothing_when_staging_the_second_fails(tmp_path, monkey
     )
     assert code == EXIT_IO
     assert len(opened) == 2
+    assert os.listdir(tmp_path) == []
+
+
+def test_emit_both_writes_nothing_when_the_second_rename_fails(tmp_path, monkeypatch):
+    real_replace = os.replace
+    renamed = []
+
+    def replace_failing_second(src, dst):
+        renamed.append(dst)
+        if len(renamed) == 2:
+            raise OSError(18, "Invalid cross-device link")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", replace_failing_second)
+    code = run_main(
+        tmp_path, "--mode", "count", "--prime", "3", "--levels", "1",
+        "--output", str(tmp_path / "rep"), "--format", "both",
+    )
+    assert code == EXIT_IO
+    assert renamed == [str(tmp_path / "rep.csv"), str(tmp_path / "rep.json")]
     assert os.listdir(tmp_path) == []
 
 

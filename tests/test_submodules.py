@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpmods import (
     CyclicSubmodule,
@@ -23,6 +25,10 @@ from fpmods import (
 )
 from fpmods.errors import ResourceBoundError
 from fpmods.linalg import reduce_rows, rref
+from fpmods.series import _ODD_PRIMES, MAX_LEVEL
+from fpmods.submodules import MAX_ENUM_SUBMODULES
+
+ODD_PRIMES = sorted(_ODD_PRIMES)
 
 
 def span_set(v: ModuleVector) -> frozenset:
@@ -74,6 +80,98 @@ def test_enumeration_distinct_and_counted():
         assert len(set(forms)) == len(forms)
         kinds = [f.kind for f in forms]
         assert kinds.count("A") == p**n and kinds.count("B") == p ** (n - 1)
+
+
+def enumerable_levels(p):
+    return [n for n in range(1, MAX_LEVEL + 1) if count_maximal(p, n) <= MAX_ENUM_SUBMODULES]
+
+
+def validated(sub: CyclicSubmodule) -> CyclicSubmodule:
+    """The same form rebuilt through the checking constructor."""
+    return CyclicSubmodule(sub.p, sub.level, sub.kind, sub.param)
+
+
+def is_int_tuple(param) -> bool:
+    return type(param) is tuple and all(type(c) is int for c in param)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 97])
+def test_enumeration_matches_validated_forms_in_index_order(p):
+    for n in enumerable_levels(p):
+        forms = list(enumerate_maximal(p, n))
+        assert forms == [validated(f) for f in forms]
+        assert [f.index() for f in forms] == list(range(count_maximal(p, n)))
+        assert all(is_int_tuple(f.param) for f in forms)
+        for i in range(0, len(forms), 7):
+            assert CyclicSubmodule.from_index(p, n, i) == forms[i]
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 1, 4), (3, 2, 5), (5, 1, 3), (7, 2, 3), (97, 1, 2)])
+def test_project_and_lifts_match_validated_forms(p, n, m):
+    for low in enumerate_maximal(p, n):
+        for high in lifts(low, m):
+            assert high == validated(high) and is_int_tuple(high.param)
+            for k in range(1, m + 1):
+                image = project(high, k)
+                assert image == validated(image) and is_int_tuple(image.param)
+            assert project(high, n) == low
+
+
+@st.composite
+def lift_case(draw):
+    p = draw(st.sampled_from(ODD_PRIMES))
+    n = draw(st.integers(1, MAX_LEVEL))
+    most = n
+    while most < MAX_LEVEL and p ** (most + 1 - n) <= 1000:
+        most += 1
+    m = draw(st.integers(n, most))
+    i = draw(st.integers(0, count_maximal(p, n) - 1))
+    return CyclicSubmodule.from_index(p, n, i), m
+
+
+@settings(max_examples=80, deadline=None)
+@given(lift_case())
+def test_lifts_are_distinct_and_project_back(case):
+    low, m = case
+    lifted = list(lifts(low, m))
+    assert len(lifted) == low.p ** (m - low.level)
+    assert len(set(lifted)) == len(lifted)
+    assert all(project(high, low.level) == low for high in lifted)
+
+
+@st.composite
+def submodule_pair(draw):
+    """Two forms at random (p, n); same-kind pairs often share a prefix."""
+    p = draw(st.sampled_from(ODD_PRIMES))
+    n = draw(st.integers(1, MAX_LEVEL))
+    kinds = draw(st.tuples(st.sampled_from("AB"), st.sampled_from("AB")))
+    digits = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    first, second = draw(digits), draw(digits)
+    shared = draw(st.integers(0, n))
+    second = first[:shared] + second[shared:]
+    forms = [
+        CyclicSubmodule(p, n, kind, tuple(d[: n if kind == "A" else n - 1]))
+        for kind, d in zip(kinds, (first, second))
+    ]
+    return tuple(forms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(submodule_pair())
+def test_closed_form_agrees_with_linalg_exponent_property(pair):
+    n1, n2 = pair
+    assert intersect(n1, n2).size_exponent == intersection_exponent_linalg(n1, n2)
+
+
+def test_bools_are_rejected_as_integers():
+    with pytest.raises(ValueError, match="parameter coefficients must be reduced mod p"):
+        CyclicSubmodule(3, 1, "A", (True,))
+    with pytest.raises(ValueError, match="parameter coefficients must be reduced mod p"):
+        CyclicSubmodule(3, 3, "B", (0, False))
+    with pytest.raises(ValueError, match="out of range"):
+        CyclicSubmodule.from_index(3, 1, True)
+    with pytest.raises(ValueError, match="out of range"):
+        CyclicSubmodule.from_index(3, 1, False)
 
 
 def test_enumeration_resource_guard():
