@@ -3,9 +3,17 @@
 Matrices are numpy int64 arrays with entries reduced mod p, and subspaces are
 row spans. Elimination keeps everything in exact integer arithmetic; scalar
 inverses use Fermat's little theorem.
+
+`rref` reduces one matrix and serves `nullspace`, the subspace code and the
+tests as the reference. `rref_stack` reduces a whole (N, rows, cols) stack
+at once, with each matrix pivoting on its own; the isotropic diagnostics
+run on chunks of such stacks, because on their small matrices one scalar
+`rref` costs mostly numpy call overhead.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,6 +62,61 @@ def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         pivots.append(c)
         r += 1
     return a, tuple(pivots)
+
+
+@lru_cache(maxsize=None)
+def _inverse_table(p: int) -> np.ndarray:
+    """inv[a] = a^(-1) mod p for a in [1, p), and inv[0] = 0."""
+    table = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def rref_stack(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of every matrix of an (N, rows, cols) stack.
+
+    Returns (R, pivots): R[k] equals rref(stack[k], p)[0], and pivots[k] is
+    an int64 row of length rows holding rref(stack[k], p)[1] padded with -1.
+    One pass over the columns serves all matrices. In each column every
+    matrix that still has a nonzero entry at or below its next pivot row
+    swaps its first such row up, scales it by an inverse-table entry and
+    clears the column elsewhere; the other matrices get a pivot row of
+    zeros, so the broadcast elimination leaves them unchanged. The inverse
+    table has p entries, so p should be one of the library's small primes.
+    """
+    a = np.array(stack, dtype=np.int64) % p
+    if a.ndim != 3:
+        raise ValueError("stack must be 3-dimensional")
+    count, nrows, ncols = a.shape
+    pivots = np.full((count, nrows), -1, dtype=np.int64)
+    if count == 0 or nrows == 0:
+        return a, pivots
+    inverses = _inverse_table(p)
+    every = np.arange(count)
+    row_ids = np.arange(nrows)
+    r = np.zeros(count, dtype=np.int64)
+    for c in range(ncols):
+        below = (a[:, :, c] != 0) & (row_ids >= r[:, None])
+        has = below.any(axis=1)
+        if not has.any():
+            continue
+        # matrices without a pivot here swap row min(r, rows - 1) with itself
+        top = np.minimum(r, nrows - 1)
+        lead = np.where(has, below.argmax(axis=1), top)
+        chosen = a[every, lead]
+        a[every, lead] = a[every, top]
+        pivot_row = chosen * (inverses[chosen[:, c]] * has)[:, None] % p
+        # clears column c in every row, the pivot row included, then puts
+        # the scaled pivot row back
+        a[every, top] = chosen
+        a -= a[:, :, c, None] * pivot_row[:, None, :]
+        a %= p
+        a[every, top] += pivot_row
+        pivots[every[has], r[has]] = c
+        r += has
+        if (r == nrows).all():
+            break
+    return a, pivots
 
 
 def rank(mat, p: int) -> int:

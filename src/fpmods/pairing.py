@@ -27,6 +27,11 @@ members of M vanishing on every column up to r_1's pivot, is T-stable and
 isotropic, and T r_1 lies in P. P is M's parent, and M is the span of P and
 a vector w that is orthogonal to P, has T w in P, vanishes on P's pivots and
 leads with a 1 before them; all such w come from one kernel per state.
+
+The decomposition diagnostics of the Lagrangians found are computed in
+chunks of DIAGNOSTICS_CHUNK results, by two stacked eliminations per chunk
+(linalg.rref_stack) rather than scalar eliminations per result;
+isotropic_diagnostics runs the same code on a chunk of one.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ from .series import TruncatedSeries, check_level, check_prime, is_power_of
 MAX_TOTAL_DIM = 4096
 MAX_ENUM_DIM = 12
 MAX_SUBSPACE_VECTORS = 2_000_000
+# Lagrangians per stacked diagnostics elimination; bounds the stacks' memory
+DIAGNOSTICS_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,10 @@ class SpaceShape:
 
     def __post_init__(self):
         check_prime(self.p)
+        if not isinstance(self.torsion_levels, tuple):
+            raise ValueError(
+                f"torsion_levels must be a tuple, got {type(self.torsion_levels).__name__}"
+            )
         for m in (self.rank_level, *self.torsion_levels):
             check_level(m)
             if not is_power_of(m, self.p):
@@ -364,39 +375,58 @@ class MaximalIsotropic:
 
 
 def isotropic_diagnostics(sub: FpSubspace) -> MaximalIsotropic:
-    """Decomposition diagnostics of an isotropic T-stable subspace.
+    """Decomposition diagnostics of an isotropic T-stable subspace."""
+    return _diagnostics_chunk([sub])[0]
+
+
+def _diagnostics_chunk(subs: list[FpSubspace]) -> list[MaximalIsotropic]:
+    """isotropic_diagnostics of subspaces of one shape and one dimension,
+    from two stacked eliminations.
 
     The rank columns come first, so in the reduced row echelon basis the
-    rows led by a rank column project to a basis of the rank-block
-    projection, and the other rows span the torsion part (the members that
-    vanish on the rank columns). Eliminating again with the torsion columns
-    first gives the rank part the same way: the rows led by a rank column.
+    rows led by a rank column, the rows nonzero on the rank columns, project
+    to a basis of the rank-block projection, and the other rows span the
+    torsion part (the members that vanish on the rank columns). Eliminating
+    again with the torsion columns first gives the rank part the same way:
+    the rows led by a rank column. T maps the rank block into itself, so
+    the rank part needs len(rank part) - rank(T * rank part) generators;
+    the second elimination runs on the rank parts with their other rows
+    zeroed, which leaves those ranks unchanged.
     """
-    shape = sub.shape
+    shape = subs[0].shape
     p = shape.p
     r = shape.rank_dim
-    proj_dim = sum(c < r for c in sub.pivots)
-    torsion_dim = sub.dim - proj_dim
-    reordered, pivots = linalg.rref(np.hstack([sub.basis[:, r:], sub.basis[:, :r]]), p)
-    led_by_rank = [i for i, c in enumerate(pivots) if c >= shape.dim - r]
-    rank_part = reordered[led_by_rank, shape.dim - r :]
-    # T maps the rank block into itself
-    shifted = linalg.matmul(rank_part, t_action_matrix(shape)[:r, :r], p)
-    generators_needed = len(rank_part) - linalg.rank(shifted, p)
-    cyclic = generators_needed <= 1
-    splits = (
-        len(rank_part) + torsion_dim == sub.dim
-        and len(rank_part) == shape.rank_level
-        and cyclic
+    bases = np.stack([sub.basis for sub in subs])
+    proj_dims = bases[:, :, :r].any(axis=2).sum(axis=1)
+    reordered, pivots = linalg.rref_stack(
+        np.concatenate([bases[:, :, r:], bases[:, :, :r]], axis=2), p
     )
-    return MaximalIsotropic(
-        subspace=sub,
-        rank_projection_dim=proj_dim,
-        rank_intersection_dim=len(rank_part),
-        torsion_intersection_dim=torsion_dim,
-        rank_intersection_cyclic=cyclic,
-        splits=splits,
-    )
+    led_by_rank = pivots >= shape.dim - r
+    rank_parts = reordered[:, :, shape.dim - r :] * led_by_rank[:, :, None]
+    shifted = rank_parts @ t_action_matrix(shape)[:r, :r] % p
+    rank_dims = led_by_rank.sum(axis=1)
+    generators_needed = rank_dims - (linalg.rref_stack(shifted, p)[1] >= 0).sum(axis=1)
+    out = []
+    for sub, proj_dim, rank_dim, needed in zip(
+        subs, proj_dims.tolist(), rank_dims.tolist(), generators_needed.tolist()
+    ):
+        torsion_dim = sub.dim - proj_dim
+        cyclic = needed <= 1
+        out.append(
+            MaximalIsotropic(
+                subspace=sub,
+                rank_projection_dim=proj_dim,
+                rank_intersection_dim=rank_dim,
+                torsion_intersection_dim=torsion_dim,
+                rank_intersection_cyclic=cyclic,
+                splits=(
+                    rank_dim + torsion_dim == sub.dim
+                    and rank_dim == shape.rank_level
+                    and cyclic
+                ),
+            )
+        )
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -455,6 +485,10 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
     pivots before q; other children are not built.
 
     States of half dimension equal their own complement, hence are maximal.
+    They are sorted by key, and their diagnostics are computed in chunks of
+    DIAGNOSTICS_CHUNK by stacked elimination (see _diagnostics_chunk), each
+    chunk before its results are yielded; the chunks bound the stacks'
+    memory.
     Cost is proportional to the number of T-stable isotropic subspaces that
     can still reach half dimension, which is why the total dimension is
     capped; p^dim is bounded by MAX_SUBSPACE_VECTORS, which also bounds the
@@ -504,5 +538,5 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
                     FpSubspace._from_rref(shape, np.vstack([w, state.basis]), pivots)
                 )
     found.sort(key=FpSubspace.key)
-    for sub in found:
-        yield isotropic_diagnostics(sub)
+    for start in range(0, len(found), DIAGNOSTICS_CHUNK):
+        yield from _diagnostics_chunk(found[start : start + DIAGNOSTICS_CHUNK])

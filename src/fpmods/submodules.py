@@ -94,6 +94,10 @@ class CyclicSubmodule:
         check_level(self.level)
         if self.kind not in ("A", "B"):
             raise ValueError(f"kind must be 'A' or 'B', got {self.kind!r}")
+        if not isinstance(self.param, tuple):
+            raise ValueError(
+                f"param must be a tuple, got {type(self.param).__name__}"
+            )
         expected = self.level if self.kind == "A" else self.level - 1
         if len(self.param) != expected:
             raise ValueError(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpmods import linalg
 
@@ -108,3 +110,83 @@ def test_nilpotent_block_sizes_known_forms():
 def test_nilpotent_block_sizes_rejects_non_nilpotent():
     with pytest.raises(ValueError):
         linalg.nilpotent_block_sizes(np.eye(2, dtype=np.int64), 3)
+
+
+def assert_stack_matches_scalar(stack, p):
+    """rref_stack agrees with rref on every matrix, on R and the pivots."""
+    stack = np.asarray(stack, dtype=np.int64)
+    reduced, pivots = linalg.rref_stack(stack, p)
+    assert reduced.shape == stack.shape and reduced.dtype == np.int64
+    assert pivots.shape == stack.shape[:2] and pivots.dtype == np.int64
+    for k in range(stack.shape[0]):
+        expected, expected_pivots = linalg.rref(stack[k], p)
+        assert (reduced[k] == expected).all()
+        rank = len(expected_pivots)
+        assert tuple(pivots[k, :rank].tolist()) == expected_pivots
+        assert (pivots[k, rank:] == -1).all()
+
+
+@pytest.mark.parametrize("p", [3, 5, 97])
+@pytest.mark.parametrize(
+    "size", [(40, 3, 4), (40, 4, 8), (30, 6, 3), (30, 1, 5), (30, 5, 1), (25, 7, 7)]
+)
+def test_rref_stack_matches_rref_on_random_stacks(p, size):
+    rng = np.random.default_rng(1000 * p + sum(size))
+    stack = rng.integers(0, p, size=size)
+    assert_stack_matches_scalar(stack, p)
+    # rank-deficient: repeated and scaled rows, and rows of small entries
+    deficient = stack.copy()
+    if size[1] > 1:
+        deficient[:, -1] = deficient[:, 0]
+        deficient[:, 1] = 2 * deficient[:, 0]
+    deficient[::2] = rng.integers(0, 2, size=deficient[::2].shape)
+    assert_stack_matches_scalar(deficient, p)
+    assert_stack_matches_scalar(np.zeros(size, dtype=np.int64), p)
+    # unreduced and negative entries are reduced mod p first
+    assert_stack_matches_scalar(stack - 3 * p, p)
+
+
+@pytest.mark.parametrize("size", [(0, 3, 4), (0, 0, 0), (4, 0, 3), (4, 3, 0)])
+def test_rref_stack_empty_shapes(size):
+    reduced, pivots = linalg.rref_stack(np.zeros(size, dtype=np.int64), 5)
+    assert reduced.shape == size and pivots.shape == size[:2]
+    assert (pivots == -1).all()
+
+
+def test_rref_stack_mixed_ranks_in_one_stack():
+    # matrices of full, partial and zero rank pivot independently
+    p = 3
+    stack = np.array(
+        [
+            [[1, 2, 0], [0, 0, 1], [2, 1, 1]],
+            [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            [[0, 2, 1], [0, 1, 2], [0, 0, 0]],
+            [[0, 0, 2], [1, 0, 0], [0, 1, 0]],
+        ]
+    )
+    reduced, pivots = linalg.rref_stack(stack, p)
+    assert pivots.tolist() == [[0, 2, -1], [-1, -1, -1], [1, -1, -1], [0, 1, 2]]
+    assert_stack_matches_scalar(stack, p)
+
+
+def test_rref_stack_rejects_non_stacks():
+    with pytest.raises(ValueError):
+        linalg.rref_stack(np.zeros((3, 3), dtype=np.int64), 3)
+
+
+@st.composite
+def random_stack(draw):
+    p = draw(st.sampled_from([3, 5, 7, 97]))
+    count = draw(st.integers(0, 6))
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    entries = st.integers(0, p - 1) if draw(st.booleans()) else st.integers(0, 1)
+    flat = draw(st.lists(entries, min_size=count * rows * cols, max_size=count * rows * cols))
+    return np.array(flat, dtype=np.int64).reshape(count, rows, cols), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_stack())
+def test_rref_stack_matches_rref_property(case):
+    stack, p = case
+    assert_stack_matches_scalar(stack, p)

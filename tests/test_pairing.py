@@ -47,6 +47,13 @@ def test_shape_validation():
     assert sh.rank_dim == 10
 
 
+def test_shape_rejects_non_tuple_torsion_levels():
+    # a list would reach enumerate_maximal_isotropic's cache unhashable
+    with pytest.raises(ValueError, match="torsion_levels must be a tuple, got list"):
+        SpaceShape(3, 1, [1])
+    assert SpaceShape(3, 1, (1,)).torsion_levels == (1,)
+
+
 def test_element_vector_round_trip():
     rng = np.random.default_rng(30)
     for shape in ACCEPTANCE_SHAPES:
@@ -465,6 +472,43 @@ def test_dropping_the_first_echelon_row_leaves_a_t_stable_parent(sub):
     members = sub.vectors()
     zero_prefix = members[~members[:, : sub.pivots[0] + 1].any(axis=1)]
     assert FpSubspace(shape, zero_prefix) == parent
+
+
+@settings(max_examples=60, deadline=None)
+@given(t_stable_isotropic())
+def test_single_diagnostics_match_the_oracle_at_every_dimension(sub):
+    # the public one-element path, on states short of half dimension too
+    shape = sub.shape
+    for k in range(sub.dim + 1):
+        state = FpSubspace(shape, sub.basis[k:])
+        assert isotropic_diagnostics(state) == diagnostics_oracle(state)
+
+
+@pytest.mark.parametrize(
+    "shape, chunk",
+    [
+        # 1,120 results: 160 full chunks of 7, or 124 of 9 and a last one of 4
+        (SpaceShape(3, 1, (1, 1)), 7),
+        (SpaceShape(3, 1, (1, 1)), 9),
+        # T acts on the rank block, so the zeroed torsion-led rows matter
+        (SpaceShape(3, 3, (1,)), 7),
+    ],
+    ids=str,
+)
+def test_diagnostics_agree_across_chunk_boundaries(monkeypatch, shape, chunk):
+    sizes = []
+    diagnose = pairing._diagnostics_chunk
+
+    def recording(subs):
+        sizes.append(len(subs))
+        return diagnose(subs)
+
+    monkeypatch.setattr(pairing, "DIAGNOSTICS_CHUNK", chunk)
+    monkeypatch.setattr(pairing, "_diagnostics_chunk", recording)
+    found = list(enumerate_maximal_isotropic(shape))
+    full, rest = divmod(len(found), chunk)
+    assert sizes == [chunk] * full + ([rest] if rest else [])
+    assert found == [diagnostics_oracle(r.subspace) for r in found]
 
 
 @pytest.mark.parametrize(

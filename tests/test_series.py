@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpmods import TruncatedSeries, from_group_basis
-from fpmods.series import check_level, check_prime, is_power_of
+from fpmods.series import _ODD_PRIMES, MAX_LEVEL, check_level, check_prime, is_power_of
 
 GRID = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2), (97, 12)]
 
@@ -75,6 +77,52 @@ def test_ring_axioms_on_random_triples():
             assert a * one == a and a + zero == a
             assert a + (-a) == zero
             assert a - b == a + (-b)
+
+
+@st.composite
+def series_tuple(draw, size=3, unit=False):
+    """`size` series of one random (p, level); the first is a unit if asked."""
+    p = draw(st.sampled_from(sorted(_ODD_PRIMES)))
+    n = draw(st.integers(1, MAX_LEVEL))
+    digits = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    out = [TruncatedSeries(p, draw(digits)) for _ in range(size)]
+    if unit:
+        out[0] = TruncatedSeries(p, (draw(st.integers(1, p - 1)), *out[0].coeffs[1:]))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_tuple())
+def test_ring_axioms_property(abc):
+    a, b, c = abc
+    one = TruncatedSeries.one(a.p, a.level)
+    zero = TruncatedSeries.zero(a.p, a.level)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * one == a and a + zero == a and a * zero == zero
+    assert a + (-a) == zero and a - b == a + (-b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_tuple(size=1, unit=True))
+def test_unit_times_inverse_is_one_property(units):
+    (u,) = units
+    one = TruncatedSeries.one(u.p, u.level)
+    assert u * u.inverse() == one and u.inverse() * u == one
+    assert u.inverse().inverse() == u
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_tuple(size=2))
+def test_involution_is_an_order_two_ring_automorphism_property(ab):
+    a, b = ab
+    one = TruncatedSeries.one(a.p, a.level)
+    assert (a + b).involution() == a.involution() + b.involution()
+    assert (a * b).involution() == a.involution() * b.involution()
+    assert one.involution() == one
+    assert a.involution().involution() == a
 
 
 def test_valuation_additivity_exhaustive_small():

@@ -174,6 +174,42 @@ def test_bools_are_rejected_as_integers():
         CyclicSubmodule.from_index(3, 1, False)
 
 
+@st.composite
+def generator_and_unit(draw):
+    """A maximal generator and a unit, at random (p, n)."""
+    p = draw(st.sampled_from(ODD_PRIMES))
+    n = draw(st.integers(1, MAX_LEVEL))
+    digits = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    first, second, unit = draw(digits), draw(digits), draw(digits)
+    # make one coordinate a unit, so the vector generates a maximal submodule
+    lead = draw(st.integers(1, p - 1))
+    if draw(st.booleans()):
+        first[0] = lead
+    else:
+        second[0] = lead
+    unit[0] = draw(st.integers(1, p - 1))
+    v = ModuleVector(TruncatedSeries(p, first), TruncatedSeries(p, second))
+    return v, TruncatedSeries(p, unit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_and_unit())
+def test_canonical_form_is_invariant_under_unit_scaling(case):
+    v, u = case
+    assert canonical_form(v.scaled(u)) == canonical_form(v)
+
+
+def test_param_must_be_a_tuple():
+    # a list param would make the value unhashable and break lifts
+    with pytest.raises(ValueError, match="param must be a tuple, got list"):
+        CyclicSubmodule(3, 2, "A", [1, 2])
+    with pytest.raises(ValueError, match="param must be a tuple, got list"):
+        CyclicSubmodule(3, 2, "B", [1])
+    sub = CyclicSubmodule(3, 2, "A", (1, 2))
+    assert hash(sub) == hash(CyclicSubmodule(3, 2, "A", (1, 2)))
+    assert len(list(lifts(sub, 3))) == 3
+
+
 def test_enumeration_resource_guard():
     with pytest.raises(ResourceBoundError):
         list(enumerate_maximal(97, 3))
