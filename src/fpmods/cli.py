@@ -203,9 +203,7 @@ def _exhaustive_fields(config: ExperimentConfig, n: int) -> dict:
 
 
 def _montecarlo_fields(config: ExperimentConfig, n: int) -> dict:
-    res = monte_carlo(
-        config.prime, n, config.trials, RngSpec(config.seed), threads=config.threads
-    )
+    res = monte_carlo(config.prime, n, config.trials, RngSpec(config.seed))
     extra = ";".join(
         [
             f"collisions={res.collisions}",

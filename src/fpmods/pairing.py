@@ -247,7 +247,7 @@ class FpSubspace:
     """A GF(p) subspace of the flattened space, stored as a canonical
     reduced-row-echelon basis (so equal subspaces compare equal)."""
 
-    __slots__ = ("shape", "basis", "pivots", "_t_stable")
+    __slots__ = ("shape", "basis", "pivots")
 
     def __init__(self, shape: SpaceShape, rows=None):
         mat = linalg.as_matrix([] if rows is None else rows, shape.p, width=shape.dim)
@@ -260,7 +260,6 @@ class FpSubspace:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "_t_stable", None)
         basis.setflags(write=False)
 
     @classmethod
@@ -274,9 +273,6 @@ class FpSubspace:
         return sub
 
     def __setattr__(self, name, value):
-        if name == "_t_stable":
-            object.__setattr__(self, name, value)
-            return
         raise AttributeError("FpSubspace is immutable")
 
     @property
@@ -313,15 +309,12 @@ class FpSubspace:
             shifted = linalg.matmul(current.basis, action, shape.p)
             grown = cls(shape, np.vstack([current.basis, shifted]))
             if grown.dim == current.dim:
-                grown._t_stable = True
                 return grown
             current = grown
 
     def is_t_stable(self) -> bool:
-        if self._t_stable is None:
-            shifted = linalg.matmul(self.basis, t_action_matrix(self.shape), self.p)
-            self._t_stable = all(self.contains(row) for row in shifted)
-        return self._t_stable
+        shifted = linalg.matmul(self.basis, t_action_matrix(self.shape), self.p)
+        return all(self.contains(row) for row in shifted)
 
     def vectors(self) -> np.ndarray:
         """All p^dim member vectors, one per row."""

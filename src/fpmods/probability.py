@@ -15,9 +15,9 @@ likely and kind 'A' has probability p/(p+1). Each digit is a SplitMix64-mixed
 counter-based draw in the manner of Salmon et al. (SC'11); a word at or above
 the largest multiple of the digit's bound is rejected and redrawn with the
 next attempt (Lemire, ACM TOMACS 2019), so digits are exactly uniform. Every
-draw is a pure function of (seed, trial, coordinate): results do not depend
-on how trials are chunked, and the `threads` argument is validated but no
-longer changes the work done.
+draw is a pure function of (seed, trial, coordinate), so results do not
+depend on how trials are chunked. This kernel is the library's only way of
+drawing a submodule.
 
 Monte Carlo and tower trials run as one numpy kernel over trial-index
 arrays, in fixed chunks of CHUNK_TRIALS, using the closed forms on canonical
@@ -65,18 +65,13 @@ _KIND_PAIRS = 4  # 2 * [first is kind B] + [second is kind B]
 
 @dataclass(frozen=True)
 class RngSpec:
-    """A 64-bit root seed: it keys the sampling kernel's draws, and `stream`
-    derives numpy generators from integer spawn keys."""
+    """A 64-bit root seed: it keys every draw of the sampling kernel."""
 
     seed: int
 
     def __post_init__(self):
         if not is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-
-    def stream(self, *path: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(path))
-        return np.random.default_rng(ss)
 
 
 @dataclass(frozen=True)
@@ -89,22 +84,6 @@ class PairSample:
     def __post_init__(self):
         if self.n1.p != self.n2.p or self.n1.level != self.n2.level:
             raise ValueError("pair must share p and level")
-
-
-@dataclass(frozen=True)
-class ProbabilityModel:
-    """The uniform model on ordered pairs of maximal cyclic submodules."""
-
-    p: int
-    level: int
-    total_pairs: int
-    collision_pairs: int
-    collision_probability: Fraction
-
-    @classmethod
-    def for_level(cls, p: int, n: int) -> "ProbabilityModel":
-        count = count_maximal(p, n)
-        return cls(p, n, count * count, count, Fraction(count, count * count))
 
 
 def collision_probability_exact(p: int, n: int) -> Fraction:
@@ -136,14 +115,9 @@ def collision_probability_census(p: int, n: int) -> Fraction:
     return Fraction(sum(c * c for c in multiplicity.values()), pairs)
 
 
-def _check_trials(trials: int) -> None:
-    if not is_int(trials) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-
-
-def _check_threads(threads: int) -> None:
-    if not is_int(threads) or threads < 0:
-        raise ValueError(f"threads must be an integer >= 0, got {threads!r}")
+def _check_count(value: int, name: str) -> None:
+    if not is_int(value) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 # ------------------------------------------------------- counter-based draws
@@ -250,15 +224,15 @@ def _submodule(p: int, n: int, digits: list[int]) -> CyclicSubmodule:
     return CyclicSubmodule(p, n, "B", tuple(digits[:-1]))
 
 
-def sample_maximal(p: int, n: int, rng: np.random.Generator) -> CyclicSubmodule:
-    """One uniform maximal cyclic submodule from a numpy generator."""
-    return CyclicSubmodule.from_index(p, n, int(rng.integers(count_maximal(p, n))))
-
-
 def sample_pair(p: int, n: int, spec: RngSpec, trial: int) -> PairSample:
-    """The trial-th pair: exactly the pair the sampling kernel uses for it."""
+    """The trial-th pair: exactly the pair the sampling kernel uses for it.
+
+    trial is an integer in [0, 2^64), the kernel's range of trial indices.
+    """
     check_prime(p)
     check_level(n)
+    if not is_int(trial) or not 0 <= trial < 2**64:
+        raise ValueError(f"trial must be an integer in [0, 2^64), got {trial!r}")
     keys = _trial_keys(spec.seed, trial, trial + 1)
     streams = np.concatenate([_stream(keys, c, j) for c in (0, 1) for j in range(n)])
     bounds = ([p] * (n - 1) + [p + 1]) * 2
@@ -273,6 +247,7 @@ def chi_square_uniformity(
 
     The draws are the kernel's first-submodule indices of trials [0, draws).
     """
+    _check_count(draws, "draws")
     count = count_maximal(p, n)
     observed = np.zeros(count, dtype=np.int64)
     for start in range(0, draws, CHUNK_TRIALS):
@@ -375,18 +350,12 @@ class MonteCarloResult:
         return sqrt(q * (1 - q) / self.trials)
 
 
-def monte_carlo(
-    p: int, n: int, trials: int, spec: RngSpec, threads: int = 1
-) -> MonteCarloResult:
-    """Sample pairs, cross-check each observed class, aggregate.
-
-    `threads` is validated (an integer >= 0, 0 meaning auto) but no longer
-    changes the work done; results are identical for every value.
-    """
+def monte_carlo(p: int, n: int, trials: int, spec: RngSpec) -> MonteCarloResult:
+    """Sample pairs trials [0, trials) with the kernel, cross-check each
+    observed class through the scalar path, aggregate."""
     check_prime(p)
     check_level(n)
-    _check_trials(trials)
-    _check_threads(threads)
+    _check_count(trials, "trials")
     exps = _nonzero(_exponent_census(p, n, trials, spec, tower=False))
     return MonteCarloResult(
         p=p,
@@ -483,7 +452,7 @@ def tower_experiment(
     """Sample pairs at the top level and track intersections down the tower."""
     check_prime(p)
     check_level(max_level)
-    _check_trials(trials)
+    _check_count(trials, "trials")
     by_exponent = _exponent_census(p, max_level, trials, spec, tower=True)
     exps = _nonzero(by_exponent[:max_level])
     return TowerReport(

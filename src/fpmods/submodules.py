@@ -128,10 +128,6 @@ class CyclicSubmodule:
     def type_a(cls, g: TruncatedSeries) -> "CyclicSubmodule":
         return cls(g.p, g.level, "A", g.coeffs)
 
-    @classmethod
-    def type_b(cls, p: int, level: int, h: tuple[int, ...]) -> "CyclicSubmodule":
-        return cls(p, level, "B", tuple([int(c) % p for c in h]))
-
     @property
     def generator(self) -> ModuleVector:
         p, n = self.p, self.level

@@ -91,9 +91,14 @@ def test_kernel_pair_indices_chi_square():
     keys = _trial_keys(31, 0, draws)
     cells = _kernel_indices(p, n, keys, 0) * count + _kernel_indices(p, n, keys, 1)
     observed = np.bincount(cells, minlength=count * count)
+    assert (observed > 0).all()  # full support
     expected = draws / count**2
     stat = float((((observed - expected) ** 2) / expected).sum())
     assert stat < chi2.ppf(0.999, count * count - 1)
+    # kind A is top digit < p, that is, index < p^n; its share is p/(p+1)
+    kind_a = float((cells // count < p**n).mean())
+    q = p / (p + 1)
+    assert abs(kind_a - q) <= 4 * (q * (1 - q) / draws) ** 0.5
 
 
 def test_rejected_words_are_redrawn(monkeypatch):
@@ -111,12 +116,10 @@ def test_rejected_words_are_redrawn(monkeypatch):
     assert (first == _kernel_indices(p, n, keys, 0)).all()
 
 
-def test_chunking_and_threads_do_not_change_results(monkeypatch):
+def test_chunking_does_not_change_results(monkeypatch):
     p, n, spec = 3, 2, RngSpec(77)
     trials = 3 * CHUNK_TRIALS + 17
-    base = monte_carlo(p, n, trials, spec, threads=1)
-    for threads in (2, 0):
-        assert monte_carlo(p, n, trials, spec, threads=threads) == base
+    base = monte_carlo(p, n, trials, spec)
     # one run split at a chunk boundary into two independent halves
     halves = [
         _pair_exponents(p, n, _trial_keys(spec.seed, a, b))[1]
@@ -126,7 +129,7 @@ def test_chunking_and_threads_do_not_change_results(monkeypatch):
         base.exponent_counts
     )
     monkeypatch.setattr(probability, "CHUNK_TRIALS", 4999)
-    assert monte_carlo(p, n, trials, spec, threads=1) == base
+    assert monte_carlo(p, n, trials, spec) == base
 
 
 def scalar_monte_carlo(p, n, trials, spec):

@@ -1,12 +1,10 @@
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from scipy.stats import chi2
 
 from fpmods import (
-    ProbabilityModel,
     RngSpec,
     chi_square_uniformity,
     collision_probability_census,
@@ -17,7 +15,6 @@ from fpmods import (
     intersection_bound,
     monte_carlo,
     pushforward_consistency,
-    sample_maximal,
     sample_pair,
     tower_experiment,
 )
@@ -47,17 +44,6 @@ def test_census_resource_guard():
         collision_probability_census(7, 5)
 
 
-def test_probability_model_fields():
-    model = ProbabilityModel.for_level(3, 2)
-    assert model.total_pairs == 144
-    assert model.collision_pairs == 12
-    assert model.collision_probability == Fraction(1, 12)
-    assert model.collision_probability == Fraction(
-        model.collision_pairs, model.total_pairs
-    )
-    assert model.collision_probability == collision_probability_exact(3, 2)
-
-
 def test_intersection_bound_values_and_monotonicity():
     assert intersection_bound(3, 1) == Fraction(3, 4)
     assert intersection_bound(3, 2) == Fraction(11, 12)
@@ -67,24 +53,11 @@ def test_intersection_bound_values_and_monotonicity():
         assert all(0 < b < 1 for b in bounds)
 
 
-def test_rng_spec_validation_and_determinism():
+def test_rng_spec_validation():
     with pytest.raises(ValueError):
         RngSpec(-1)
     with pytest.raises(ValueError):
         RngSpec(2**64)
-    spec = RngSpec(123)
-    a = spec.stream(5, 0).integers(0, 1000, 10)
-    b = RngSpec(123).stream(5, 0).integers(0, 1000, 10)
-    c = spec.stream(5, 1).integers(0, 1000, 10)
-    assert (a == b).all()
-    assert (a != c).any()
-
-
-def test_sample_maximal_supports_everything():
-    p, n = 3, 2
-    spec = RngSpec(99)
-    seen = {sample_maximal(p, n, spec.stream(i)).index() for i in range(2000)}
-    assert seen == set(range(count_maximal(p, n)))
 
 
 def test_sample_pair_deterministic_and_independent():
@@ -96,24 +69,26 @@ def test_sample_pair_deterministic_and_independent():
     assert (pair.n1, pair.n2) != (other_trial.n1, other_trial.n2)
 
 
-def test_kind_a_branch_probability():
-    # structurally: kind A occupies indices [0, p^n) of [0, (p+1)p^(n-1))
-    p, n = 3, 2
-    assert Fraction(p**n, count_maximal(p, n)) == Fraction(p, p + 1)
-    spec = RngSpec(3)
-    draws = 4000
-    hits = sum(
-        1 for i in range(draws) if sample_maximal(p, n, spec.stream(i)).kind == "A"
-    )
-    q = p / (p + 1)
-    tol = 4 * (q * (1 - q) / draws) ** 0.5
-    assert abs(hits / draws - q) <= tol
+def test_sample_pair_accepts_every_kernel_trial():
+    assert sample_pair(3, 2, RngSpec(5), 2**64 - 1).n1.level == 2
+
+
+@pytest.mark.parametrize("trial", [True, 1.5, -1, 2**64])
+def test_sample_pair_rejects_bad_trials(trial):
+    with pytest.raises(ValueError, match="trial"):
+        sample_pair(3, 2, RngSpec(5), trial)
 
 
 def test_chi_square_uniformity_sane():
     stat, dof = chi_square_uniformity(3, 2, 200_000, RngSpec(17))
     assert dof == 11
     assert stat < chi2.ppf(0.999, dof)
+
+
+@pytest.mark.parametrize("draws", [0, -5, True, 2.0])
+def test_chi_square_uniformity_rejects_bad_draws(draws):
+    with pytest.raises(ValueError, match="draws"):
+        chi_square_uniformity(3, 2, draws, RngSpec(17))
 
 
 def test_monte_carlo_matches_exact_within_four_sigma():
@@ -123,13 +98,6 @@ def test_monte_carlo_matches_exact_within_four_sigma():
     assert res.collisions == res.exponent_counts.get(2, 0)
     assert sum(res.exponent_counts.values()) == res.trials
     assert sum(res.quotient_structure_counts.values()) == res.trials
-
-
-def test_monte_carlo_thread_counts_agree():
-    base = monte_carlo(3, 2, 3001, RngSpec(8), threads=1)
-    for threads in (2, 3, 8):
-        assert monte_carlo(3, 2, 3001, RngSpec(8), threads=threads) == base
-    assert monte_carlo(3, 2, 3001, RngSpec(8), threads=0) == base
 
 
 def test_monte_carlo_exponents_match_exhaustive_distribution():
@@ -159,8 +127,6 @@ def test_monte_carlo_seed_sensitivity():
 def test_monte_carlo_validation():
     with pytest.raises(ValueError):
         monte_carlo(3, 2, 0, RngSpec(0))
-    with pytest.raises(ValueError):
-        monte_carlo(3, 2, 10, RngSpec(0), threads=-1)
 
 
 @pytest.mark.parametrize(
@@ -168,11 +134,10 @@ def test_monte_carlo_validation():
     [
         lambda: RngSpec(True),
         lambda: monte_carlo(3, 2, True, RngSpec(0)),
-        lambda: monte_carlo(3, 2, 10, RngSpec(0), threads=True),
         lambda: tower_experiment(3, 2, True, RngSpec(0)),
         lambda: tower_experiment(3, True, 10, RngSpec(0)),
     ],
-    ids=["seed", "trials", "threads", "tower-trials", "tower-level"],
+    ids=["seed", "trials", "tower-trials", "tower-level"],
 )
 def test_bool_rejected_where_ints_are_expected(call):
     with pytest.raises(ValueError):
