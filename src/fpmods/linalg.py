@@ -1,14 +1,16 @@
 """Dense linear algebra over the prime fields GF(p).
 
 Matrices are numpy int64 arrays with entries reduced mod p, and subspaces are
-row spans. Elimination keeps everything in exact integer arithmetic; scalar
-inverses use Fermat's little theorem.
+row spans. Elimination keeps everything in exact integer arithmetic.
 
 `rref` reduces one matrix and serves `nullspace`, the subspace code and the
 tests as the reference. `rref_stack` reduces a whole (N, rows, cols) stack
 at once, with each matrix pivoting on its own; the isotropic diagnostics
 run on chunks of such stacks, because on their small matrices one scalar
-`rref` costs mostly numpy call overhead.
+`rref` costs mostly numpy call overhead. Both take the pivot step that
+`rref_stack` describes, with one inverse table per prime built by Fermat's
+little theorem, the library's only modular inverse. The table has p
+entries, so p should be one of the library's small primes.
 """
 
 from __future__ import annotations
@@ -16,13 +18,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-
-
-def inv_mod(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError(f"0 is not invertible mod {p}")
-    return pow(a, p - 2, p)
 
 
 def as_matrix(rows, p: int, width: int | None = None) -> np.ndarray:
@@ -39,10 +34,19 @@ def as_matrix(rows, p: int, width: int | None = None) -> np.ndarray:
     return a % p
 
 
+@lru_cache(maxsize=None)
+def _inverse_table(p: int) -> np.ndarray:
+    """inv[a] = a^(-1) mod p for a in [1, p), and inv[0] = 0."""
+    table = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
 def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form over GF(p). Returns (R, pivot_columns)."""
     a = np.array(mat, dtype=np.int64) % p
     nrows, ncols = a.shape
+    inverses = _inverse_table(p)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -52,24 +56,16 @@ def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         if nz.size == 0:
             continue
         k = r + int(nz[0])
-        if k != r:
-            a[[r, k]] = a[[k, r]]
-        a[r] = (a[r] * inv_mod(int(a[r, c]), p)) % p
+        pivot_row = a[k] * inverses[a[k, c]] % p
+        a[k] = a[r]
+        # clears column c in every row nonzero there, row r included when
+        # k == r, then writes the scaled pivot row at r
         rest = np.nonzero(a[:, c])[0]
-        rest = rest[rest != r]
-        if rest.size:
-            a[rest] = (a[rest] - np.outer(a[rest, c], a[r])) % p
+        a[rest] = (a[rest] - np.outer(a[rest, c], pivot_row)) % p
+        a[r] = pivot_row
         pivots.append(c)
         r += 1
     return a, tuple(pivots)
-
-
-@lru_cache(maxsize=None)
-def _inverse_table(p: int) -> np.ndarray:
-    """inv[a] = a^(-1) mod p for a in [1, p), and inv[0] = 0."""
-    table = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
-    table.setflags(write=False)
-    return table
 
 
 def rref_stack(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -81,8 +77,7 @@ def rref_stack(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     matrix that still has a nonzero entry at or below its next pivot row
     swaps its first such row up, scales it by an inverse-table entry and
     clears the column elsewhere; the other matrices get a pivot row of
-    zeros, so the broadcast elimination leaves them unchanged. The inverse
-    table has p entries, so p should be one of the library's small primes.
+    zeros, so the broadcast elimination leaves them unchanged.
     """
     a = np.array(stack, dtype=np.int64) % p
     if a.ndim != 3:

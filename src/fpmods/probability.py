@@ -246,9 +246,16 @@ def chi_square_uniformity(
     """Chi-square statistic and degrees of freedom for sampler uniformity.
 
     The draws are the kernel's first-submodule indices of trials [0, draws).
+    One counter is kept per form, so a census of more than MAX_CENSUS_PAIRS
+    forms raises ResourceBoundError before anything is allocated.
     """
     _check_count(draws, "draws")
     count = count_maximal(p, n)
+    if count > MAX_CENSUS_PAIRS:
+        raise ResourceBoundError(
+            f"{count} forms at (p={p}, n={n}) exceed the census bound "
+            f"{MAX_CENSUS_PAIRS}"
+        )
     observed = np.zeros(count, dtype=np.int64)
     for start in range(0, draws, CHUNK_TRIALS):
         stop = min(start + CHUNK_TRIALS, draws)
@@ -313,10 +320,6 @@ def _exponent_census(
                     _check_trial(p, n, spec, start + i, kind_pair, exponent, tower)
         counts += chunk
     return counts.reshape(_KIND_PAIRS, width).sum(axis=0)
-
-
-def _sorted_counts(counter: Counter) -> dict:
-    return dict(sorted(counter.items()))
 
 
 def _nonzero(by_exponent: np.ndarray) -> dict:
@@ -385,8 +388,12 @@ class PushforwardReport:
 def pushforward_consistency(p: int, n: int, m: int) -> PushforwardReport:
     """Check that projection pushes the level-m census onto the level-n one.
 
-    Counts the fiber over every level-n submodule (all must equal p^(m-n))
-    and verifies that lifting gives exactly those fibers back.
+    Counts the fiber of `project` over every level-n form (all must equal
+    p^(m-n)), and checks that each level-n form's lifts number p^(m-n), are
+    distinct and project back to it. Those checks make the lifts a partition
+    of the level-m census: `project` is a function, so lifts of different
+    low forms cannot coincide, and there are N_n * p^(m-n) =
+    count_maximal(p, m) lifts in all, as many as the census has forms.
     """
     check_prime(p)
     check_level(n)
@@ -394,27 +401,17 @@ def pushforward_consistency(p: int, n: int, m: int) -> PushforwardReport:
     if n >= m:
         raise ValueError(f"need low level {n} < high level {m}")
     expected = p ** (m - n)
-    fibers: Counter = Counter()
-    for high in enumerate_maximal(p, m):
-        fibers[project(high, n).index()] += 1
+    fibers = Counter(project(high, n) for high in enumerate_maximal(p, m))
     low_forms = list(enumerate_maximal(p, n))
     uniform = len(fibers) == len(low_forms) and all(
-        fibers[f.index()] == expected for f in low_forms
+        fibers[f] == expected for f in low_forms
     )
-    partition = True
-    seen_high = set()
-    for low in low_forms:
-        lifted = list(lifts(low, m))
-        if len(lifted) != expected or any(project(h, n) != low for h in lifted):
-            partition = False
-            break
-        for h in lifted:
-            if h in seen_high:
-                partition = False
-                break
-            seen_high.add(h)
-    if partition:
-        partition = len(seen_high) == count_maximal(p, m)
+    lifted = {low: list(lifts(low, m)) for low in low_forms}
+    partition = all(
+        len(set(highs)) == len(highs) == expected
+        and all(project(h, n) == low for h in highs)
+        for low, highs in lifted.items()
+    )
     return PushforwardReport(
         p=p,
         low_level=n,
@@ -422,7 +419,7 @@ def pushforward_consistency(p: int, n: int, m: int) -> PushforwardReport:
         expected_fiber=expected,
         fibers_uniform=uniform,
         lifts_partition=partition,
-        fiber_counts=_sorted_counts(fibers),
+        fiber_counts=dict(sorted((f.index(), c) for f, c in fibers.items())),
     )
 
 

@@ -29,7 +29,8 @@ def is_int(x) -> bool:
 
 
 def check_prime(p: int) -> int:
-    # is_int inlined here and in check_level: both run for every submodule built
+    # is_int inlined here and in check_level: both run for every TruncatedSeries
+    # and every public CyclicSubmodule(...), though not for _trusted forms
     if not isinstance(p, int) or isinstance(p, bool) or p not in _ODD_PRIMES:
         raise ValueError(f"p must be an odd prime in [3, {MAX_PRIME}], got {p!r}")
     return p

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpmods import linalg
+from fpmods.series import _ODD_PRIMES
 
 
 def naive_rank(mat, p):
@@ -80,12 +81,15 @@ def test_reduce_rows_membership():
     assert not linalg.in_row_span(basis, piv, outside, p)
 
 
-def test_inv_mod():
-    for p in (3, 5, 7, 11):
+def test_inverse_table():
+    for p in sorted(_ODD_PRIMES):
+        inv = linalg._inverse_table(p)
+        assert inv.shape == (p,) and inv[0] == 0
         for a in range(1, p):
-            assert linalg.inv_mod(a, p) * a % p == 1
-    with pytest.raises(ZeroDivisionError):
-        linalg.inv_mod(0, 5)
+            assert a * int(inv[a]) % p == 1
+        assert not inv.flags.writeable
+        with pytest.raises(ValueError):
+            inv[1] = 0
 
 
 def test_nilpotent_block_sizes_known_forms():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from scipy.stats import chi2
 
+from fpmods import probability
 from fpmods import (
     RngSpec,
     chi_square_uniformity,
@@ -13,6 +14,7 @@ from fpmods import (
     enumerate_maximal,
     intersect,
     intersection_bound,
+    lifts,
     monte_carlo,
     pushforward_consistency,
     sample_pair,
@@ -91,6 +93,15 @@ def test_chi_square_uniformity_rejects_bad_draws(draws):
         chi_square_uniformity(3, 2, draws, RngSpec(17))
 
 
+@pytest.mark.parametrize("n", [5, 12])
+def test_chi_square_uniformity_resource_guard(n, monkeypatch):
+    # (97, 5) has about 8.7e9 forms: the guard must fire before the module
+    # touches numpy to allocate one counter per form
+    monkeypatch.setattr(probability, "np", None)
+    with pytest.raises(ResourceBoundError, match="census bound"):
+        chi_square_uniformity(97, n, 10, RngSpec(0))
+
+
 def test_monte_carlo_matches_exact_within_four_sigma():
     res = monte_carlo(3, 2, 20_000, RngSpec(5))
     assert res.exact == Fraction(1, 12)
@@ -152,6 +163,43 @@ def test_pushforward_consistency_grid():
         assert report.lifts_partition
         assert len(report.fiber_counts) == count_maximal(p, n)
         assert set(report.fiber_counts.values()) == {p ** (m - n)}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda lifted: lifted[:-1],
+        lambda lifted: lifted[:-1] + lifted[:1],
+        lambda lifted: list(lifts(list(enumerate_maximal(3, 1))[1], 2)),
+    ],
+    ids=["one-lift-too-few", "lift-repeated", "another-form's-lifts"],
+)
+def test_pushforward_detects_bad_lifts(change, monkeypatch):
+    real = probability.lifts
+    first = next(enumerate_maximal(3, 1))
+
+    def patched(low, m):
+        lifted = list(real(low, m))
+        return change(lifted) if low == first else lifted
+
+    monkeypatch.setattr(probability, "lifts", patched)
+    report = pushforward_consistency(3, 1, 2)
+    assert report.fibers_uniform
+    assert not report.lifts_partition
+
+
+def test_pushforward_detects_a_wrong_projection(monkeypatch):
+    real = probability.project
+    stray = next(enumerate_maximal(3, 2))
+    wrong = next(f for f in enumerate_maximal(3, 1) if f != real(stray, 1))
+
+    def patched(high, n):
+        return wrong if high == stray else real(high, n)
+
+    monkeypatch.setattr(probability, "project", patched)
+    report = pushforward_consistency(3, 1, 2)
+    assert not report.fibers_uniform
+    assert not report.lifts_partition
 
 
 def test_pushforward_rejects_bad_levels():
