@@ -10,7 +10,9 @@ run on chunks of such stacks, because on their small matrices one scalar
 `rref` costs mostly numpy call overhead. Both take the pivot step that
 `rref_stack` describes, with one inverse table per prime built by Fermat's
 little theorem, the library's only modular inverse. The table has p
-entries, so p should be one of the library's small primes.
+entries, so p should be one of the library's small primes. `reduce_rows` is
+the one reduction against an rref basis, which must be exactly the nonzero
+rows of an rref with the given pivot columns.
 """
 
 from __future__ import annotations
@@ -21,17 +23,20 @@ import numpy as np
 
 
 def as_matrix(rows, p: int, width: int | None = None) -> np.ndarray:
-    """Coerce to a 2-d int64 array reduced mod p; empty input needs a width."""
-    a = np.array(rows, dtype=np.int64)
+    """Coerce integer entries to a 2-d int64 array reduced mod p; empty input
+    needs a width."""
+    a = np.asarray(rows)
     if a.size == 0:
         if width is None:
             raise ValueError("empty matrix needs an explicit width")
         return np.zeros((0, width), dtype=np.int64)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"matrix entries must be integers, got dtype {a.dtype}")
     if a.ndim == 1:
         a = a[None, :]
     if a.ndim != 2:
         raise ValueError("matrix must be 2-dimensional")
-    return a % p
+    return (a % p).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -140,16 +145,14 @@ def nullspace(mat, p: int) -> np.ndarray:
 
 
 def reduce_rows(basis_rref: np.ndarray, pivots, rows, p: int) -> np.ndarray:
-    """Residuals of rows after elimination against rref basis rows."""
-    v = np.array(rows, dtype=np.int64) % p
-    single = v.ndim == 1
-    if single:
-        v = v[None, :]
-    for row, c in enumerate(pivots):
-        hit = v[:, c] != 0
-        if hit.any():
-            v[hit] = (v[hit] - np.outer(v[hit, c], basis_rref[row])) % p
-    return v[0] if single else v
+    """Residuals of rows, one vector or a 2-d stack, after elimination
+    against basis_rref: exactly the len(pivots) nonzero rows of an rref with
+    those pivot columns. That basis is the identity on its pivot columns, so
+    one elimination step leaves the other pivot entries alone and the
+    sequential elimination equals the single product below. The input is
+    reduced first, so unreduced entries cannot overflow the product."""
+    v = np.asarray(rows, dtype=np.int64) % p
+    return (v - v[..., list(pivots)] @ basis_rref) % p
 
 
 def in_row_span(basis_rref: np.ndarray, pivots, vec, p: int) -> bool:
@@ -166,8 +169,6 @@ def nilpotent_block_sizes(a: np.ndarray, p: int) -> tuple[int, ...]:
     Uses the rank sequence: blocks of size >= k number rank(a^(k-1)) - rank(a^k).
     """
     dim = a.shape[0]
-    if dim == 0:
-        return ()
     ranks = [dim]
     power = a % p
     while ranks[-1] > 0:
@@ -180,4 +181,4 @@ def nilpotent_block_sizes(a: np.ndarray, p: int) -> tuple[int, ...]:
     sizes: list[int] = []
     for k in range(len(at_least) - 1, 0, -1):
         sizes.extend([k] * (at_least[k - 1] - at_least[k]))
-    return tuple(sorted(sizes, reverse=True))
+    return tuple(sizes)

@@ -314,7 +314,7 @@ class FpSubspace:
 
     def is_t_stable(self) -> bool:
         shifted = linalg.matmul(self.basis, t_action_matrix(self.shape), self.p)
-        return all(self.contains(row) for row in shifted)
+        return not linalg.reduce_rows(self.basis, self.pivots, shifted, self.p).any()
 
     def vectors(self) -> np.ndarray:
         """All p^dim member vectors, one per row."""
@@ -323,8 +323,6 @@ class FpSubspace:
             raise ResourceBoundError(
                 f"p^dim = {self.p ** k} member vectors exceed {MAX_SUBSPACE_VECTORS}"
             )
-        if k == 0:
-            return np.zeros((1, self.shape.dim), dtype=np.int64)
         combos = np.array(
             list(itertools.product(range(self.p), repeat=k)), dtype=np.int64
         )
@@ -332,15 +330,11 @@ class FpSubspace:
 
     def orthogonal_complement(self) -> "FpSubspace":
         """All x with (x, m) = 0 for every m in the subspace."""
-        if self.dim == 0:
-            return FpSubspace(self.shape, np.eye(self.shape.dim, dtype=np.int64))
         gram = gram_matrix(self.shape)
         constraints = linalg.matmul(self.basis, gram.T, self.p)
         return FpSubspace(self.shape, linalg.nullspace(constraints, self.p))
 
     def is_isotropic(self) -> bool:
-        if self.dim == 0:
-            return True
         gram = gram_matrix(self.shape)
         vals = linalg.matmul(linalg.matmul(self.basis, gram, self.p), self.basis.T, self.p)
         return not vals.any()
@@ -445,9 +439,8 @@ def _socle_kernel(shape: SpaceShape, state: FpSubspace) -> np.ndarray:
     """
     p = shape.p
     action = t_action_matrix(shape)
-    pivots = list(state.pivots)
     free = [c for c in range(shape.dim) if c not in state.pivots]
-    shifted = (action - action[:, pivots] @ state.basis) % p
+    shifted = linalg.reduce_rows(state.basis, state.pivots, action, p)
     paired = linalg.matmul(gram_matrix(shape), state.basis.T, p)
     constraints = np.hstack([shifted, paired])[free]
     kernel = linalg.nullspace(constraints.T[:, ::-1], p)[::-1, ::-1]

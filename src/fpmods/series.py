@@ -12,6 +12,7 @@ which is exactly when g has multiplicative order equal to the level.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 from typing import Iterable
 
 MAX_PRIME = 97
@@ -67,8 +68,12 @@ class TruncatedSeries:
     def __init__(self, p: int, coeffs: Iterable[int], level: int | None = None):
         check_prime(p)
         # from a list: tuple(generator) resizes its result, so every freed
-        # result grows CPython's tuple free list and long runs creep in RSS
-        cs = tuple([int(c) % p for c in coeffs])
+        # result grows CPython's tuple free list and long runs creep in RSS;
+        # index() takes ints and numpy integers but not floats
+        try:
+            cs = tuple([index(c) % p for c in coeffs])
+        except TypeError as exc:
+            raise ValueError(f"coefficients must be integers: {exc}") from None
         if level is None:
             level = len(cs)
         check_level(level)
@@ -98,8 +103,8 @@ class TruncatedSeries:
     def monomial(cls, p: int, level: int, power: int, c: int = 1) -> "TruncatedSeries":
         """c * T^power, which is zero when power >= level."""
         check_level(level)
-        if power < 0:
-            raise ValueError("power must be nonnegative")
+        if not is_int(power) or power < 0:
+            raise ValueError(f"power must be a nonnegative integer, got {power!r}")
         if power >= level:
             return cls.zero(p, level)
         return cls(p, (0,) * power + (c,), level)
@@ -134,9 +139,9 @@ class TruncatedSeries:
         return TruncatedSeries(self.p, ((-a) % self.p for a in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncatedSeries(self.p, (a * other % self.p for a in self.coeffs))
         if not isinstance(other, TruncatedSeries):
+            if is_int(other):
+                return TruncatedSeries(self.p, (a * other % self.p for a in self.coeffs))
             return NotImplemented
         self._check_compatible(other)
         n, p = self.level, self.p
@@ -150,8 +155,8 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        if not is_int(k) or k < 0:
+            raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
         result = TruncatedSeries.one(self.p, self.level)
         base = self
         while k:

@@ -342,18 +342,10 @@ def sum_and_quotient(n1: CyclicSubmodule, n2: CyclicSubmodule) -> QuotientStruct
     rows = np.vstack([n1.basis_rows(), n2.basis_rows()])
     reduced, pivots = linalg.rref(rows, p)
     reduced = reduced[: len(pivots)]
-    v = 2 * n - len(pivots)
-    if v == 0:
-        return QuotientStructure(0, ())
-    shift = _t_shift_matrix(n)
-    pivot_set = set(pivots)
-    free = [j for j in range(2 * n) if j not in pivot_set]
-    action = np.zeros((v, v), dtype=np.int64)
-    for col, j in enumerate(free):
-        residual = linalg.reduce_rows(reduced, pivots, shift[j], p)
-        action[:, col] = residual[free]
-    sizes = linalg.nilpotent_block_sizes(action, p)
-    return QuotientStructure(v, sizes)
+    free = [j for j in range(2 * n) if j not in pivots]
+    residuals = linalg.reduce_rows(reduced, pivots, _t_shift_matrix(n)[free], p)
+    action = residuals[:, free].T
+    return QuotientStructure(len(free), linalg.nilpotent_block_sizes(action, p))
 
 
 def project(sub: CyclicSubmodule, m: int) -> CyclicSubmodule:

@@ -81,6 +81,50 @@ def test_reduce_rows_membership():
     assert not linalg.in_row_span(basis, piv, outside, p)
 
 
+@pytest.mark.parametrize("p", [3, 5, 97])
+def test_reduce_rows_properties(p):
+    """Residuals checked from the definition of reduction, by rank alone."""
+    rng = np.random.default_rng(p)
+    for _ in range(60):
+        nrows, ncols = (int(x) for x in rng.integers(1, 7, 2))
+        mat = rng.integers(0, p, (nrows, ncols))
+        if nrows > 1 and rng.random() < 0.5:
+            mat[-1] = 2 * mat[-2] % p  # rank-deficient input
+        reduced, piv = linalg.rref(mat, p)
+        basis = reduced[: len(piv)]
+        combos = rng.integers(0, p, (4, len(piv)))
+        members = (combos @ basis) % p
+        rows = np.vstack([rng.integers(0, p, (4, ncols)), members])
+        for given in (rows, rows - 3 * p, rows + 5 * p):
+            residual = linalg.reduce_rows(basis, piv, given, p)
+            assert residual.shape == given.shape
+            assert ((residual >= 0) & (residual < p)).all()
+            for row, res in zip(given % p, residual):
+                assert not res[list(piv)].any()
+                assert linalg.rank(np.vstack([basis, row - res]), p) == len(piv)
+                inside = linalg.rank(np.vstack([basis, row]), p) == len(piv)
+                assert (not res.any()) == inside
+        single = linalg.reduce_rows(basis, piv, rows[0] - p, p)
+        assert single.ndim == 1 and single.shape == (ncols,)
+        assert not single[list(piv)].any()
+        assert linalg.rank(np.vstack([basis, rows[0] - single]), p) == len(piv)
+        # against the empty basis every row is its own residual
+        empty = np.zeros((0, ncols), dtype=np.int64)
+        assert (linalg.reduce_rows(empty, (), rows - p, p) == rows).all()
+        assert (linalg.reduce_rows(empty, (), rows[0], p) == rows[0]).all()
+
+
+def test_as_matrix_rejects_non_integers():
+    for bad in ([[1.5, 0, 0]], [[1.0, 0, 0]], np.array([[True, False, False]])):
+        with pytest.raises(ValueError):
+            linalg.as_matrix(bad, 3)
+    assert (linalg.as_matrix(np.array([[4, 5, 6]], dtype=np.uint8), 3) == [[1, 2, 0]]).all()
+    # reduced before the cast to int64, which would wrap 2^64 - 1 to -1
+    big = np.array([[2**64 - 1, 2**63]], dtype=np.uint64)
+    assert (linalg.as_matrix(big, 3) == [[0, 2]]).all()
+    assert linalg.as_matrix([], 3, width=2).shape == (0, 2)
+
+
 def test_inverse_table():
     for p in sorted(_ODD_PRIMES):
         inv = linalg._inverse_table(p)

@@ -151,6 +151,9 @@ def test_subspace_canonical_equality():
     b = FpSubspace(shape, np.vstack([rows[1], (2 * rows[0]) % 3, rows.sum(axis=0) % 3]))
     assert a == b and hash(a) == hash(b) and a.dim == 2
     assert a.contains(rows[0]) and not a.contains([0, 0, 0, 0, 0, 1])
+    # non-integral rows are rejected, not truncated to the span of e_0
+    with pytest.raises(ValueError):
+        FpSubspace(shape, [[1.5, 0, 0, 0, 0, 0]])
 
 
 def test_complement_laws_on_random_subspaces():
@@ -175,6 +178,10 @@ def test_complement_example_rank_one():
     sub = FpSubspace(shape, [u.to_vector()])
     assert sub.orthogonal_complement() == sub
     assert sub.is_isotropic() and sub.is_maximal_isotropic()
+    zero = FpSubspace(shape)
+    assert zero.orthogonal_complement() == FpSubspace(shape, np.eye(shape.dim, dtype=np.int64))
+    assert zero.is_isotropic() and zero.is_t_stable()
+    assert not zero.is_maximal_isotropic()
 
 
 def test_t_span_closure_and_stability():
@@ -545,6 +552,8 @@ def test_vectors_guard_and_members():
     vecs = sub.vectors()
     assert len(vecs) == 9
     assert all(sub.contains(v) for v in vecs)
+    zero = FpSubspace(shape).vectors()
+    assert zero.shape == (1, shape.dim) and not zero.any()
 
 
 def test_act_is_module_action():

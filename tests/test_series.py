@@ -45,6 +45,25 @@ def test_validation():
         TruncatedSeries(3, (1,)) + TruncatedSeries(3, (1, 0))
     with pytest.raises(ValueError):
         TruncatedSeries(3, (1,)) + TruncatedSeries(5, (1,))
+    # non-integral coefficients are rejected, not truncated; numpy integers
+    # and bools (True is the residue 1) are accepted
+    for bad in ([1.7, 2.2], [1, 2.0], ["1"]):
+        with pytest.raises(ValueError):
+            TruncatedSeries(3, bad)
+    assert TruncatedSeries(3, [np.int64(4), True, np.uint8(5)]).coeffs == (1, 1, 2)
+    # bools are not exponents or scalars
+    t = TruncatedSeries.monomial(3, 3, 1)
+    with pytest.raises(ValueError):
+        t**True
+    with pytest.raises(ValueError):
+        TruncatedSeries.monomial(3, 3, True)
+    with pytest.raises(ValueError):
+        TruncatedSeries.monomial(3, 3, 1.0)
+    with pytest.raises(TypeError):
+        t * True
+    with pytest.raises(TypeError):
+        True * t
+    assert t * 2 == 2 * t == t + t and t**1 == t
 
 
 def test_coefficients_reduced_and_padded():
