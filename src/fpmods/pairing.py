@@ -44,7 +44,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvariantError, ResourceBoundError
-from .series import TruncatedSeries, check_level, check_prime, is_power_of
+from .series import TruncatedSeries, check_level, check_prime, is_int, is_power_of, read_ints
 
 MAX_TOTAL_DIM = 4096
 MAX_ENUM_DIM = 12
@@ -92,6 +92,12 @@ class SpaceShape:
 
     def generator_slice(self, block: int, side: int) -> slice:
         """Coordinates of the side-th generator (0 = u, 1 = v) of a block."""
+        valid = is_int(block) and is_int(side) and 0 <= block < self.num_blocks
+        if not valid or side not in (0, 1):
+            raise ValueError(
+                f"need an int block in [0, {self.num_blocks}) and side 0 or 1, "
+                f"got block={block!r}, side={side!r}"
+            )
         levels = self.block_levels
         start = 2 * sum(levels[:block]) + side * levels[block]
         return slice(start, start + levels[block])
@@ -130,13 +136,13 @@ class SpaceElement:
 
     @classmethod
     def generator(cls, shape: SpaceShape, block: int, side: int) -> "SpaceElement":
-        coords = list(cls.zero(shape).coords)
-        coords[2 * block + side] = TruncatedSeries.one(shape.p, shape.block_levels[block])
-        return cls(shape, coords)
+        vec = [0] * shape.dim
+        vec[shape.generator_slice(block, side).start] = 1
+        return cls.from_vector(shape, vec)
 
     @classmethod
     def from_vector(cls, shape: SpaceShape, vec) -> "SpaceElement":
-        flat = [int(c) for c in vec]
+        flat = read_ints(vec, "vector entries")
         if len(flat) != shape.dim:
             raise ValueError(f"vector must have length {shape.dim}")
         coords = []
@@ -170,7 +176,7 @@ class SpaceElement:
         return f"SpaceElement({self.shape}, {[str(c) for c in self.coords]})"
 
     def _block_scalars(self, poly) -> list[TruncatedSeries]:
-        poly = tuple(int(c) for c in poly)
+        poly = read_ints(poly)
         return [TruncatedSeries(self.shape.p, poly[:m], m) for m in self.shape.block_levels]
 
     def act(self, poly) -> "SpaceElement":

@@ -24,9 +24,9 @@ arrays, in fixed chunks of CHUNK_TRIALS, using the closed forms on canonical
 indices: v is the first differing digit for kind-'A' pairs, min(1 + first
 differing digit, n) for kind-'B' pairs and 0 for mixed pairs; the quotient
 by the sum is cyclic of size p^v, and tower stage k has exponent min(v, k).
-In every call the first trial of each observed (kind pair, v) class is
-recomputed through the scalar path (`intersect` and the linear-algebra
-`sum_and_quotient`, or the full `SubmoduleTower` path for towers); a
+In every call, for both modes, the first trial of each observed (kind pair,
+v) class is recomputed through the scalar path: `SubmoduleTower.from_top`
+of each submodule and `intersect` at every stage k must give min(v, k); a
 disagreement raises InvariantError naming (p, n, seed, trial).
 """
 
@@ -43,14 +43,12 @@ from .errors import InvariantError, ResourceBoundError
 from .series import check_level, check_prime, is_int
 from .submodules import (
     CyclicSubmodule,
-    QuotientStructure,
     SubmoduleTower,
     count_maximal,
     enumerate_maximal,
     intersect,
     lifts,
     project,
-    sum_and_quotient,
 )
 
 MAX_CENSUS_PAIRS = 4_000_000
@@ -266,28 +264,26 @@ def chi_square_uniformity(
     return stat, count - 1
 
 
-def _check_trial(
-    p: int, n: int, spec: RngSpec, trial: int, kinds: int, v: int, tower: bool
-) -> None:
-    """Recompute one kernel trial through the scalar path; raise on mismatch."""
+def _check_trial(p: int, n: int, spec: RngSpec, trial: int, kinds: int, v: int) -> None:
+    """Recompute one kernel trial through the scalar path; raise on mismatch.
+
+    Stage n is the top intersection; its v is also the quotient's exponent.
+    """
     pair = sample_pair(p, n, spec, trial)
+    stages = zip(
+        SubmoduleTower.from_top(pair.n1).stages,
+        SubmoduleTower.from_top(pair.n2).stages,
+    )
     got = {
         "kind pair": 2 * (pair.n1.kind == "B") + (pair.n2.kind == "B"),
         "collision": pair.n1 == pair.n2,
+        "stage exponents": [intersect(a, b).size_exponent for a, b in stages],
     }
-    want = {"kind pair": kinds, "collision": v == n}
-    if tower:
-        stages = zip(
-            SubmoduleTower.from_top(pair.n1).stages,
-            SubmoduleTower.from_top(pair.n2).stages,
-        )
-        got["stage exponents"] = [intersect(a, b).size_exponent for a, b in stages]
-        want["stage exponents"] = [min(v, k) for k in range(1, n + 1)]
-    else:
-        got["intersection exponent"] = intersect(pair.n1, pair.n2).size_exponent
-        got["quotient"] = sum_and_quotient(pair.n1, pair.n2)
-        want["intersection exponent"] = v
-        want["quotient"] = QuotientStructure(v, (v,) if v else ())
+    want = {
+        "kind pair": kinds,
+        "collision": v == n,
+        "stage exponents": [min(v, k) for k in range(1, n + 1)],
+    }
     for key in want:
         if got[key] != want[key]:
             raise InvariantError(
@@ -297,9 +293,7 @@ def _check_trial(
             )
 
 
-def _exponent_census(
-    p: int, n: int, trials: int, spec: RngSpec, tower: bool
-) -> np.ndarray:
+def _exponent_census(p: int, n: int, trials: int, spec: RngSpec) -> np.ndarray:
     """Trial counts by v (index 0..n) over trials [0, trials).
 
     Works in chunks of CHUNK_TRIALS so memory stays flat; the first trial of
@@ -317,7 +311,7 @@ def _exponent_census(
             for cls, i in zip(seen.tolist(), first.tolist()):
                 if counts[cls] == 0:
                     kind_pair, exponent = divmod(cls, width)
-                    _check_trial(p, n, spec, start + i, kind_pair, exponent, tower)
+                    _check_trial(p, n, spec, start + i, kind_pair, exponent)
         counts += chunk
     return counts.reshape(_KIND_PAIRS, width).sum(axis=0)
 
@@ -359,7 +353,7 @@ def monte_carlo(p: int, n: int, trials: int, spec: RngSpec) -> MonteCarloResult:
     check_prime(p)
     check_level(n)
     _check_count(trials, "trials")
-    exps = _nonzero(_exponent_census(p, n, trials, spec, tower=False))
+    exps = _nonzero(_exponent_census(p, n, trials, spec))
     return MonteCarloResult(
         p=p,
         level=n,
@@ -450,7 +444,7 @@ def tower_experiment(
     check_prime(p)
     check_level(max_level)
     _check_count(trials, "trials")
-    by_exponent = _exponent_census(p, max_level, trials, spec, tower=True)
+    by_exponent = _exponent_census(p, max_level, trials, spec)
     exps = _nonzero(by_exponent[:max_level])
     return TowerReport(
         p=p,

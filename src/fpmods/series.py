@@ -29,6 +29,15 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def read_ints(values: Iterable[int], what: str = "coefficients") -> list[int]:
+    """The values as ints, by operator.index: ints, bools and numpy integers
+    pass, and floats, strings and the like raise ValueError, not truncate."""
+    try:
+        return [index(c) for c in values]
+    except TypeError as exc:
+        raise ValueError(f"{what} must be integers: {exc}") from None
+
+
 def check_prime(p: int) -> int:
     # is_int inlined here and in check_level: both run for every TruncatedSeries
     # and every public CyclicSubmodule(...), though not for _trusted forms
@@ -258,7 +267,7 @@ class TruncatedSeries:
 
 def from_group_basis(p: int, coeffs: Iterable[int]) -> TruncatedSeries:
     """Inverse of TruncatedSeries.group_basis."""
-    cs = tuple(int(c) % p for c in coeffs)
+    cs = [c % p for c in read_ints(coeffs)]
     n = check_level(len(cs))
     if not is_power_of(n, p):
         raise ValueError(f"group basis needs a level that is a power of {p}, got {n}")

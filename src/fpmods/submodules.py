@@ -10,11 +10,12 @@ generator of one of two kinds:
 
 for a total census of p^(n-1) * (p + 1). Intersections of two maximal
 submodules are again cyclic, of size p^v where the exponent v has a closed
-form in the canonical parameters (0 for mixed-kind pairs); the rank-based
-`intersection_exponent_linalg` is kept as a test oracle. Sums and quotients
-are handled by linear algebra on the flattened 2n-dimensional coordinate
-space. Projections to lower levels truncate the canonical parameter and
-lifting enumerates the p^(m-n) parameter extensions.
+form in the canonical parameters (0 for mixed-kind pairs), and the quotient
+by their sum is cyclic of the same size p^v. The rank-based
+`intersection_exponent_linalg` is kept as a test oracle, and is this
+module's only use of linear algebra. Projections to lower levels truncate
+the canonical parameter and lifting enumerates the p^(m-n) parameter
+extensions.
 
 Validation happens at the public boundary, once per call: the
 `CyclicSubmodule(...)` constructor checks every field, and
@@ -322,30 +323,17 @@ class QuotientStructure:
     cyclic_structure: tuple[int, ...]
 
 
-def _t_shift_matrix(n: int) -> np.ndarray:
-    s = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    for j in range(2 * n):
-        if j % n != n - 1:
-            s[j, j + 1] = 1
-    return s
-
-
 def sum_and_quotient(n1: CyclicSubmodule, n2: CyclicSubmodule) -> QuotientStructure:
-    """Sum N1 + N2 and the cyclic structure of the quotient by it.
+    """Structure of Omega_n^2 / (N1 + N2): cyclic of size p^v, v = intersect's.
 
-    Works entirely by GF(p) linear algebra: the quotient dimension is
-    2n - rank(N1 + N2), and the block sizes are read off the rank sequence of
-    the nilpotent action of T on the quotient.
+    N1 is generated by a vector with a unit coordinate, so it is a free
+    direct summand and Omega_n^2 / N1 is isomorphic to Omega_n. The quotient
+    by N1 + N2 is a quotient of that cyclic module, hence cyclic, and its
+    size is p^(2n) / |N1 + N2| = |N1 meet N2| = p^v, since |N1| = |N2| = p^n.
+    So it is Omega/(T^v), and the zero module when v = 0.
     """
-    _check_pair(n1, n2)
-    p, n = n1.p, n1.level
-    rows = np.vstack([n1.basis_rows(), n2.basis_rows()])
-    reduced, pivots = linalg.rref(rows, p)
-    reduced = reduced[: len(pivots)]
-    free = [j for j in range(2 * n) if j not in pivots]
-    residuals = linalg.reduce_rows(reduced, pivots, _t_shift_matrix(n)[free], p)
-    action = residuals[:, free].T
-    return QuotientStructure(len(free), linalg.nilpotent_block_sizes(action, p))
+    v = intersect(n1, n2).size_exponent
+    return QuotientStructure(v, (v,) if v else ())
 
 
 def project(sub: CyclicSubmodule, m: int) -> CyclicSubmodule:

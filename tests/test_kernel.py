@@ -1,6 +1,7 @@
 """Differential tests of the index-space sampling kernel against the scalar path."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,9 +179,9 @@ def test_oracle_runs_once_per_observed_class(monkeypatch):
     checked = []
     original = probability._check_trial
 
-    def spy(p, n, spec, trial, kinds, v, tower):
+    def spy(p, n, spec, trial, kinds, v):
         checked.append((kinds, v))
-        original(p, n, spec, trial, kinds, v, tower)
+        original(p, n, spec, trial, kinds, v)
 
     monkeypatch.setattr(probability, "_check_trial", spy)
     p, n, spec, trials = 3, 3, RngSpec(3), 2 * CHUNK_TRIALS
@@ -213,3 +214,21 @@ def test_kernel_mismatch_raises_invariant_error(experiment, monkeypatch):
     assert (info.value.p, info.value.n, info.value.seed, info.value.trial) == (
         3, 3, 41, 7,
     )
+
+
+@pytest.mark.parametrize("experiment", [monte_carlo, tower_experiment])
+def test_wrong_lower_stage_raises_invariant_error(experiment, monkeypatch):
+    """An intersection wrong only below the top level is caught in both modes."""
+    original = probability.intersect
+
+    def wrong_below_top(a, b):
+        meet = original(a, b)
+        if a.level < 3:
+            return replace(meet, size_exponent=meet.size_exponent + 1)
+        return meet
+
+    monkeypatch.setattr(probability, "intersect", wrong_below_top)
+    # classes are rechecked in ascending order; trial 2 is the first of the
+    # lowest one, an A-A pair with v = 0
+    with pytest.raises(InvariantError, match=r"stage exponents.*seed=41, trial=2"):
+        experiment(3, 3, 100, RngSpec(41))

@@ -54,6 +54,36 @@ def test_shape_rejects_non_tuple_torsion_levels():
     assert SpaceShape(3, 1, (1,)).torsion_levels == (1,)
 
 
+def test_element_rejects_non_integral_coordinates():
+    shape = SpaceShape(3, 1, (1,))
+    # floats are rejected, not truncated to e_0 or to a scalar of 1
+    with pytest.raises(ValueError, match="vector entries must be integers"):
+        SpaceElement.from_vector(shape, [1.5, 0, 0, 0])
+    with pytest.raises(ValueError, match="vector entries must be integers"):
+        SpaceElement.from_vector(shape, np.array([1.0, 0, 0, 0]))
+    x = SpaceElement.generator(shape, 0, 0)
+    for bad in ([1.9], [1, 0.5], ["1"]):
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            x.act(bad)
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            x.act_involution(bad)
+    assert SpaceElement.from_vector(shape, np.array([1, 0, 0, 0])) == x
+    assert x.act([np.int64(2)]) == SpaceElement.from_vector(shape, [2, 0, 0, 0])
+
+
+def test_generator_indices_are_validated():
+    shape = SpaceShape(3, 1, (1,))
+    for block, side in ((-1, 1), (2, 0), (0, 2), (0, -1), (True, 0), (0, True), (0.0, 0)):
+        with pytest.raises(ValueError):
+            shape.generator_slice(block, side)
+        with pytest.raises(ValueError):
+            SpaceElement.generator(shape, block, side)
+    assert shape.generator_slice(1, 0) == slice(2, 3)
+    assert SpaceElement.generator(shape, 1, 1) == SpaceElement.from_vector(
+        shape, [0, 0, 0, 1]
+    )
+
+
 def test_element_vector_round_trip():
     rng = np.random.default_rng(30)
     for shape in ACCEPTANCE_SHAPES:

@@ -51,6 +51,11 @@ def test_validation():
         with pytest.raises(ValueError):
             TruncatedSeries(3, bad)
     assert TruncatedSeries(3, [np.int64(4), True, np.uint8(5)]).coeffs == (1, 1, 2)
+    # from_group_basis reads its coefficients the same way
+    for bad in ([1.7, 2.2, 0.5], [1, 2, 0.0], ["1", 0, 0]):
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            from_group_basis(3, bad)
+    assert from_group_basis(3, [np.int64(1), 0, 0]) == TruncatedSeries.one(3, 3)
     # bools are not exponents or scalars
     t = TruncatedSeries.monomial(3, 3, 1)
     with pytest.raises(ValueError):
