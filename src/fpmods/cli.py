@@ -50,12 +50,7 @@ from .probability import (
     tower_experiment,
 )
 from .series import check_level, check_prime, is_int
-from .submodules import (
-    MAX_ENUM_SUBMODULES,
-    count_maximal,
-    count_maximal_generators,
-    enumerate_maximal,
-)
+from .submodules import count_maximal, count_maximal_generators, enumerate_maximal
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -180,14 +175,13 @@ def _structure_extra(counts: dict) -> str:
 
 
 def _count_fields(config: ExperimentConfig, n: int) -> dict:
-    total = count_maximal(config.prime, n)
-    extra = f"generators={count_maximal_generators(config.prime, n)}"
-    if total <= MAX_ENUM_SUBMODULES:
+    try:
         enumerated = sum(1 for _ in enumerate_maximal(config.prime, n))
-        extra += f";enumerated={enumerated}"
-    else:
-        extra += ";enumerated=skipped"
-    return dict(exact=Fraction(total), extra=extra)
+    except ResourceBoundError:
+        enumerated = "skipped"
+    generators = count_maximal_generators(config.prime, n)
+    extra = f"generators={generators};enumerated={enumerated}"
+    return dict(exact=Fraction(count_maximal(config.prime, n)), extra=extra)
 
 
 def _exhaustive_fields(config: ExperimentConfig, n: int) -> dict:

@@ -11,7 +11,9 @@ class InvariantError(RuntimeError):
     p and n are always named. Sampling failures also name seed and trial:
     (p, n, seed, trial) is enough to reproduce them with
     `sample_pair(p, n, RngSpec(seed), trial)`. Deterministic computations
-    leave seed and trial as None.
+    leave seed and trial as None and put any other input needed to rerun
+    them in the detail, as the isotropic search does with its shape's
+    torsion levels.
     """
 
     def __init__(

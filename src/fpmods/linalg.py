@@ -4,10 +4,11 @@ Matrices are numpy int64 arrays with entries reduced mod p, and subspaces are
 row spans. Elimination keeps everything in exact integer arithmetic.
 
 `rref` reduces one matrix and serves `nullspace`, the subspace code and the
-tests as the reference. `rref_stack` reduces a whole (N, rows, cols) stack
-at once, with each matrix pivoting on its own; the isotropic diagnostics
-run on chunks of such stacks, because on their small matrices one scalar
-`rref` costs mostly numpy call overhead. Both take the pivot step that
+tests as the reference; `nullspace` returns the kernel's canonical basis,
+its reduced row echelon form. `rref_stack` reduces a whole (N, rows, cols)
+stack at once, with each matrix pivoting on its own; the isotropic
+diagnostics run on chunks of such stacks, because on their small matrices
+one scalar `rref` costs mostly numpy call overhead. Both take the pivot step that
 `rref_stack` describes, with one inverse table per prime built by Fermat's
 little theorem, the library's only modular inverse. The table has p
 entries, so p should be one of the library's small primes. `reduce_rows` is
@@ -130,9 +131,16 @@ def row_basis(mat, p: int) -> np.ndarray:
 
 
 def nullspace(mat, p: int) -> np.ndarray:
-    """Rows spanning the right kernel {x : mat @ x == 0 mod p}."""
+    """The reduced row echelon basis of the kernel {x : mat @ x == 0 mod p}.
+
+    With mat's columns reversed, each free column f of its rref gives a
+    kernel row with a 1 at f, zeros at the other free columns and entries
+    only at pivot columns before f. Flipping columns and rows back leads
+    each row with its 1, at a free column zero in every other row, in
+    increasing column order.
+    """
     a = np.asarray(mat, dtype=np.int64)
-    r, piv = rref(a, p)
+    r, piv = rref(a[:, ::-1], p)
     ncols = a.shape[1]
     pivot_set = set(piv)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -141,7 +149,7 @@ def nullspace(mat, p: int) -> np.ndarray:
         basis[i, c] = 1
         for row, pc in enumerate(piv):
             basis[i, pc] = (-int(r[row, c])) % p
-    return basis
+    return basis[::-1, ::-1]
 
 
 def reduce_rows(basis_rref: np.ndarray, pivots, rows, p: int) -> np.ndarray:

@@ -437,11 +437,8 @@ def _socle_kernel(shape: SpaceShape, state: FpSubspace) -> np.ndarray:
     w is unknown only on the free (non-pivot) columns, and T w = w A lies in
     the state P exactly when w A equals (w A)[pivots] P, so the conditions
     are z C = 0 for z = w[free] and C = [A - A[:, pivots] P | G P^T][free].
-    The kernel comes from one elimination of C^T with its columns reversed:
-    linalg.nullspace returns one row per free column f, with a 1 at f, zeros
-    at the other free columns and entries only at pivot columns before f,
-    so reversing the columns back (and the rows) gives the reduced row
-    echelon form of the kernel, led by the former free columns.
+    linalg.nullspace of C^T is the reduced row echelon basis of the z, by
+    its contract, and placing it on the free columns keeps that form.
     """
     p = shape.p
     action = t_action_matrix(shape)
@@ -449,7 +446,7 @@ def _socle_kernel(shape: SpaceShape, state: FpSubspace) -> np.ndarray:
     shifted = linalg.reduce_rows(state.basis, state.pivots, action, p)
     paired = linalg.matmul(gram_matrix(shape), state.basis.T, p)
     constraints = np.hstack([shifted, paired])[free]
-    kernel = linalg.nullspace(constraints.T[:, ::-1], p)[::-1, ::-1]
+    kernel = linalg.nullspace(constraints.T, p)
     out = np.zeros((len(kernel), shape.dim), dtype=np.int64)
     out[:, free] = kernel
     return out
@@ -519,9 +516,9 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
             )
             if not echelon.all():
                 raise InvariantError(
-                    f"socle extension of a dimension-{state.dim} state by a vector "
-                    f"without a leading 1 before its first pivot {first} or zeros "
-                    f"on its pivots",
+                    f"socle extension of a dimension-{state.dim} state (torsion "
+                    f"levels {shape.torsion_levels}) by a vector without a leading "
+                    f"1 before its first pivot {first} or zeros on its pivots",
                     p=p, n=shape.rank_level,
                 )
             pivots = (int(leads[i]), *state.pivots)

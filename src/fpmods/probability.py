@@ -10,7 +10,9 @@ Sampling draws each submodule's canonical index as n mixed-radix digits: a
 top digit in [0, p+1), which is param[n-1] of a kind-'A' submodule when it
 is below p and marks kind 'B' when it equals p, and n-1 digits in [0, p),
 the remaining parameter coefficients. Every submodule is exactly equally
-likely and kind 'A' has probability p/(p+1). Each digit is a SplitMix64-mixed
+likely and kind 'A' has probability p/(p+1). Weighted by p^j, digit j
+sums with the others to the canonical index, which `sample_pair` decodes
+through `CyclicSubmodule.from_index`. Each digit is a SplitMix64-mixed
 64-bit word keyed by (seed, trial, coordinate, digit, attempt), a
 counter-based draw in the manner of Salmon et al. (SC'11); a word at or above
 the largest multiple of the digit's bound is rejected and redrawn with the
@@ -86,9 +88,7 @@ class PairSample:
 
 def collision_probability_exact(p: int, n: int) -> Fraction:
     """Probability that two uniform maximal submodules coincide."""
-    check_prime(p)
-    check_level(n)
-    return Fraction(1, (p + 1) * p ** (n - 1))
+    return Fraction(1, count_maximal(p, n))
 
 
 def intersection_bound(p: int, n: int) -> Fraction:
@@ -215,13 +215,6 @@ def _kernel_indices(p: int, n: int, keys: np.ndarray, coord: int) -> np.ndarray:
     return index
 
 
-def _submodule(p: int, n: int, digits: list[int]) -> CyclicSubmodule:
-    """The submodule with canonical digits (lower digits, then the top one)."""
-    if digits[-1] < p:
-        return CyclicSubmodule(p, n, "A", tuple(digits))
-    return CyclicSubmodule(p, n, "B", tuple(digits[:-1]))
-
-
 def sample_pair(p: int, n: int, spec: RngSpec, trial: int) -> PairSample:
     """The trial-th pair: exactly the pair the sampling kernel uses for it.
 
@@ -234,8 +227,12 @@ def sample_pair(p: int, n: int, spec: RngSpec, trial: int) -> PairSample:
     keys = _trial_keys(spec.seed, trial, trial + 1)
     streams = np.concatenate([_stream(keys, c, j) for c in (0, 1) for j in range(n)])
     bounds = ([p] * (n - 1) + [p + 1]) * 2
-    first, second = _uniform(streams, bounds).reshape(2, n).tolist()
-    return PairSample(_submodule(p, n, first), _submodule(p, n, second))
+    # digit j has weight p^j, so a top digit p gives index p^n + lower, kind B
+    n1, n2 = (
+        CyclicSubmodule.from_index(p, n, sum(d * p**j for j, d in enumerate(digits)))
+        for digits in _uniform(streams, bounds).reshape(2, n).tolist()
+    )
+    return PairSample(n1, n2)
 
 
 def chi_square_uniformity(
@@ -296,9 +293,13 @@ def _check_trial(p: int, n: int, spec: RngSpec, trial: int, kinds: int, v: int) 
 def _exponent_census(p: int, n: int, trials: int, spec: RngSpec) -> np.ndarray:
     """Trial counts by v (index 0..n) over trials [0, trials).
 
-    Works in chunks of CHUNK_TRIALS so memory stays flat; the first trial of
-    every newly observed (kind pair, v) class goes through _check_trial.
+    Validates (p, n, trials) for both sampled modes. Works in chunks of
+    CHUNK_TRIALS so memory stays flat; the first trial of every newly
+    observed (kind pair, v) class goes through _check_trial.
     """
+    check_prime(p)
+    check_level(n)
+    _check_count(trials, "trials")
     width = n + 1
     counts = np.zeros(_KIND_PAIRS * width, dtype=np.int64)
     for start in range(0, trials, CHUNK_TRIALS):
@@ -350,9 +351,6 @@ class MonteCarloResult:
 def monte_carlo(p: int, n: int, trials: int, spec: RngSpec) -> MonteCarloResult:
     """Sample pairs trials [0, trials) with the kernel, cross-check each
     observed class through the scalar path, aggregate."""
-    check_prime(p)
-    check_level(n)
-    _check_count(trials, "trials")
     exps = _nonzero(_exponent_census(p, n, trials, spec))
     return MonteCarloResult(
         p=p,
@@ -441,9 +439,6 @@ def tower_experiment(
     p: int, max_level: int, trials: int, spec: RngSpec
 ) -> TowerReport:
     """Sample pairs at the top level and track intersections down the tower."""
-    check_prime(p)
-    check_level(max_level)
-    _check_count(trials, "trials")
     by_exponent = _exponent_census(p, max_level, trials, spec)
     exps = _nonzero(by_exponent[:max_level])
     return TowerReport(

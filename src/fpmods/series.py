@@ -109,14 +109,14 @@ class TruncatedSeries:
         return cls(p, (1,), level)
 
     @classmethod
-    def monomial(cls, p: int, level: int, power: int, c: int = 1) -> "TruncatedSeries":
-        """c * T^power, which is zero when power >= level."""
+    def monomial(cls, p: int, level: int, power: int) -> "TruncatedSeries":
+        """T^power, which is zero when power >= level."""
         check_level(level)
         if not is_int(power) or power < 0:
             raise ValueError(f"power must be a nonnegative integer, got {power!r}")
         if power >= level:
             return cls.zero(p, level)
-        return cls(p, (0,) * power + (c,), level)
+        return cls(p, (0,) * power + (1,), level)
 
     @classmethod
     def group_generator(cls, p: int, level: int) -> "TruncatedSeries":

@@ -207,6 +207,13 @@ def test_count_rows():
     assert report.rows[0].extra == "generators=8;enumerated=4"
     assert report.rows[1].extra == "generators=72;enumerated=12"
     assert all(row.empirical is None for row in report.rows)
+    # 9,506 forms at (97, 2) are within the enumeration bound, 922,082 at
+    # (97, 3) are not
+    beyond = run(config(mode="count", prime=97, levels=(2, 3))).rows
+    assert [row.extra.split(";")[1] for row in beyond] == [
+        "enumerated=9506",
+        "enumerated=skipped",
+    ]
 
 
 def test_exhaustive_rows():

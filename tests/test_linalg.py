@@ -70,6 +70,25 @@ def test_nullspace_of_empty_constraints_is_everything():
     assert linalg.rank(ns, 3) == 4
 
 
+@pytest.mark.parametrize("p", [3, 5, 97])
+def test_nullspace_is_the_reduced_echelon_basis_of_the_kernel(p):
+    rng = np.random.default_rng(p)
+    mats = [
+        [[1, 1]],
+        np.zeros((0, 4), dtype=np.int64),
+        np.vstack([np.eye(3, dtype=np.int64), rng.integers(0, p, size=(2, 3))]),
+        np.outer(rng.integers(1, p, size=3), rng.integers(0, p, size=6)),
+        *(rng.integers(0, p, size=(rows, 6)) for rows in range(1, 6)),
+    ]
+    for mat in mats:
+        mat = np.asarray(mat, dtype=np.int64)
+        ns = linalg.nullspace(mat, p)
+        assert ns.shape == (mat.shape[1] - linalg.rank(mat, p), mat.shape[1])
+        basis = linalg.row_basis(ns, p)
+        assert basis.shape == ns.shape and (basis == ns).all()
+        assert not (mat @ ns.T % p).any()
+
+
 def test_reduce_rows_membership():
     p = 3
     mat = np.array([[1, 0, 2], [0, 1, 1]], dtype=np.int64)

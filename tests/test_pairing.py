@@ -1,5 +1,6 @@
 import collections
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -337,15 +338,18 @@ def test_enumeration_counts_dim_four_and_eight(shape, results, split):
         assert sub == sub.orthogonal_complement()
 
 
-def test_enumeration_rejects_a_child_out_of_echelon_form(monkeypatch):
+@pytest.mark.parametrize("torsion", [(1,), (1, 1)], ids=["1", "1-1"])
+def test_enumeration_rejects_a_child_out_of_echelon_form(monkeypatch, torsion):
     # an identity "kernel" offers w that are nonzero on the state's pivots,
     # so [w; state basis] is not a reduced echelon basis; the child check
-    # must catch it before a wrong subspace is built
+    # must catch it before a wrong subspace is built, and name the torsion
+    # levels, which p and n alone do not determine
     monkeypatch.setattr(
         pairing, "_socle_kernel", lambda shape, state: np.eye(shape.dim, dtype=np.int64)
     )
-    with pytest.raises(InvariantError, match="socle extension.*p=3, n=1"):
-        list(enumerate_maximal_isotropic(SpaceShape(3, 1, (1,))))
+    levels = re.escape(f"torsion levels {torsion}")
+    with pytest.raises(InvariantError, match=f"socle extension.*{levels}.*p=3, n=1"):
+        list(enumerate_maximal_isotropic(SpaceShape(3, 1, torsion)))
 
 
 def socle_bfs_oracle(shape):
