@@ -175,13 +175,19 @@ def _structure_extra(counts: dict) -> str:
 
 
 def _count_fields(config: ExperimentConfig, n: int) -> dict:
+    count = count_maximal(config.prime, n)
     try:
         enumerated = sum(1 for _ in enumerate_maximal(config.prime, n))
     except ResourceBoundError:
         enumerated = "skipped"
+    if enumerated not in (count, "skipped"):
+        raise InvariantError(
+            f"enumeration found {enumerated} forms, closed form {count}",
+            p=config.prime, n=n,
+        )
     generators = count_maximal_generators(config.prime, n)
     extra = f"generators={generators};enumerated={enumerated}"
-    return dict(exact=Fraction(count_maximal(config.prime, n)), extra=extra)
+    return dict(exact=Fraction(count), extra=extra)
 
 
 def _exhaustive_fields(config: ExperimentConfig, n: int) -> dict:

@@ -3,17 +3,17 @@
 Matrices are numpy int64 arrays with entries reduced mod p, and subspaces are
 row spans. Elimination keeps everything in exact integer arithmetic.
 
-`rref` reduces one matrix and serves `nullspace`, the subspace code and the
-tests as the reference; `nullspace` returns the kernel's canonical basis,
-its reduced row echelon form. `rref_stack` reduces a whole (N, rows, cols)
-stack at once, with each matrix pivoting on its own; the isotropic
-diagnostics run on chunks of such stacks, because on their small matrices
-one scalar `rref` costs mostly numpy call overhead. Both take the pivot step that
+Input matrices are read through `_entries`, the one integer check, so
+floats raise `ValueError` rather than being truncated. `rref` reduces one
+matrix and serves `nullspace`, the subspace code and the tests as the
+reference; `nullspace` returns the kernel's canonical basis, its reduced row
+echelon form. `rref_stack` reduces a whole (N, rows, cols) stack at once,
+with each matrix pivoting on its own. Both take the pivot step that
 `rref_stack` describes, with one inverse table per prime built by Fermat's
 little theorem, the library's only modular inverse. The table has p
 entries, so p should be one of the library's small primes. `reduce_rows` is
-the one reduction against an rref basis, which must be exactly the nonzero
-rows of an rref with the given pivot columns.
+the one reduction against an rref basis, which it takes as given: exactly
+the nonzero rows of an rref with the given pivot columns.
 """
 
 from __future__ import annotations
@@ -23,21 +23,28 @@ from functools import lru_cache
 import numpy as np
 
 
-def as_matrix(rows, p: int, width: int | None = None) -> np.ndarray:
-    """Coerce integer entries to a 2-d int64 array reduced mod p; empty input
-    needs a width."""
+def _entries(rows, p: int) -> np.ndarray:
+    """rows as an int64 array of the same shape, reduced mod p before the
+    cast; ValueError unless the entries are integers (empty input passes)."""
     a = np.asarray(rows)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"matrix entries must be integers, got dtype {a.dtype}")
+    return (a % p).astype(np.int64, copy=False)
+
+
+def as_matrix(rows, p: int, width: int | None = None) -> np.ndarray:
+    """Coerce integer entries to a 2-d int64 array reduced mod p; a vector is
+    one row, and empty input needs a width."""
+    a = _entries(rows, p)
     if a.size == 0:
         if width is None:
             raise ValueError("empty matrix needs an explicit width")
         return np.zeros((0, width), dtype=np.int64)
-    if a.dtype.kind not in "iu":
-        raise ValueError(f"matrix entries must be integers, got dtype {a.dtype}")
     if a.ndim == 1:
         a = a[None, :]
     if a.ndim != 2:
         raise ValueError("matrix must be 2-dimensional")
-    return (a % p).astype(np.int64)
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -50,7 +57,7 @@ def _inverse_table(p: int) -> np.ndarray:
 
 def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form over GF(p). Returns (R, pivot_columns)."""
-    a = np.array(mat, dtype=np.int64) % p
+    a = _entries(mat, p)
     nrows, ncols = a.shape
     inverses = _inverse_table(p)
     pivots: list[int] = []
@@ -85,7 +92,7 @@ def rref_stack(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     clears the column elsewhere; the other matrices get a pivot row of
     zeros, so the broadcast elimination leaves them unchanged.
     """
-    a = np.array(stack, dtype=np.int64) % p
+    a = _entries(stack, p)
     if a.ndim != 3:
         raise ValueError("stack must be 3-dimensional")
     count, nrows, ncols = a.shape
@@ -137,9 +144,9 @@ def nullspace(mat, p: int) -> np.ndarray:
     kernel row with a 1 at f, zeros at the other free columns and entries
     only at pivot columns before f. Flipping columns and rows back leads
     each row with its 1, at a free column zero in every other row, in
-    increasing column order.
+    increasing column order. A vector is read as one row.
     """
-    a = np.asarray(mat, dtype=np.int64)
+    a = as_matrix(mat, p, width=np.shape(mat)[-1])
     r, piv = rref(a[:, ::-1], p)
     ncols = a.shape[1]
     pivot_set = set(piv)
@@ -159,7 +166,7 @@ def reduce_rows(basis_rref: np.ndarray, pivots, rows, p: int) -> np.ndarray:
     one elimination step leaves the other pivot entries alone and the
     sequential elimination equals the single product below. The input is
     reduced first, so unreduced entries cannot overflow the product."""
-    v = np.asarray(rows, dtype=np.int64) % p
+    v = _entries(rows, p)
     return (v - v[..., list(pivots)] @ basis_rref) % p
 
 
@@ -168,7 +175,7 @@ def in_row_span(basis_rref: np.ndarray, pivots, vec, p: int) -> bool:
 
 
 def matmul(a, b, p: int) -> np.ndarray:
-    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
+    return (_entries(a, p) @ _entries(b, p)) % p
 
 
 def nilpotent_block_sizes(a: np.ndarray, p: int) -> tuple[int, ...]:

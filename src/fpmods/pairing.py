@@ -28,15 +28,15 @@ isotropic, and T r_1 lies in P. P is M's parent, and M is the span of P and
 a vector w that is orthogonal to P, has T w in P, vanishes on P's pivots and
 leads with a 1 before them; all such w come from one kernel per state.
 
-The decomposition diagnostics of the Lagrangians found are computed in
-chunks of DIAGNOSTICS_CHUNK results, by two stacked eliminations per chunk
-(linalg.rref_stack) rather than scalar eliminations per result;
-isotropic_diagnostics runs the same code on a chunk of one.
+The decomposition diagnostics of each Lagrangian found are read off its
+echelon basis in closed form, by duality, with no elimination (see
+_lagrangian_diagnostics).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,10 +47,7 @@ from .errors import InvariantError, ResourceBoundError
 from .series import TruncatedSeries, check_level, check_prime, is_int, is_power_of, read_ints
 
 MAX_TOTAL_DIM = 4096
-MAX_ENUM_DIM = 12
 MAX_SUBSPACE_VECTORS = 2_000_000
-# Lagrangians per stacked diagnostics elimination; bounds the stacks' memory
-DIAGNOSTICS_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -368,58 +365,50 @@ class MaximalIsotropic:
 
 
 def isotropic_diagnostics(sub: FpSubspace) -> MaximalIsotropic:
-    """Decomposition diagnostics of an isotropic T-stable subspace."""
-    return _diagnostics_chunk([sub])[0]
-
-
-def _diagnostics_chunk(subs: list[FpSubspace]) -> list[MaximalIsotropic]:
-    """isotropic_diagnostics of subspaces of one shape and one dimension,
-    from two stacked eliminations.
-
-    The rank columns come first, so in the reduced row echelon basis the
-    rows led by a rank column, the rows nonzero on the rank columns, project
-    to a basis of the rank-block projection, and the other rows span the
-    torsion part (the members that vanish on the rank columns). Eliminating
-    again with the torsion columns first gives the rank part the same way:
-    the rows led by a rank column. T maps the rank block into itself, so
-    the rank part needs len(rank part) - rank(T * rank part) generators;
-    the second elimination runs on the rank parts with their other rows
-    zeroed, which leaves those ranks unchanged.
-    """
-    shape = subs[0].shape
-    p = shape.p
-    r = shape.rank_dim
-    bases = np.stack([sub.basis for sub in subs])
-    proj_dims = bases[:, :, :r].any(axis=2).sum(axis=1)
-    reordered, pivots = linalg.rref_stack(
-        np.concatenate([bases[:, :, r:], bases[:, :, :r]], axis=2), p
-    )
-    led_by_rank = pivots >= shape.dim - r
-    rank_parts = reordered[:, :, shape.dim - r :] * led_by_rank[:, :, None]
-    shifted = rank_parts @ t_action_matrix(shape)[:r, :r] % p
-    rank_dims = led_by_rank.sum(axis=1)
-    generators_needed = rank_dims - (linalg.rref_stack(shifted, p)[1] >= 0).sum(axis=1)
-    out = []
-    for sub, proj_dim, rank_dim, needed in zip(
-        subs, proj_dims.tolist(), rank_dims.tolist(), generators_needed.tolist()
-    ):
-        torsion_dim = sub.dim - proj_dim
-        cyclic = needed <= 1
-        out.append(
-            MaximalIsotropic(
-                subspace=sub,
-                rank_projection_dim=proj_dim,
-                rank_intersection_dim=rank_dim,
-                torsion_intersection_dim=torsion_dim,
-                rank_intersection_cyclic=cyclic,
-                splits=(
-                    rank_dim + torsion_dim == sub.dim
-                    and rank_dim == shape.rank_level
-                    and cyclic
-                ),
-            )
+    """Decomposition diagnostics of a T-stable Lagrangian: a subspace of half
+    the dimension that is isotropic and T-stable, else ValueError."""
+    if 2 * sub.dim != sub.shape.dim or not sub.is_isotropic() or not sub.is_t_stable():
+        raise ValueError(
+            f"need an isotropic T-stable subspace of half dimension, got {sub!r}"
         )
-    return out
+    return _lagrangian_diagnostics(sub)
+
+
+def _lagrangian_diagnostics(sub: FpSubspace) -> MaximalIsotropic:
+    """isotropic_diagnostics without the check, read off the echelon basis B
+    of the T-stable Lagrangian L = sub.
+
+    Let R be the rank block (columns 0..2n-1, u_0 then v_0, n the rank
+    level) and S the torsion blocks, so R^perp = S and L^perp = L.
+    - The rank columns come first, so the rows of B nonzero on them are the
+      rows led by a rank column: d = rank_projection_dim counts the pivots
+      below 2n.
+    - L meet S is the kernel of the projection of L to R, so
+      torsion_intersection_dim = dim L - d.
+    - (L meet R)^perp = L + S, of dimension dim S + d, so
+      rank_intersection_dim = 2n - d.
+    - M = L meet R is T-stable, so it needs dim ker(T|M) generators, and that
+      kernel is L meet Z for Z = span(T^(n-1) u_0, T^(n-1) v_0) (columns n-1
+      and 2n-1). Since (T x, T^(n-1) y) = (x, inv(T) T^(n-1) y) = 0 and the
+      dimensions agree, Z^perp = S + T R: the vectors zero on columns 0 and
+      n. Hence dim(L meet Z) = 2 - rank(B[:, [0, n]]), and M is cyclic
+      exactly when B is nonzero in column 0 (its first pivot is 0) or n.
+    - M and L meet S meet only in 0, so they span L exactly when
+      (2n - d) + (dim L - d) = dim L, that is when d = n, which also gives M
+      the dimension n: splits is d = n and M cyclic.
+    """
+    shape = sub.shape
+    n = shape.rank_level
+    proj_dim = bisect_left(sub.pivots, shape.rank_dim)
+    cyclic = sub.pivots[0] == 0 or bool(sub.basis[:, n].any())
+    return MaximalIsotropic(
+        subspace=sub,
+        rank_projection_dim=proj_dim,
+        rank_intersection_dim=shape.rank_dim - proj_dim,
+        torsion_intersection_dim=sub.dim - proj_dim,
+        rank_intersection_cyclic=cyclic,
+        splits=proj_dim == n and cyclic,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -474,19 +463,13 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
     pivots before q; other children are not built.
 
     States of half dimension equal their own complement, hence are maximal.
-    They are sorted by key, and their diagnostics are computed in chunks of
-    DIAGNOSTICS_CHUNK by stacked elimination (see _diagnostics_chunk), each
-    chunk before its results are yielded; the chunks bound the stacks'
-    memory.
-    Cost is proportional to the number of T-stable isotropic subspaces that
-    can still reach half dimension, which is why the total dimension is
-    capped; p^dim is bounded by MAX_SUBSPACE_VECTORS, which also bounds the
-    p^m combinations listed for a kernel row with m rows after it.
+    They are sorted by key and yielded with their diagnostics (see
+    _lagrangian_diagnostics). Cost is proportional to the number of T-stable
+    isotropic subspaces that can still reach half dimension, which is why
+    p^dim is bounded by MAX_SUBSPACE_VECTORS (so dim <= 12, as p >= 3); that
+    also bounds the p^m combinations listed for a kernel row with m rows
+    after it.
     """
-    if shape.dim > MAX_ENUM_DIM:
-        raise ResourceBoundError(
-            f"total dimension {shape.dim} exceeds the enumeration bound {MAX_ENUM_DIM}"
-        )
     p = shape.p
     if p**shape.dim > MAX_SUBSPACE_VECTORS:
         raise ResourceBoundError(
@@ -527,5 +510,5 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
                     FpSubspace._from_rref(shape, np.vstack([w, state.basis]), pivots)
                 )
     found.sort(key=FpSubspace.key)
-    for start in range(0, len(found), DIAGNOSTICS_CHUNK):
-        yield from _diagnostics_chunk(found[start : start + DIAGNOSTICS_CHUNK])
+    for sub in found:
+        yield _lagrangian_diagnostics(sub)

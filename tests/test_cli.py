@@ -491,6 +491,22 @@ def test_main_census_mismatch_is_invariant_exit(tmp_path, capsys, monkeypatch):
     assert not os.path.exists(str(out) + ".csv")
 
 
+def test_main_count_mismatch_is_invariant_exit(tmp_path, capsys, monkeypatch):
+    # an enumeration that drops one form must not be reported as a count
+    original = cli.enumerate_maximal
+    monkeypatch.setattr(cli, "enumerate_maximal", lambda p, n: list(original(p, n))[1:])
+    out = tmp_path / "x"
+    code = run_main(
+        tmp_path, "--mode", "count", "--prime", "3", "--levels", "2",
+        "--output", str(out),
+    )
+    assert code == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "internal invariant violated: enumeration found 11 forms, closed form 12" in err
+    assert "(p=3, n=2)" in err
+    assert not os.path.exists(str(out) + ".csv")
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o027])
 def test_reports_get_umask_default_mode(tmp_path, umask):
     old = os.umask(umask)

@@ -144,6 +144,28 @@ def test_as_matrix_rejects_non_integers():
     assert linalg.as_matrix([], 3, width=2).shape == (0, 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: linalg.rref([[1.5, 1]], 3),
+        lambda: linalg.nullspace([[1.5, 1]], 3),
+        lambda: linalg.rref_stack([[[1.5, 1]]], 3),
+        lambda: linalg.reduce_rows(np.eye(2, dtype=np.int64), (0, 1), [[1.5, 1]], 3),
+        lambda: linalg.matmul([[1.5, 1]], np.eye(2, dtype=np.int64), 3),
+        lambda: linalg.matmul(np.eye(2, dtype=np.int64), [[1, 0], [0, 1.0]], 3),
+    ],
+    ids=["rref", "nullspace", "rref_stack", "reduce_rows", "matmul-left", "matmul-right"],
+)
+def test_every_entry_point_rejects_non_integers(call):
+    # a float is never truncated to an integer
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        call()
+
+
+def test_nullspace_reads_a_vector_as_one_row():
+    assert linalg.nullspace([1, 1], 3).tolist() == [[1, 2]]
+
+
 def test_inverse_table():
     for p in sorted(_ODD_PRIMES):
         inv = linalg._inverse_table(p)

@@ -518,38 +518,36 @@ def test_dropping_the_first_echelon_row_leaves_a_t_stable_parent(sub):
 @settings(max_examples=60, deadline=None)
 @given(t_stable_isotropic())
 def test_single_diagnostics_match_the_oracle_at_every_dimension(sub):
-    # the public one-element path, on states short of half dimension too
+    # the public path: Lagrangians match the oracle, and every shorter
+    # state on the way raises; the strategy grows up to half dimension
     shape = sub.shape
     for k in range(sub.dim + 1):
         state = FpSubspace(shape, sub.basis[k:])
-        assert isotropic_diagnostics(state) == diagnostics_oracle(state)
+        if 2 * state.dim == shape.dim:
+            assert isotropic_diagnostics(state) == diagnostics_oracle(state)
+        else:
+            with pytest.raises(ValueError, match="isotropic T-stable subspace"):
+                isotropic_diagnostics(state)
 
 
 @pytest.mark.parametrize(
-    "shape, chunk",
+    "shape, rows, isotropic, t_stable",
     [
-        # 1,120 results: 160 full chunks of 7, or 124 of 9 and a last one of 4
-        (SpaceShape(3, 1, (1, 1)), 7),
-        (SpaceShape(3, 1, (1, 1)), 9),
-        # T acts on the rank block, so the zeroed torsion-led rows matter
-        (SpaceShape(3, 3, (1,)), 7),
+        # span{u0, v0}: half dimension and T-stable (T = 0), not isotropic
+        (SpaceShape(3, 1, (1,)), [[1, 0, 0, 0], [0, 1, 0, 0]], False, True),
+        # span{u0, T^2 u0, T v0 + T^2 v0}: isotropic, but T u0 is missing
+        (SpaceShape(3, 3), [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 1]],
+         True, False),
+        # span{T^2 u0}: isotropic and T-stable, one row short of half
+        (SpaceShape(3, 3), [[0, 0, 1, 0, 0, 0]], True, True),
     ],
-    ids=str,
+    ids=["not-isotropic", "not-t-stable", "too-short"],
 )
-def test_diagnostics_agree_across_chunk_boundaries(monkeypatch, shape, chunk):
-    sizes = []
-    diagnose = pairing._diagnostics_chunk
-
-    def recording(subs):
-        sizes.append(len(subs))
-        return diagnose(subs)
-
-    monkeypatch.setattr(pairing, "DIAGNOSTICS_CHUNK", chunk)
-    monkeypatch.setattr(pairing, "_diagnostics_chunk", recording)
-    found = list(enumerate_maximal_isotropic(shape))
-    full, rest = divmod(len(found), chunk)
-    assert sizes == [chunk] * full + ([rest] if rest else [])
-    assert found == [diagnostics_oracle(r.subspace) for r in found]
+def test_isotropic_diagnostics_rejects_non_lagrangians(shape, rows, isotropic, t_stable):
+    sub = FpSubspace(shape, rows)
+    assert (sub.is_isotropic(), sub.is_t_stable()) == (isotropic, t_stable)
+    with pytest.raises(ValueError, match="isotropic T-stable subspace of half dimension"):
+        isotropic_diagnostics(sub)
 
 
 @pytest.mark.parametrize(
