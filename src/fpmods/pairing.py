@@ -118,11 +118,15 @@ class SpaceElement:
                         f"coordinate {2 * b + side} must live in "
                         f"(p={shape.p}, level={level})"
                     )
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "coords", coords)
+        _set_element_shape(self, shape)
+        _set_element_coords(self, coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpaceElement is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the validating constructor
+        return SpaceElement, (self.shape, self.coords)
 
     @classmethod
     def zero(cls, shape: SpaceShape) -> "SpaceElement":
@@ -203,6 +207,12 @@ class SpaceElement:
         return total % self.shape.p
 
 
+# Slot setters that skip the __setattr__ guard, as in series.TruncatedSeries.
+_set_element_shape, _set_element_coords = (
+    SpaceElement.__dict__[name].__set__ for name in ("shape", "coords")
+)
+
+
 @lru_cache(maxsize=None)
 def _block_gram(p: int, m: int) -> np.ndarray:
     """Pairing matrix of one level-m block on the basis T^i u, T^j v."""
@@ -260,9 +270,9 @@ class FpSubspace:
         self._assign(shape, reduced[: len(pivots)], pivots)
 
     def _assign(self, shape: SpaceShape, basis: np.ndarray, pivots: tuple[int, ...]):
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", pivots)
+        _set_subspace_shape(self, shape)
+        _set_subspace_basis(self, basis)
+        _set_subspace_pivots(self, pivots)
         basis.setflags(write=False)
 
     @classmethod
@@ -277,6 +287,12 @@ class FpSubspace:
 
     def __setattr__(self, name, value):
         raise AttributeError("FpSubspace is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the validating
+        # constructor; the rref of an rref basis is itself, so the copy is
+        # equal and its basis is read-only again
+        return FpSubspace, (self.shape, self.basis)
 
     @property
     def p(self) -> int:
@@ -344,6 +360,11 @@ class FpSubspace:
 
     def is_maximal_isotropic(self) -> bool:
         return self.is_isotropic() and self == self.orthogonal_complement()
+
+
+_set_subspace_shape, _set_subspace_basis, _set_subspace_pivots = (
+    FpSubspace.__dict__[name].__set__ for name in ("shape", "basis", "pivots")
+)
 
 
 @dataclass(frozen=True)

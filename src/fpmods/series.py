@@ -90,11 +90,15 @@ class TruncatedSeries:
             raise ValueError(f"{len(cs)} coefficients exceed level {level}")
         if len(cs) < level:
             cs = cs + (0,) * (level - len(cs))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", cs)
+        _set_p(self, p)
+        _set_coeffs(self, cs)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the validating constructor
+        return TruncatedSeries, (self.p, self.coeffs)
 
     @property
     def level(self) -> int:
@@ -263,6 +267,11 @@ class TruncatedSeries:
                 acc += -term if (i - j) & 1 else term
             out.append(acc % p)
         return tuple(out)
+
+
+# The slots' member descriptors fill a new instance past the __setattr__
+# guard; this is how every slotted immutable class in fpmods is filled.
+_set_p, _set_coeffs = (TruncatedSeries.__dict__[name].__set__ for name in ("p", "coeffs"))
 
 
 def from_group_basis(p: int, coeffs: Iterable[int]) -> TruncatedSeries:

@@ -23,7 +23,12 @@ Validation happens at the public boundary, once per call: the
 check their arguments, then build each result with the unchecked
 `CyclicSubmodule._trusted`, since a form made from validated parameters
 (a digit tuple, a slice of a valid param, a valid param plus digits) is
-valid by construction.
+valid by construction. `_trusted` writes its four slots through the
+slots' member descriptors, whose setters are bound once at import, so it
+skips the frozen `__setattr__` at the cost of one direct slot write per
+field. `TruncatedSeries`, `SpaceElement` and `FpSubspace` fill their slots
+the same way, the library's one idiom for building an immutable slotted
+object. Assigning to a built form still raises `FrozenInstanceError`.
 """
 
 from __future__ import annotations
@@ -116,13 +121,15 @@ class CyclicSubmodule:
 
         For the module's own entry points only, which validate their
         arguments once per call and pass a param tuple of reduced ints of
-        the length `kind` needs at `level`.
+        the length `kind` needs at `level`. The slots are filled by their
+        member descriptors' setters (bound once, below the class), which
+        write a slot directly and so skip the frozen `__setattr__`.
         """
         sub = object.__new__(cls)
-        object.__setattr__(sub, "p", p)
-        object.__setattr__(sub, "level", level)
-        object.__setattr__(sub, "kind", kind)
-        object.__setattr__(sub, "param", param)
+        _set_p(sub, p)
+        _set_level(sub, level)
+        _set_kind(sub, kind)
+        _set_param(sub, param)
         return sub
 
     @classmethod
@@ -188,6 +195,11 @@ class CyclicSubmodule:
             digits.append(i % p)
             i //= p
         return cls._trusted(p, level, kind, tuple(digits))
+
+
+_set_p, _set_level, _set_kind, _set_param = (
+    CyclicSubmodule.__dict__[name].__set__ for name in ("p", "level", "kind", "param")
+)
 
 
 def canonical_form(v: ModuleVector) -> CyclicSubmodule:
