@@ -44,7 +44,9 @@ import numpy as np
 
 from . import linalg
 from .errors import InvariantError, ResourceBoundError
-from .series import TruncatedSeries, check_level, check_prime, is_int, is_power_of, read_ints
+from .series import (
+    Frozen, TruncatedSeries, check_level, check_prime, is_int, is_power_of, read_ints, slot_setters
+)
 
 MAX_TOTAL_DIM = 4096
 MAX_SUBSPACE_VECTORS = 2_000_000
@@ -100,7 +102,7 @@ class SpaceShape:
         return slice(start, start + levels[block])
 
 
-class SpaceElement:
+class SpaceElement(Frozen):
     """An element of the block module, one series coordinate per generator."""
 
     __slots__ = ("shape", "coords")
@@ -120,13 +122,6 @@ class SpaceElement:
                     )
         _set_element_shape(self, shape)
         _set_element_coords(self, coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpaceElement is immutable")
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through the validating constructor
-        return SpaceElement, (self.shape, self.coords)
 
     @classmethod
     def zero(cls, shape: SpaceShape) -> "SpaceElement":
@@ -161,17 +156,11 @@ class SpaceElement:
         return out
 
     def __add__(self, other: "SpaceElement") -> "SpaceElement":
+        if not isinstance(other, SpaceElement):
+            return NotImplemented
         if self.shape != other.shape:
             raise ValueError("elements must share a shape")
         return SpaceElement(self.shape, (a + b for a, b in zip(self.coords, other.coords)))
-
-    def __eq__(self, other):
-        if not isinstance(other, SpaceElement):
-            return NotImplemented
-        return self.shape == other.shape and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.shape, self.coords))
 
     def __repr__(self):
         return f"SpaceElement({self.shape}, {[str(c) for c in self.coords]})"
@@ -207,10 +196,7 @@ class SpaceElement:
         return total % self.shape.p
 
 
-# Slot setters that skip the __setattr__ guard, as in series.TruncatedSeries.
-_set_element_shape, _set_element_coords = (
-    SpaceElement.__dict__[name].__set__ for name in ("shape", "coords")
-)
+_set_element_shape, _set_element_coords = slot_setters(SpaceElement)
 
 
 @lru_cache(maxsize=None)
@@ -256,11 +242,14 @@ def t_action_matrix(shape: SpaceShape) -> np.ndarray:
     return a
 
 
-class FpSubspace:
+class FpSubspace(Frozen):
     """A GF(p) subspace of the flattened space, stored as a canonical
     reduced-row-echelon basis (so equal subspaces compare equal)."""
 
     __slots__ = ("shape", "basis", "pivots")
+    # the rref of an rref basis is itself, so a copy is equal and its basis
+    # is read-only again
+    _ARGS = ("shape", "basis")
 
     def __init__(self, shape: SpaceShape, rows=None):
         mat = linalg.as_matrix([] if rows is None else rows, shape.p, width=shape.dim)
@@ -284,15 +273,6 @@ class FpSubspace:
         sub = cls.__new__(cls)
         sub._assign(shape, basis, pivots)
         return sub
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FpSubspace is immutable")
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through the validating
-        # constructor; the rref of an rref basis is itself, so the copy is
-        # equal and its basis is read-only again
-        return FpSubspace, (self.shape, self.basis)
 
     @property
     def p(self) -> int:
@@ -362,9 +342,7 @@ class FpSubspace:
         return self.is_isotropic() and self == self.orthogonal_complement()
 
 
-_set_subspace_shape, _set_subspace_basis, _set_subspace_pivots = (
-    FpSubspace.__dict__[name].__set__ for name in ("shape", "basis", "pivots")
-)
+_set_subspace_shape, _set_subspace_basis, _set_subspace_pivots = slot_setters(FpSubspace)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ which is exactly when g has multiplicative order equal to the level.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
-from operator import index
+from operator import attrgetter, index
 from typing import Iterable
 
 MAX_PRIME = 97
@@ -69,7 +70,46 @@ def _binomials(size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
-class TruncatedSeries:
+class Frozen:
+    """Base of the slotted value classes. Assigning or deleting an attribute
+    raises `FrozenInstanceError`, an `AttributeError`, so subclasses fill their
+    slots through `slot_setters`. `copy`, `deepcopy` and `pickle` rebuild
+    through the validating constructor from the slots named by `_ARGS`
+    (default `__slots__`, two or more), so a pickle written elsewhere is
+    checked again on load; equality and the hash are those of the same values.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._args = attrgetter(*cls.__dict__.get("_ARGS", cls.__slots__))
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._args(self)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        args = self._args
+        return args(self) == args(other)
+
+    def __hash__(self):
+        return hash(self._args(self))
+
+
+def slot_setters(cls) -> tuple:
+    """The setters of cls's slot descriptors, bound once, in `__slots__`
+    order: each writes its slot of a new instance past the `Frozen` guard."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
+class TruncatedSeries(Frozen):
     """An element of F_p[T]/(T^level), least-degree coefficient first."""
 
     __slots__ = ("p", "coeffs")
@@ -92,13 +132,6 @@ class TruncatedSeries:
             cs = cs + (0,) * (level - len(cs))
         _set_p(self, p)
         _set_coeffs(self, cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through the validating constructor
-        return TruncatedSeries, (self.p, self.coeffs)
 
     @property
     def level(self) -> int:
@@ -178,14 +211,6 @@ class TruncatedSeries:
             base = base * base
             k >>= 1
         return result
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
 
     def __bool__(self):
         return any(self.coeffs)
@@ -269,9 +294,7 @@ class TruncatedSeries:
         return tuple(out)
 
 
-# The slots' member descriptors fill a new instance past the __setattr__
-# guard; this is how every slotted immutable class in fpmods is filled.
-_set_p, _set_coeffs = (TruncatedSeries.__dict__[name].__set__ for name in ("p", "coeffs"))
+_set_p, _set_coeffs = slot_setters(TruncatedSeries)
 
 
 def from_group_basis(p: int, coeffs: Iterable[int]) -> TruncatedSeries:

@@ -23,12 +23,8 @@ Validation happens at the public boundary, once per call: the
 check their arguments, then build each result with the unchecked
 `CyclicSubmodule._trusted`, since a form made from validated parameters
 (a digit tuple, a slice of a valid param, a valid param plus digits) is
-valid by construction. `_trusted` writes its four slots through the
-slots' member descriptors, whose setters are bound once at import, so it
-skips the frozen `__setattr__` at the cost of one direct slot write per
-field. `TruncatedSeries`, `SpaceElement` and `FpSubspace` fill their slots
-the same way, the library's one idiom for building an immutable slotted
-object. Assigning to a built form still raises `FrozenInstanceError`.
+valid by construction. `_trusted` fills its slots as every value class
+does, through `series.slot_setters` past the `series.Frozen` guard.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ResourceBoundError
-from .series import TruncatedSeries, check_level, check_prime, is_int
+from .series import Frozen, TruncatedSeries, check_level, check_prime, is_int, slot_setters
 
 MAX_ENUM_SUBMODULES = 10_000
 MAX_ENUM_VECTORS = 1_000_000
@@ -67,6 +63,8 @@ class ModuleVector:
         return self.first.level
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
+        if not isinstance(other, ModuleVector):
+            return NotImplemented
         return ModuleVector(self.first + other.first, self.second + other.second)
 
     def scaled(self, tau: TruncatedSeries) -> "ModuleVector":
@@ -81,14 +79,16 @@ def is_maximal(v: ModuleVector) -> bool:
     return v.first.is_unit() or v.second.is_unit()
 
 
-@dataclass(frozen=True, slots=True)
-class CyclicSubmodule:
+@dataclass(frozen=True)
+class CyclicSubmodule(Frozen):
     """A maximal cyclic submodule in canonical form.
 
     kind 'A' has generator (1, param); kind 'B' has generator (T*h, 1) where
     h is the level-(n-1) series with coefficients `param`. Two values are
     equal iff they describe the same submodule.
     """
+
+    __slots__ = ("p", "level", "kind", "param")
 
     p: int
     level: int
@@ -121,9 +121,7 @@ class CyclicSubmodule:
 
         For the module's own entry points only, which validate their
         arguments once per call and pass a param tuple of reduced ints of
-        the length `kind` needs at `level`. The slots are filled by their
-        member descriptors' setters (bound once, below the class), which
-        write a slot directly and so skip the frozen `__setattr__`.
+        the length `kind` needs at `level`.
         """
         sub = object.__new__(cls)
         _set_p(sub, p)
@@ -197,9 +195,7 @@ class CyclicSubmodule:
         return cls._trusted(p, level, kind, tuple(digits))
 
 
-_set_p, _set_level, _set_kind, _set_param = (
-    CyclicSubmodule.__dict__[name].__set__ for name in ("p", "level", "kind", "param")
-)
+_set_p, _set_level, _set_kind, _set_param = slot_setters(CyclicSubmodule)
 
 
 def canonical_form(v: ModuleVector) -> CyclicSubmodule:

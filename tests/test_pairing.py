@@ -85,6 +85,15 @@ def test_generator_indices_are_validated():
     )
 
 
+def test_element_addition_refuses_foreign_operands():
+    shape = SpaceShape(3, 1, (1,))
+    x = SpaceElement.from_vector(shape, [1, 0, 2, 1])
+    for other in (1, x.coords[0], None):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            x + other
+    assert x + x == SpaceElement.from_vector(shape, [2, 0, 1, 2])
+
+
 def test_element_vector_round_trip():
     rng = np.random.default_rng(30)
     for shape in ACCEPTANCE_SHAPES:

@@ -51,6 +51,14 @@ def test_module_vector_validation():
         ModuleVector(TruncatedSeries(3, (1,)), TruncatedSeries(5, (1,)))
 
 
+def test_module_vector_addition_refuses_foreign_operands():
+    v = ModuleVector(TruncatedSeries(3, (1, 2)), TruncatedSeries(3, (0, 1)))
+    for other in (1, v.first, (1, 2)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            v + other
+    assert v + v == ModuleVector(TruncatedSeries(3, (2, 1)), TruncatedSeries(3, (0, 2)))
+
+
 def test_is_maximal_iff_unit_coordinate():
     for p, n in [(3, 1), (3, 2)]:
         for v in iter_module_vectors(p, n):

@@ -1,11 +1,12 @@
 """Value objects: immutable, and copied or pickled through their validation.
 
-`TruncatedSeries`, `SpaceElement` and `FpSubspace` guard every assignment
-in `__setattr__` and rebuild through their checking constructors in
-`copy.copy`, `copy.deepcopy` and `pickle`; `CyclicSubmodule` is a frozen
-slotted dataclass whose trusted forms must be indistinguishable from
-validated ones. The frozen dataclasses holding these objects copy and pickle
-through them.
+`TruncatedSeries`, `SpaceElement`, `FpSubspace` and `CyclicSubmodule`
+inherit `series.Frozen`: assigning or deleting any attribute raises
+`FrozenInstanceError`, and `copy.copy`, `copy.deepcopy` and `pickle`
+rebuild through the checking constructors, so a tampered pickle fails to
+load. Trusted `CyclicSubmodule` forms must be indistinguishable from
+validated ones. The frozen dataclasses holding these objects copy and
+pickle through them.
 """
 
 import copy
@@ -33,6 +34,7 @@ from fpmods import (
     sum_and_quotient,
 )
 from fpmods.probability import RngSpec
+from fpmods.series import Frozen
 
 SHAPE = SpaceShape(3, 1, (1,))
 
@@ -107,20 +109,35 @@ class _Forged:
         return self.target, self.args
 
 
+def _tampered(value, **fields):
+    """A copy of value with fields overwritten past its guard, as a
+    corrupted or hand-made pickle of it could hold them."""
+    forged = copy.copy(value)
+    for name, field in fields.items():
+        object.__setattr__(forged, name, field)
+    return forged
+
+
+SUBMODULE = CyclicSubmodule(3, 2, "A", (1, 2))
+
+
 @pytest.mark.parametrize(
-    "target, args, message",
+    "forged, message",
     [
-        (TruncatedSeries, (4, (1, 2)), "odd prime"),
-        (TruncatedSeries, (3, (1.5,)), "must be integers"),
-        (SpaceElement, (SHAPE, (TruncatedSeries(3, [1]),)), "coordinates"),
-        (FpSubspace, (SHAPE, [[1, 0, 2]]), "length 4"),
-        (FpSubspace, (SHAPE, [[0.5, 0, 0, 0]]), "integer"),
+        (_Forged(TruncatedSeries, 4, (1, 2)), "odd prime"),
+        (_Forged(TruncatedSeries, 3, (1.5,)), "must be integers"),
+        (_Forged(SpaceElement, SHAPE, (TruncatedSeries(3, [1]),)), "coordinates"),
+        (_Forged(FpSubspace, SHAPE, [[1, 0, 2]]), "length 4"),
+        (_Forged(FpSubspace, SHAPE, [[0.5, 0, 0, 0]]), "integer"),
+        (_tampered(SUBMODULE, p=4), "odd prime"),
+        (_tampered(SUBMODULE, kind="Q"), "kind must be 'A' or 'B'"),
+        (_tampered(SUBMODULE, param=(1.0, 2)), "reduced mod p"),
     ],
     ids=["series-prime", "series-float", "element-arity", "subspace-width",
-         "subspace-float"],
+         "subspace-float", "submodule-prime", "submodule-kind", "submodule-float"],
 )
-def test_unpickling_validates_again(target, args, message):
-    payload = pickle.dumps(_Forged(target, *args))
+def test_unpickling_validates_again(forged, message):
+    payload = pickle.dumps(forged)
     with pytest.raises(ValueError, match=message):
         pickle.loads(payload)
 
@@ -138,14 +155,18 @@ def test_unpickled_subspace_rows_are_put_in_echelon_form():
         (TruncatedSeries(3, [1, 2]), "TruncatedSeries is immutable"),
         (SpaceElement.from_vector(SHAPE, [1, 0, 2, 1]), "SpaceElement is immutable"),
         (FpSubspace(SHAPE, [[1, 0, 2, 1]]), "FpSubspace is immutable"),
+        (SUBMODULE, r"cannot (assign to|delete) field '\w+'"),
     ],
-    ids=["series", "element", "subspace"],
+    ids=["series", "element", "subspace", "submodule"],
 )
 def test_assignment_raises_the_immutable_error(value, message):
+    assert isinstance(value, Frozen)
     for candidate in (value, copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         for name in (*type(value).__slots__, "other"):
-            with pytest.raises(AttributeError, match=f"^{message}$"):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^{message}$"):
                 setattr(candidate, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^{message}$"):
+                delattr(candidate, name)
         assert candidate == value
 
 
@@ -172,7 +193,10 @@ def test_trusted_forms_are_frozen_and_equal_their_validated_rebuilds(p, n):
         rebuilt = validated(form)
         assert form == rebuilt and hash(form) == hash(rebuilt)
         assert not hasattr(form, "__dict__")
-        for field in ("p", "level", "kind", "param"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(form, field, None)
+        for value in (form, rebuilt):
+            for name in (*CyclicSubmodule.__slots__, "other"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(value, name)
         assert form == rebuilt
