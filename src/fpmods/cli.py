@@ -16,6 +16,9 @@ platform, CPU count, argv) appear only in the JSON report. Exit codes:
 0 ok, 2 usage error, 3 resource bound exceeded, 4 I/O error, 5 internal
 invariant violated (the message names p and n, plus the seed and trial of
 a sampling failure).
+
+Settings are described once, by the fields of ExperimentConfig, so a bad
+value is a usage error with the same message from a flag or a config file.
 --threads is accepted and validated but no longer changes speed or results:
 sampling is one vectorized kernel.
 """
@@ -31,7 +34,7 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
@@ -43,6 +46,7 @@ from .errors import InvariantError, ResourceBoundError
 from .pairing import SpaceShape, enumerate_maximal_isotropic
 from .probability import (
     RngSpec,
+    SampledCollisions,
     collision_probability_census,
     collision_probability_exact,
     intersection_bound,
@@ -82,19 +86,40 @@ class UsageError(ValueError):
     """Bad configuration; message names the offending field."""
 
 
+def _setting(help: str, metavar: str | None = None, default=MISSING):
+    """A config field whose metadata is the keyword arguments of its flag."""
+    return field(default=default, metadata=dict(help=help, metavar=metavar))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    mode: str
-    prime: int
-    levels: tuple[int, ...]
-    output: str
-    trials: int = 10_000
-    seed: int = 0
-    shape: tuple[int, ...] = ()
-    format: str = "csv"
-    threads: int = 1
+    """The experiment settings. Each field is both a --flag and a config-file
+    key: its metadata holds the flag's help and metavar, its annotation says
+    how the text of either is converted, and a field without a default is
+    required."""
+
+    mode: str = _setting("experiment to run", metavar="{%s}" % ",".join(MODES))
+    prime: int = _setting("odd prime p, 3 <= p <= 97")
+    levels: tuple[int, ...] = _setting("comma-separated truncation levels")
+    output: str = _setting("output path prefix")
+    trials: int = _setting("sampled trials per level", default=10_000)
+    seed: int = _setting("64-bit root seed", default=0)
+    shape: tuple[int, ...] = _setting(
+        "comma-separated torsion block levels (isotropic mode)", default=()
+    )
+    format: str = _setting(
+        "report format(s)", metavar="{%s}" % ",".join(FORMATS), default="csv"
+    )
+    threads: int = _setting(
+        "accepted for compatibility, >= 0; changes neither speed nor results",
+        default=1,
+    )
 
     def __post_init__(self):
+        for name in ("levels", "shape"):
+            value = getattr(self, name)
+            if not isinstance(value, tuple):
+                raise UsageError(f"{name} must be a tuple, got {type(value).__name__}")
         if self.mode not in MODES:
             raise UsageError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         try:
@@ -122,6 +147,12 @@ class ExperimentConfig:
             raise UsageError(
                 f"threads must be an integer >= 0 (0 = auto), got {self.threads!r}"
             )
+        if self.mode == "isotropic":
+            try:
+                for n in self.levels:
+                    SpaceShape(self.prime, n, self.shape)
+            except ValueError as e:
+                raise UsageError(f"shape: {e}") from None
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -166,14 +197,6 @@ def _counts_extra(prefix: str, counts: dict) -> str:
     return ";".join(f"{prefix}{k}={v}" for k, v in counts.items())
 
 
-def _structure_extra(counts: dict) -> str:
-    parts = []
-    for struct, c in counts.items():
-        key = "q" + "_".join(str(s) for s in struct) if struct else "q0"
-        parts.append(f"{key}={c}")
-    return ";".join(parts)
-
-
 def _count_fields(config: ExperimentConfig, n: int) -> dict:
     count = count_maximal(config.prime, n)
     try:
@@ -202,41 +225,33 @@ def _exhaustive_fields(config: ExperimentConfig, n: int) -> dict:
     return dict(exact=exact, extra=extra)
 
 
-def _montecarlo_fields(config: ExperimentConfig, n: int) -> dict:
-    res = monte_carlo(config.prime, n, config.trials, RngSpec(config.seed))
-    extra = ";".join(
-        [
-            f"collisions={res.collisions}",
-            f"delta={float_sci(res.delta)}",
-            _counts_extra("v", res.exponent_counts),
-            _structure_extra(res.quotient_structure_counts),
-        ]
-    )
+def _sampled_fields(res: SampledCollisions, *extra: str) -> dict:
     return dict(
         exact=res.exact,
         empirical=res.frequency,
         stderr=res.stderr,
-        trials=config.trials,
-        extra=extra,
+        trials=res.trials,
+        extra=";".join([f"collisions={res.collisions}", *extra]),
+    )
+
+
+def _montecarlo_fields(config: ExperimentConfig, n: int) -> dict:
+    res = monte_carlo(config.prime, n, config.trials, RngSpec(config.seed))
+    return _sampled_fields(
+        res,
+        f"delta={float_sci(res.delta)}",
+        _counts_extra("v", res.exponent_counts),
+        # the quotient is cyclic of order p^v: its structure is v, "q0" trivial
+        _counts_extra("q", res.exponent_counts),
     )
 
 
 def _tower_fields(config: ExperimentConfig, n: int) -> dict:
     res = tower_experiment(config.prime, n, config.trials, RngSpec(config.seed))
-    q = float(res.exact)
-    extra = ";".join(
-        [
-            f"collisions={res.collisions}",
-            _counts_extra("v", res.exponent_counts),
-            _counts_extra("n0_", res.stabilization_level_counts),
-        ]
-    )
-    return dict(
-        exact=res.exact,
-        empirical=Fraction(res.collisions, res.trials),
-        stderr=(q * (1 - q) / config.trials) ** 0.5,
-        trials=config.trials,
-        extra=extra,
+    return _sampled_fields(
+        res,
+        _counts_extra("v", res.exponent_counts),
+        _counts_extra("n0_", res.stabilization_level_counts),
     )
 
 
@@ -263,17 +278,11 @@ _ROW_FIELDS = {
 def run(
     config: ExperimentConfig, argv: tuple[str, ...] | None = None
 ) -> ExperimentReport:
-    if config.mode == "isotropic":
-        try:
-            for n in config.levels:
-                SpaceShape(config.prime, n, config.shape)
-        except ValueError as e:
-            raise UsageError(f"shape: {e}") from None
-    fields = _ROW_FIELDS[config.mode]
+    row_fields = _ROW_FIELDS[config.mode]
     rows = []
     for n in config.levels:
         t0 = time.perf_counter()
-        values = fields(config, n)
+        values = row_fields(config, n)
         rows.append(
             ReportRow(
                 mode=config.mode,
@@ -398,76 +407,55 @@ def _styled(text: str) -> str:
     return f"\x1b[1m{text}\x1b[0m"
 
 
-def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
-    if not text.strip():
-        return ()
+def _convert(setting: Field, text: str):
+    """A flag or config-file text, converted by its field's annotation (a
+    string, as annotations are postponed)."""
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"{name}: expected comma-separated integers, got {text!r}") from None
-
-
-# Experiment settings: each is both a --flag and a config-file key. Keys in
-# _INT_LISTS take comma-separated integers; the "type" of a flag also
-# converts its config-file value.
-_SETTINGS = {
-    "mode": dict(choices=MODES, help="experiment to run"),
-    "prime": dict(type=int, help="odd prime p, 3 <= p <= 97"),
-    "levels": dict(help="comma-separated truncation levels"),
-    "trials": dict(type=int, help="sampled trials per level"),
-    "seed": dict(type=int, help="64-bit root seed"),
-    "shape": dict(help="comma-separated torsion block levels (isotropic mode)"),
-    "output": dict(help="output path prefix"),
-    "format": dict(choices=FORMATS, help="report format(s)"),
-    "threads": dict(
-        type=int,
-        help="accepted for compatibility, >= 0; changes neither speed nor results",
-    ),
-}
-_INT_LISTS = ("levels", "shape")
-
-
-def _setting(key: str, text: str):
-    """A config-file value, converted as its flag's value is."""
-    if key in _INT_LISTS:
-        return _parse_int_list(text, key)
-    if _SETTINGS[key].get("type") is int:
-        try:
+        if setting.type == "int":
             return int(text)
-        except ValueError:
-            raise UsageError(f"{key}: expected an integer, got {text!r}") from None
+        if setting.type == "tuple[int, ...]":
+            return tuple(int(part) for part in text.split(",")) if text.strip() else ()
+    except ValueError:
+        expected = "an integer" if setting.type == "int" else "comma-separated integers"
+        raise UsageError(f"{setting.name}: expected {expected}, got {text!r}") from None
     return text
 
 
 def _read_config_file(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: not UTF-8 text ({e.reason})") from None
+    keys = {setting.name for setting in fields(ExperimentConfig)}
     values: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _SETTINGS:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    settings: dict = {}
-    if args.config:
-        raw = _read_config_file(args.config)
-        settings = {key: _setting(key, text) for key, text in raw.items()}
-    for key in _SETTINGS:
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = _parse_int_list(value, key) if key in _INT_LISTS else value
-    for required in ("mode", "prime", "levels", "output"):
-        if required not in settings:
-            raise UsageError(f"{required} is required (flag --{required} or config file)")
+    """Flag texts laid over config-file texts, each converted once."""
+    texts = _read_config_file(args.config) if args.config else {}
+    settings = {}
+    for setting in fields(ExperimentConfig):
+        flag = getattr(args, setting.name)
+        text = texts.get(setting.name) if flag is None else flag
+        if text is not None:
+            settings[setting.name] = _convert(setting, text)
+    for setting in fields(ExperimentConfig):
+        if setting.default is MISSING and setting.name not in settings:
+            name = setting.name
+            raise UsageError(f"{name} is required (flag --{name} or config file)")
     return ExperimentConfig(**settings)
 
 
@@ -476,8 +464,8 @@ def make_parser() -> argparse.ArgumentParser:
         prog="fpmods",
         description="Experiments on maximal cyclic submodules over F_p[T]/(T^n).",
     )
-    for key, options in _SETTINGS.items():
-        parser.add_argument(f"--{key}", **options)
+    for setting in fields(ExperimentConfig):
+        parser.add_argument(f"--{setting.name}", **setting.metadata)
     parser.add_argument("--config", help="key=value config file; flags override it")
     return parser
 

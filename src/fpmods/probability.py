@@ -321,8 +321,23 @@ def _nonzero(by_exponent: np.ndarray) -> dict:
     return {v: int(c) for v, c in enumerate(by_exponent.tolist()) if c}
 
 
+class SampledCollisions:
+    """The collision frequency of a sampled result with ``collisions``,
+    ``trials`` and ``exact``, and its binomial standard error at the exact
+    probability."""
+
+    @property
+    def frequency(self) -> Fraction:
+        return Fraction(self.collisions, self.trials)
+
+    @property
+    def stderr(self) -> float:
+        q = float(self.exact)
+        return sqrt(q * (1 - q) / self.trials)
+
+
 @dataclass(frozen=True)
-class MonteCarloResult:
+class MonteCarloResult(SampledCollisions):
     """Aggregated collision and intersection statistics for sampled pairs."""
 
     p: int
@@ -335,17 +350,8 @@ class MonteCarloResult:
     exact: Fraction
 
     @property
-    def frequency(self) -> Fraction:
-        return Fraction(self.collisions, self.trials)
-
-    @property
     def delta(self) -> float:
         return float(self.frequency - self.exact)
-
-    @property
-    def stderr(self) -> float:
-        q = float(self.exact)
-        return sqrt(q * (1 - q) / self.trials)
 
 
 def monte_carlo(p: int, n: int, trials: int, spec: RngSpec) -> MonteCarloResult:
@@ -416,7 +422,7 @@ def pushforward_consistency(p: int, n: int, m: int) -> PushforwardReport:
 
 
 @dataclass(frozen=True)
-class TowerReport:
+class TowerReport(SampledCollisions):
     """Stabilization statistics for sampled tower pairs.
 
     For a pair distinct at the top, the intersection exponent at level k is

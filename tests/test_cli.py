@@ -4,6 +4,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +70,9 @@ def test_config_defaults():
         (dict(trials=True), "trials"),
         (dict(seed=True), "seed"),
         (dict(threads=True), "threads"),
+        (dict(levels=[1]), "levels"),
+        (dict(shape=[1]), "shape"),
+        (dict(mode="isotropic", levels=(1,), shape=(5,)), "shape"),
     ],
 )
 def test_config_validation(overrides, fragment):
@@ -201,6 +205,55 @@ def test_config_file_errors(tmp_path):
         build_config(parse_args("--config", bad_int))
 
 
+def test_config_file_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"mode=count\nprime=3\xff\nlevels=1\n")
+    with pytest.raises(UsageError, match=r"exp\.cfg.*UTF-8"):
+        build_config(parse_args("--config", str(path)))
+    assert run_main(tmp_path, "--config", str(path), "--output", "x") == EXIT_USAGE
+    assert f"usage error: {path}" in capsys.readouterr().err
+
+
+def test_flags_are_the_config_fields():
+    options = {
+        opt
+        for action in make_parser()._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt not in ("--help", "--config")
+    }
+    assert options == {f"--{f.name}" for f in fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize(
+    "key, text, message",
+    [
+        ("prime", "x", "prime: expected an integer, got 'x'"),
+        ("trials", "1e3", "trials: expected an integer, got '1e3'"),
+        ("levels", "1,two", "levels: expected comma-separated integers, got '1,two'"),
+        ("mode", "walk", "mode must be one of count, exhaustive, montecarlo, "
+                         "tower, isotropic, got 'walk'"),
+        ("format", "xml", "format must be one of csv, json, both, got 'xml'"),
+        ("prime", "4", "prime: "),
+    ],
+    ids=["prime-x", "trials-1e3", "levels-1,two", "mode-walk", "format-xml", "prime-4"],
+)
+def test_bad_value_same_usage_error_from_flag_and_file(
+    tmp_path, capsys, key, text, message
+):
+    settings = dict(mode="count", prime="3", levels="1", output=str(tmp_path / "x"))
+    settings[key] = text
+    flags = [arg for k, v in settings.items() for arg in (f"--{k}", v)]
+    assert run_main(tmp_path, *flags) == EXIT_USAGE
+    from_flag = capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+    assert run_main(tmp_path, "--config", str(cfg)) == EXIT_USAGE
+    from_file = capsys.readouterr().err
+    assert from_flag == from_file
+    assert from_flag.startswith(f"usage error: {message}")
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
 def test_count_rows():
     report = run(config(mode="count", levels=(1, 2)))
     assert [row.exact for row in report.rows] == [Fraction(4), Fraction(12)]
@@ -240,6 +293,8 @@ def test_tower_rows_match_library():
     res = tower_experiment(3, 2, 400, RngSpec(7))
     (row,) = report.rows
     assert row.empirical == Fraction(res.collisions, 400)
+    assert row.empirical == res.frequency
+    assert row.stderr == res.stderr
     assert f"collisions={res.collisions}" in row.extra
     assert "n0_" in row.extra
 
