@@ -120,6 +120,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, tuple):
                 raise UsageError(f"{name} must be a tuple, got {type(value).__name__}")
+        if not all(is_int(k) for k in self.shape):
+            raise UsageError(f"shape entries must be integers, got {self.shape!r}")
         if self.mode not in MODES:
             raise UsageError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         try:
@@ -133,6 +135,8 @@ class ExperimentConfig:
                 check_level(n)
             except ValueError as e:
                 raise UsageError(f"levels: {e}") from None
+        if not isinstance(self.output, str):
+            raise UsageError(f"output must be a string, got {type(self.output).__name__}")
         if not self.output:
             raise UsageError("output: an output path prefix is required")
         if not is_int(self.trials) or self.trials < 1:

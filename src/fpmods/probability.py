@@ -53,7 +53,8 @@ from .submodules import (
     project,
 )
 
-MAX_CENSUS_PAIRS = 4_000_000
+MAX_CENSUS_FORMS = 2_000
+MAX_UNIFORMITY_FORMS = 4_000_000
 CHUNK_TRIALS = 1 << 14
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -101,12 +102,13 @@ def collision_probability_census(p: int, n: int) -> Fraction:
 
     Over all N^2 ordered pairs of enumerated forms, a form occurring c times
     collides in c^2 of them, so the census needs one pass, not N^2 compares.
+    A census of more than MAX_CENSUS_FORMS forms raises ResourceBoundError.
     """
     total = count_maximal(p, n)
-    if total * total > MAX_CENSUS_PAIRS:
+    if total > MAX_CENSUS_FORMS:
         raise ResourceBoundError(
-            f"{total * total} ordered pairs at (p={p}, n={n}) exceed the "
-            f"census bound {MAX_CENSUS_PAIRS}"
+            f"{total} forms at (p={p}, n={n}) exceed the census bound "
+            f"{MAX_CENSUS_FORMS}"
         )
     multiplicity = Counter(enumerate_maximal(p, n))
     pairs = sum(multiplicity.values()) ** 2
@@ -241,15 +243,16 @@ def chi_square_uniformity(
     """Chi-square statistic and degrees of freedom for sampler uniformity.
 
     The draws are the kernel's first-submodule indices of trials [0, draws).
-    One counter is kept per form, so a census of more than MAX_CENSUS_PAIRS
-    forms raises ResourceBoundError before anything is allocated.
+    One counter is kept per form, so a census of more than
+    MAX_UNIFORMITY_FORMS forms raises ResourceBoundError before anything is
+    allocated.
     """
     _check_count(draws, "draws")
     count = count_maximal(p, n)
-    if count > MAX_CENSUS_PAIRS:
+    if count > MAX_UNIFORMITY_FORMS:
         raise ResourceBoundError(
-            f"{count} forms at (p={p}, n={n}) exceed the census bound "
-            f"{MAX_CENSUS_PAIRS}"
+            f"{count} forms at (p={p}, n={n}) exceed the uniformity census "
+            f"bound {MAX_UNIFORMITY_FORMS}"
         )
     observed = np.zeros(count, dtype=np.int64)
     for start in range(0, draws, CHUNK_TRIALS):
@@ -386,12 +389,30 @@ class PushforwardReport:
 def pushforward_consistency(p: int, n: int, m: int) -> PushforwardReport:
     """Check that projection pushes the level-m census onto the level-n one.
 
-    Counts the fiber of `project` over every level-n form (all must equal
-    p^(m-n)), and checks that each level-n form's lifts number p^(m-n), are
-    distinct and project back to it. Those checks make the lifts a partition
-    of the level-m census: `project` is a function, so lifts of different
-    low forms cannot coincide, and there are N_n * p^(m-n) =
-    count_maximal(p, m) lifts in all, as many as the census has forms.
+    One streaming pass over the level-m census `enumerate_maximal(p, m)`,
+    the reference: its forms are the count_maximal(p, m) distinct level-m
+    forms, in index order. Write F(low) for the fiber of a level-n form, the
+    census forms h with project(h, n) == low, in census order. Each form h
+    is projected once; its image's entry counts it, and h is compared with
+    the next form of that entry's `lifts(low, m)` stream. The pass checks
+    (1) no form projects outside the level-n census `enumerate_maximal(p, n)`,
+    (2) every fiber F(low) has p^(m-n) forms, and
+    (3) every fiber equals its lift stream, in order: each form equals the
+        next lift, and each stream ends with its fiber.
+    `fibers_uniform` is (1) and (2). `lifts_partition` is (1), (2) and (3),
+    which imply every claim about the lifts: by (3) the lifts of low are
+    F(low), so they number p^(m-n) by (2), are distinct because the census
+    is, and project back to low by the definition of F; and since `project`
+    is a function with values in the level-n census by (1), the fibers, so
+    the lift lists, partition the level-m census. Conversely, correct
+    `project` and `lifts` satisfy (1)-(3), because `lifts` yields in index
+    order; lifts that are right as a set but come in another order make
+    `lifts_partition` false.
+
+    `fiber_counts` maps the index of every form hit by a projection,
+    including one outside the level-n census, to its fiber size. Memory is
+    O(p^n): one count and one lift stream per level-n form; each level-m
+    form is built once by the census and once by `lifts`, and never stored.
     """
     check_prime(p)
     check_level(n)
@@ -399,17 +420,27 @@ def pushforward_consistency(p: int, n: int, m: int) -> PushforwardReport:
     if n >= m:
         raise ValueError(f"need low level {n} < high level {m}")
     expected = p ** (m - n)
-    fibers = Counter(project(high, n) for high in enumerate_maximal(p, m))
-    low_forms = list(enumerate_maximal(p, n))
-    uniform = len(fibers) == len(low_forms) and all(
-        fibers[f] == expected for f in low_forms
+    # each level-n form's fiber size so far and the rest of its lift stream
+    fibers = {low: [0, iter(lifts(low, m))] for low in enumerate_maximal(p, n)}
+    strays = Counter()  # projections outside the level-n census
+    in_order = True
+    for high in enumerate_maximal(p, m):
+        low = project(high, n)
+        entry = fibers.get(low)
+        if entry is None:
+            strays[low] += 1
+            continue
+        entry[0] += 1
+        if next(entry[1], None) != high:
+            in_order = False
+    uniform = not strays and all(count == expected for count, _ in fibers.values())
+    partition = (
+        uniform
+        and in_order
+        and all(next(rest, None) is None for _, rest in fibers.values())
     )
-    lifted = {low: list(lifts(low, m)) for low in low_forms}
-    partition = all(
-        len(set(highs)) == len(highs) == expected
-        and all(project(h, n) == low for h in highs)
-        for low, highs in lifted.items()
-    )
+    hit = [(low.index(), count) for low, (count, _) in fibers.items() if count]
+    hit += [(low.index(), count) for low, count in strays.items()]
     return PushforwardReport(
         p=p,
         low_level=n,
@@ -417,7 +448,7 @@ def pushforward_consistency(p: int, n: int, m: int) -> PushforwardReport:
         expected_fiber=expected,
         fibers_uniform=uniform,
         lifts_partition=partition,
-        fiber_counts=dict(sorted((f.index(), c) for f, c in fibers.items())),
+        fiber_counts=dict(sorted(hit)),
     )
 
 

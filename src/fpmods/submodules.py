@@ -15,7 +15,7 @@ by their sum is cyclic of the same size p^v. The rank-based
 `intersection_exponent_linalg` is kept as a test oracle, and is this
 module's only use of linear algebra. Projections to lower levels truncate
 the canonical parameter and lifting enumerates the p^(m-n) parameter
-extensions.
+extensions, in canonical index order.
 
 Validation happens at the public boundary, once per call: the
 `CyclicSubmodule(...)` constructor checks every field, and
@@ -354,14 +354,20 @@ def project(sub: CyclicSubmodule, m: int) -> CyclicSubmodule:
 
 
 def lifts(sub: CyclicSubmodule, m: int) -> Iterator[CyclicSubmodule]:
-    """All level-m submodules projecting onto sub; exactly p^(m - level)."""
+    """All level-m submodules projecting onto sub; exactly p^(m - level).
+
+    They come in canonical index order, like `enumerate_maximal`, so a
+    form's lifts are its fiber in the level-m census, in census order.
+    """
     check_level(m)
     if m < sub.level:
         raise ValueError(f"cannot lift level {sub.level} down to level {m}")
     extra = m - sub.level
     trusted = CyclicSubmodule._trusted
+    # the tail's digits are the highest of the index; reversed, as in
+    # enumerate_maximal, the lowest of them varies fastest
     for tail in itertools.product(range(sub.p), repeat=extra):
-        yield trusted(sub.p, m, sub.kind, sub.param + tail)
+        yield trusted(sub.p, m, sub.kind, sub.param + tail[::-1])
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,12 @@ def test_config_defaults():
         (dict(levels=[1]), "levels"),
         (dict(shape=[1]), "shape"),
         (dict(mode="isotropic", levels=(1,), shape=(5,)), "shape"),
+        (dict(output=["x"]), "output"),
+        (dict(output=b"x"), "output"),
+        (dict(shape=("a",)), "shape"),
+        (dict(shape=(True,)), "shape"),
+        (dict(shape=(1.0,)), "shape"),
+        (dict(mode="montecarlo", shape=("a",)), "shape"),
     ],
 )
 def test_config_validation(overrides, fragment):
@@ -465,6 +471,14 @@ def test_main_resource_bound_exit(tmp_path, capsys):
     )
     assert code == EXIT_RESOURCE
     assert "resource bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prime, code", [(43, EXIT_OK), (47, EXIT_RESOURCE)])
+def test_main_exhaustive_census_boundary(tmp_path, capsys, prime, code):
+    # the census bound is 2,000 forms: 1,892 at (43, 2), 2,256 at (47, 2)
+    argv = ("--mode", "exhaustive", "--prime", str(prime), "--levels", "2")
+    assert run_main(tmp_path, *argv, "--output", str(tmp_path / "x")) == code
+    assert ("census bound" in capsys.readouterr().err) == (code == EXIT_RESOURCE)
 
 
 def test_main_io_error_exit(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from scipy.stats import chi2
 
 from fpmods import probability
 from fpmods import (
+    CyclicSubmodule,
     RngSpec,
     chi_square_uniformity,
     collision_probability_census,
@@ -16,6 +19,7 @@ from fpmods import (
     intersection_bound,
     lifts,
     monte_carlo,
+    project,
     pushforward_consistency,
     sample_pair,
     tower_experiment,
@@ -171,8 +175,14 @@ def test_pushforward_consistency_grid():
         lambda lifted: lifted[:-1],
         lambda lifted: lifted[:-1] + lifted[:1],
         lambda lifted: list(lifts(list(enumerate_maximal(3, 1))[1], 2)),
+        lambda lifted: lifted + lifted[:1],
     ],
-    ids=["one-lift-too-few", "lift-repeated", "another-form's-lifts"],
+    ids=[
+        "one-lift-too-few",
+        "lift-repeated",
+        "another-form's-lifts",
+        "one-lift-too-many",
+    ],
 )
 def test_pushforward_detects_bad_lifts(change, monkeypatch):
     real = probability.lifts
@@ -200,6 +210,127 @@ def test_pushforward_detects_a_wrong_projection(monkeypatch):
     report = pushforward_consistency(3, 1, 2)
     assert not report.fibers_uniform
     assert not report.lifts_partition
+
+
+def two_pass_report(p, n, m):
+    """The two-pass pushforward check, as an oracle: counts the fibers over
+    the level-m census, then lifts every level-n form and checks its lifts
+    as a set. It calls the module's names, so faults patched in there reach
+    it too."""
+    expected = p ** (m - n)
+    census = probability.enumerate_maximal
+    fibers = Counter(probability.project(high, n) for high in census(p, m))
+    low_forms = list(census(p, n))
+    uniform = len(fibers) == len(low_forms) and all(
+        fibers[f] == expected for f in low_forms
+    )
+    lifted = {low: list(probability.lifts(low, m)) for low in low_forms}
+    partition = all(
+        len(set(highs)) == len(highs) == expected
+        and all(probability.project(h, n) == low for h in highs)
+        for low, highs in lifted.items()
+    )
+    return probability.PushforwardReport(
+        p=p,
+        low_level=n,
+        high_level=m,
+        expected_fiber=expected,
+        fibers_uniform=uniform,
+        lifts_partition=partition,
+        fiber_counts=dict(sorted((f.index(), c) for f, c in fibers.items())),
+    )
+
+
+# every 1 <= n < m with an enumerable level-m census; it holds the
+# benchmark's (3, 1, 8), (5, 1, 5) and (7, 1, 4)
+PUSHFORWARD_GRID = [
+    (p, n, m)
+    for p in (3, 5, 7)
+    for m in range(2, 13)
+    if count_maximal(p, m) <= 10_000
+    for n in range(1, m)
+]
+
+
+@pytest.mark.parametrize("p, n, m", PUSHFORWARD_GRID)
+def test_pushforward_matches_the_two_pass_check(p, n, m):
+    report = pushforward_consistency(p, n, m)
+    assert report == two_pass_report(p, n, m)
+    assert list(report.fiber_counts) == list(range(count_maximal(p, n)))
+    assert report.fibers_uniform and report.lifts_partition
+
+
+def test_pushforward_detects_a_repeated_census_form(monkeypatch):
+    # the level-2 census yields its form 0 again in place of form 3, of the
+    # same fiber: every fiber keeps its size and the lifts are right, so the
+    # two-pass check reads both flags true
+    real = probability.enumerate_maximal
+    census = list(real(3, 2))
+    assert project(census[0], 1) == project(census[3], 1)
+
+    def patched(p, n):
+        return iter(census[:3] + census[:1] + census[4:]) if n == 2 else real(p, n)
+
+    monkeypatch.setattr(probability, "enumerate_maximal", patched)
+    oracle = two_pass_report(3, 1, 2)
+    assert oracle.fibers_uniform and oracle.lifts_partition
+    report = pushforward_consistency(3, 1, 2)
+    assert report == replace(oracle, lifts_partition=False)
+
+
+def test_pushforward_requires_lifts_in_census_order(monkeypatch):
+    real = probability.lifts
+    monkeypatch.setattr(probability, "lifts", lambda low, m: list(real(low, m))[::-1])
+    oracle = two_pass_report(3, 1, 3)
+    assert oracle.fibers_uniform and oracle.lifts_partition
+    report = pushforward_consistency(3, 1, 3)
+    assert report == replace(oracle, lifts_partition=False)
+
+
+def test_pushforward_counts_a_projection_outside_the_census(monkeypatch):
+    real = probability.project
+    stray = next(enumerate_maximal(3, 2))
+    outside = CyclicSubmodule(3, 2, "B", (2,))  # level 2, index 11
+
+    def patched(high, n):
+        return outside if high == stray else real(high, n)
+
+    monkeypatch.setattr(probability, "project", patched)
+    report = pushforward_consistency(3, 1, 2)
+    assert not report.fibers_uniform
+    assert not report.lifts_partition
+    assert report.fiber_counts == {0: 2, 1: 3, 2: 3, 3: 3, 11: 1}
+    assert report == two_pass_report(3, 1, 2)
+
+
+def test_pushforward_detects_an_extra_form_projecting_outside(monkeypatch):
+    # a p = 5 form appended to the p = 3 census leaves every fiber full, so
+    # only check (1) sees its projection, level-1 index 4, outside the census
+    real = probability.enumerate_maximal
+    extra = CyclicSubmodule(5, 2, "A", (4, 4))
+
+    def patched(p, n):
+        return iter([*real(p, n), extra]) if n == 2 else real(p, n)
+
+    monkeypatch.setattr(probability, "enumerate_maximal", patched)
+    report = pushforward_consistency(3, 1, 2)
+    assert report.fiber_counts == {0: 3, 1: 3, 2: 3, 3: 3, 4: 1}
+    assert not report.fibers_uniform
+    assert not report.lifts_partition
+    assert report == replace(two_pass_report(3, 1, 2), lifts_partition=False)
+
+
+def test_pushforward_memory_is_flat_in_the_high_level():
+    # the lift streams hold O(p^n) state; the two-pass check held all
+    # p^(m-1) * (p + 1) lifted forms at once, about 1.6 MB at (3, 1, 8)
+    pushforward_consistency(3, 1, 2)
+    tracemalloc.start()
+    try:
+        pushforward_consistency(3, 1, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_pushforward_rejects_bad_levels():

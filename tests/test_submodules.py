@@ -472,6 +472,20 @@ def test_lifts_partition_level():
         assert sorted(f.index() for f in pooled) == list(range(count_maximal(p, m)))
 
 
+@pytest.mark.parametrize("kind", ["A", "B"])
+@pytest.mark.parametrize("p, n, m", [(3, 1, 3), (3, 2, 4), (5, 1, 3), (7, 2, 3)])
+def test_lifts_come_in_census_order(p, n, m, kind):
+    # the order is a contract: pushforward_consistency compares each fiber
+    # of the level-m census with the lift stream, form by form
+    census = list(enumerate_maximal(p, m))
+    for low in enumerate_maximal(p, n):
+        if low.kind != kind:
+            continue
+        indices = [f.index() for f in lifts(low, m)]
+        assert all(a < b for a, b in zip(indices, indices[1:]))
+        assert list(lifts(low, m)) == [h for h in census if project(h, n) == low]
+
+
 def test_tower_validation_and_from_top():
     top = CyclicSubmodule(3, 3, "A", (1, 0, 2))
     tower = SubmoduleTower.from_top(top)
