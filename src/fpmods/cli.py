@@ -148,9 +148,7 @@ class ExperimentConfig:
                 f"format must be one of {', '.join(FORMATS)}, got {self.format!r}"
             )
         if not is_int(self.threads) or self.threads < 0:
-            raise UsageError(
-                f"threads must be an integer >= 0 (0 = auto), got {self.threads!r}"
-            )
+            raise UsageError(f"threads must be an integer >= 0, got {self.threads!r}")
         if self.mode == "isotropic":
             try:
                 for n in self.levels:
@@ -427,7 +425,8 @@ def _convert(setting: Field, text: str):
 
 def _read_config_file(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, as editors may write
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as e:
         raise UsageError(f"{path}: not UTF-8 text ({e.reason})") from None

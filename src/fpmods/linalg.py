@@ -6,14 +6,16 @@ row spans. Elimination keeps everything in exact integer arithmetic.
 Input matrices are read through `_entries`, the one integer check, so
 floats raise `ValueError` rather than being truncated. `rref` reduces one
 matrix and serves `nullspace`, the subspace code and the tests as the
-reference; `nullspace` returns the kernel's canonical basis, its reduced row
-echelon form. `rref_stack` reduces a whole (N, rows, cols) stack at once,
-with each matrix pivoting on its own. Both take the pivot step that
+reference; the nonzero rows of its result are the row space's one canonical
+basis, and `nullspace` returns the kernel's, its reduced row echelon form.
+`rref_stack` reduces a whole (N, rows, cols) stack at once, with each matrix
+pivoting on its own. Both take the pivot step that
 `rref_stack` describes, with one inverse table per prime built by Fermat's
 little theorem, the library's only modular inverse. The table has p
 entries, so p should be one of the library's small primes. `reduce_rows` is
 the one reduction against an rref basis, which it takes as given: exactly
-the nonzero rows of an rref with the given pivot columns.
+the nonzero rows of an rref with the given pivot columns. It is also the one
+membership test: a row lies in the span exactly when its residual is zero.
 """
 
 from __future__ import annotations
@@ -131,12 +133,6 @@ def rank(mat, p: int) -> int:
     return len(rref(mat, p)[1])
 
 
-def row_basis(mat, p: int) -> np.ndarray:
-    """Canonical basis of the row space: the nonzero rows of the rref."""
-    r, piv = rref(mat, p)
-    return r[: len(piv)].copy()
-
-
 def nullspace(mat, p: int) -> np.ndarray:
     """The reduced row echelon basis of the kernel {x : mat @ x == 0 mod p}.
 
@@ -168,10 +164,6 @@ def reduce_rows(basis_rref: np.ndarray, pivots, rows, p: int) -> np.ndarray:
     reduced first, so unreduced entries cannot overflow the product."""
     v = _entries(rows, p)
     return (v - v[..., list(pivots)] @ basis_rref) % p
-
-
-def in_row_span(basis_rref: np.ndarray, pivots, vec, p: int) -> bool:
-    return not reduce_rows(basis_rref, pivots, vec, p).any()
 
 
 def matmul(a, b, p: int) -> np.ndarray:

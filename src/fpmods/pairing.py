@@ -124,13 +124,6 @@ class SpaceElement(Frozen):
         _set_element_coords(self, coords)
 
     @classmethod
-    def zero(cls, shape: SpaceShape) -> "SpaceElement":
-        return cls(
-            shape,
-            (TruncatedSeries.zero(shape.p, m) for m in shape.block_levels for _ in (0, 1)),
-        )
-
-    @classmethod
     def generator(cls, shape: SpaceShape, block: int, side: int) -> "SpaceElement":
         vec = [0] * shape.dim
         vec[shape.generator_slice(block, side).start] = 1
@@ -296,9 +289,6 @@ class FpSubspace(Frozen):
     def __repr__(self):
         return f"FpSubspace(dim={self.dim} of {self.shape.dim}, p={self.p})"
 
-    def contains(self, vec) -> bool:
-        return linalg.in_row_span(self.basis, self.pivots, vec, self.p)
-
     @classmethod
     def t_span(cls, shape: SpaceShape, rows) -> "FpSubspace":
         """Smallest T-stable subspace containing the given rows."""
@@ -337,9 +327,6 @@ class FpSubspace(Frozen):
         gram = gram_matrix(self.shape)
         vals = linalg.matmul(linalg.matmul(self.basis, gram, self.p), self.basis.T, self.p)
         return not vals.any()
-
-    def is_maximal_isotropic(self) -> bool:
-        return self.is_isotropic() and self == self.orthogonal_complement()
 
 
 _set_subspace_shape, _set_subspace_basis, _set_subspace_pivots = slot_setters(FpSubspace)

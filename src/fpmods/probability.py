@@ -384,6 +384,7 @@ class PushforwardReport:
     fibers_uniform: bool
     lifts_partition: bool
     fiber_counts: dict
+    stray_counts: dict
 
 
 def pushforward_consistency(p: int, n: int, m: int) -> PushforwardReport:
@@ -409,10 +410,14 @@ def pushforward_consistency(p: int, n: int, m: int) -> PushforwardReport:
     order; lifts that are right as a set but come in another order make
     `lifts_partition` false.
 
-    `fiber_counts` maps the index of every form hit by a projection,
-    including one outside the level-n census, to its fiber size. Memory is
-    O(p^n): one count and one lift stream per level-n form; each level-m
-    form is built once by the census and once by `lifts`, and never stored.
+    `fiber_counts` maps the index of every level-n census form hit by a
+    projection to its fiber size, in index order, and `stray_counts` maps
+    each form outside that census that a projection hits to its count; a
+    stray may share its index with a census form, so it is keyed by itself.
+    Together they count each level-m census form once: the two sums add up
+    to count_maximal(p, m). Memory is O(p^n): one count and one lift stream
+    per level-n form; each level-m form is built once by the census and once
+    by `lifts`, and never stored.
     """
     check_prime(p)
     check_level(n)
@@ -439,8 +444,6 @@ def pushforward_consistency(p: int, n: int, m: int) -> PushforwardReport:
         and in_order
         and all(next(rest, None) is None for _, rest in fibers.values())
     )
-    hit = [(low.index(), count) for low, (count, _) in fibers.items() if count]
-    hit += [(low.index(), count) for low, count in strays.items()]
     return PushforwardReport(
         p=p,
         low_level=n,
@@ -448,7 +451,10 @@ def pushforward_consistency(p: int, n: int, m: int) -> PushforwardReport:
         expected_fiber=expected,
         fibers_uniform=uniform,
         lifts_partition=partition,
-        fiber_counts=dict(sorted(hit)),
+        fiber_counts={
+            low.index(): count for low, (count, _) in fibers.items() if count
+        },
+        stray_counts=dict(strays),
     )
 
 

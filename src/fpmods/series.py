@@ -295,14 +295,3 @@ class TruncatedSeries(Frozen):
 
 
 _set_p, _set_coeffs = slot_setters(TruncatedSeries)
-
-
-def from_group_basis(p: int, coeffs: Iterable[int]) -> TruncatedSeries:
-    """Inverse of TruncatedSeries.group_basis."""
-    cs = [c % p for c in read_ints(coeffs)]
-    n = check_level(len(cs))
-    if not is_power_of(n, p):
-        raise ValueError(f"group basis needs a level that is a power of {p}, got {n}")
-    binom = _binomials(n)
-    out = [sum(cs[j] * binom[j][i] for j in range(i, n)) % p for i in range(n)]
-    return TruncatedSeries(p, out)

@@ -8,10 +8,13 @@ generator of one of two kinds:
     kind 'B':  (T*h, 1)      h any level-(n-1) coefficient   p^(n-1) choices
                              tuple (empty at n = 1)
 
-for a total census of p^(n-1) * (p + 1). Intersections of two maximal
-submodules are again cyclic, of size p^v where the exponent v has a closed
-form in the canonical parameters (0 for mixed-kind pairs), and the quotient
-by their sum is cyclic of the same size p^v. The rank-based
+for a total census of p^(n-1) * (p + 1). The index machinery owns the
+choice of canonical form: `CyclicSubmodule.from_index` and
+`enumerate_maximal` decode canonical indices, and `project` and `lifts` move
+forms between levels. Intersections of two maximal submodules are again
+cyclic, of size p^v where the exponent v has a closed form in the canonical
+parameters (0 for mixed-kind pairs), and the quotient by their sum is cyclic
+of the same size p^v. The rank-based
 `intersection_exponent_linalg` is kept as a test oracle, and is this
 module's only use of linear algebra. Projections to lower levels truncate
 the canonical parameter and lifting enumerates the p^(m-n) parameter
@@ -145,21 +148,6 @@ class CyclicSubmodule(Frozen):
             TruncatedSeries(p, (0,) + self.param, n), TruncatedSeries.one(p, n)
         )
 
-    def contains(self, v: ModuleVector) -> bool:
-        if v.p != self.p or v.level != self.level:
-            raise ValueError("vector and submodule must share p and level")
-        if self.kind == "A":
-            g = TruncatedSeries(self.p, self.param, self.level)
-            return v.second == v.first * g
-        th = TruncatedSeries(self.p, (0,) + self.param, self.level)
-        return v.first == v.second * th
-
-    def elements(self) -> Iterator[ModuleVector]:
-        """All p^level elements tau * generator."""
-        gen = self.generator
-        for digits in itertools.product(range(self.p), repeat=self.level):
-            yield gen.scaled(TruncatedSeries(self.p, digits))
-
     def basis_rows(self) -> np.ndarray:
         """Rows T^i * generator flattened to length 2*level, i = 0..level-1."""
         n = self.level
@@ -196,17 +184,6 @@ class CyclicSubmodule(Frozen):
 
 
 _set_p, _set_level, _set_kind, _set_param = slot_setters(CyclicSubmodule)
-
-
-def canonical_form(v: ModuleVector) -> CyclicSubmodule:
-    """Canonical description of the maximal cyclic submodule generated by v."""
-    if not is_maximal(v):
-        raise ValueError("vector does not generate a maximal cyclic submodule")
-    if v.first.is_unit():
-        g = v.first.inverse() * v.second
-        return CyclicSubmodule.type_a(g)
-    w = v.second.inverse() * v.first
-    return CyclicSubmodule(v.p, v.level, "B", w.coeffs[1:])
 
 
 def count_maximal(p: int, n: int) -> int:

@@ -546,6 +546,18 @@ def test_main_with_config_file(tmp_path, capsys):
     assert rows[1]["extra"] == "verified=true;bound=11/12"
 
 
+def test_main_reads_a_config_file_with_a_byte_order_mark(tmp_path):
+    outputs = {}
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        out = tmp_path / name
+        cfg = tmp_path / f"{name}.cfg"
+        text = f"mode=exhaustive\nprime=3\nlevels=1,2\noutput={out}\nformat=csv\n"
+        cfg.write_bytes(bom + text.encode("utf-8"))
+        assert run_main(tmp_path, "--config", str(cfg)) == EXIT_OK
+        outputs[name] = (tmp_path / f"{name}.csv").read_bytes()
+    assert outputs["bom"] == outputs["plain"]
+
+
 def test_main_census_mismatch_is_invariant_exit(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "collision_probability_census", lambda p, n: Fraction(1, 2))
     out = tmp_path / "x"

@@ -44,12 +44,13 @@ def test_rref_idempotent_and_canonical():
     for _ in range(30):
         p = 5
         mat = rng.integers(0, p, size=(4, 5))
-        basis = linalg.row_basis(mat, p)
-        again = linalg.row_basis(basis, p)
-        assert (basis == again).all()
+        reduced, piv = linalg.rref(mat, p)
+        again, again_piv = linalg.rref(reduced, p)
+        assert (reduced == again).all() and again_piv == piv
         # shuffling rows does not change the canonical basis
         perm = rng.permutation(mat.shape[0])
-        assert (linalg.row_basis(mat[perm], p) == basis).all()
+        shuffled, shuffled_piv = linalg.rref(mat[perm], p)
+        assert (shuffled == reduced).all() and shuffled_piv == piv
 
 
 def test_nullspace_annihilates_and_has_complementary_dim():
@@ -84,8 +85,8 @@ def test_nullspace_is_the_reduced_echelon_basis_of_the_kernel(p):
         mat = np.asarray(mat, dtype=np.int64)
         ns = linalg.nullspace(mat, p)
         assert ns.shape == (mat.shape[1] - linalg.rank(mat, p), mat.shape[1])
-        basis = linalg.row_basis(ns, p)
-        assert basis.shape == ns.shape and (basis == ns).all()
+        reduced, piv = linalg.rref(ns, p)
+        assert len(piv) == len(ns) and (reduced == ns).all()
         assert not (mat @ ns.T % p).any()
 
 
@@ -96,8 +97,8 @@ def test_reduce_rows_membership():
     basis = basis[: len(piv)]
     inside = (2 * mat[0] + mat[1]) % p
     outside = np.array([0, 0, 1], dtype=np.int64)
-    assert linalg.in_row_span(basis, piv, inside, p)
-    assert not linalg.in_row_span(basis, piv, outside, p)
+    assert not linalg.reduce_rows(basis, piv, inside, p).any()
+    assert linalg.reduce_rows(basis, piv, outside, p).any()
 
 
 @pytest.mark.parametrize("p", [3, 5, 97])

@@ -19,7 +19,7 @@ from fpmods import (
 )
 from fpmods import pairing
 from fpmods.errors import InvariantError, ResourceBoundError
-from fpmods.linalg import nullspace, rank, reduce_rows, row_basis
+from fpmods.linalg import nullspace, rank, reduce_rows, rref
 
 ACCEPTANCE_SHAPES = [
     SpaceShape(3, 1),
@@ -190,7 +190,8 @@ def test_subspace_canonical_equality():
     a = FpSubspace(shape, rows)
     b = FpSubspace(shape, np.vstack([rows[1], (2 * rows[0]) % 3, rows.sum(axis=0) % 3]))
     assert a == b and hash(a) == hash(b) and a.dim == 2
-    assert a.contains(rows[0]) and not a.contains([0, 0, 0, 0, 0, 1])
+    assert not reduce_rows(a.basis, a.pivots, rows[0], 3).any()
+    assert reduce_rows(a.basis, a.pivots, [0, 0, 0, 0, 0, 1], 3).any()
     # non-integral rows are rejected, not truncated to the span of e_0
     with pytest.raises(ValueError):
         FpSubspace(shape, [[1.5, 0, 0, 0, 0, 0]])
@@ -217,11 +218,11 @@ def test_complement_example_rank_one():
     u = SpaceElement.generator(shape, 0, 0)
     sub = FpSubspace(shape, [u.to_vector()])
     assert sub.orthogonal_complement() == sub
-    assert sub.is_isotropic() and sub.is_maximal_isotropic()
+    assert sub.is_isotropic() and 2 * sub.dim == shape.dim
     zero = FpSubspace(shape)
     assert zero.orthogonal_complement() == FpSubspace(shape, np.eye(shape.dim, dtype=np.int64))
     assert zero.is_isotropic() and zero.is_t_stable()
-    assert not zero.is_maximal_isotropic()
+    assert 2 * zero.dim != shape.dim
 
 
 def test_t_span_closure_and_stability():
@@ -232,11 +233,9 @@ def test_t_span_closure_and_stability():
         seed_rows = rng.integers(0, 3, (2, shape.dim))
         closed = FpSubspace.t_span(shape, seed_rows)
         assert closed.is_t_stable()
-        for row in seed_rows:
-            assert closed.contains(row)
-        shifted = row_basis(closed.basis @ action % 3, 3) if closed.dim else closed.basis
-        for row in shifted:
-            assert closed.contains(row)
+        assert not reduce_rows(closed.basis, closed.pivots, seed_rows, 3).any()
+        shifted = closed.basis @ action % 3
+        assert not reduce_rows(closed.basis, closed.pivots, shifted, 3).any()
     loose = FpSubspace(shape, [[1] + [0] * (shape.dim - 1)])
     assert not loose.is_t_stable()
 
@@ -273,7 +272,7 @@ def test_enumeration_matches_brute_force_rank_one():
     assert len(found) == 4
     assert {r.subspace.key() for r in found} == brute_force_isotropic_halfdim(shape)
     for r in found:
-        assert r.subspace.is_maximal_isotropic()
+        assert r.subspace.is_isotropic() and 2 * r.subspace.dim == shape.dim
         assert r.rank_projection_dim == 1
         assert r.splits  # no torsion: every line is its own rank part
 
@@ -285,7 +284,7 @@ def test_enumeration_matches_lagrangian_count_dim_four():
     assert len(found) == (1 + 3) * (1 + 9) == 40
     assert {r.subspace.key() for r in found} == brute_force_isotropic_halfdim(shape)
     for r in found:
-        assert r.subspace.is_maximal_isotropic()
+        assert r.subspace.is_isotropic() and 2 * r.subspace.dim == shape.dim
         assert r.subspace.is_t_stable()
 
 
@@ -314,7 +313,7 @@ def test_greedy_random_completion_lands_in_enumeration():
             perp = current.orthogonal_complement()
             options = []
             for vec in perp.vectors():
-                if not vec.any() or current.contains(vec):
+                if not reduce_rows(current.basis, current.pivots, vec, 3).any():
                     continue
                 grown = FpSubspace.t_span(shape, np.vstack([current.basis, vec[None]]))
                 if grown.dim <= shape.dim // 2 and grown.is_isotropic():
@@ -400,7 +399,8 @@ def _coordinate_section(sub, zero_cols):
     if sub.dim == 0:
         return sub.basis
     combos = nullspace(sub.basis[:, zero_cols].T, sub.p)
-    return row_basis(combos @ sub.basis % sub.p, sub.p)
+    reduced, pivots = rref(combos @ sub.basis % sub.p, sub.p)
+    return reduced[: len(pivots)]
 
 
 def diagnostics_oracle(sub):
@@ -484,7 +484,8 @@ def test_socle_kernel_is_the_echelon_basis_of_its_definition(shape):
             members = space[~space[:, list(state.pivots)].any(axis=1)]
             members = members[~(members @ gram @ state.basis.T % p).any(axis=1)]
             shifted = reduce_rows(state.basis, state.pivots, members @ action % p, p)
-            expected = row_basis(members[~shifted.any(axis=1)], p)
+            reduced, pivots = rref(members[~shifted.any(axis=1)], p)
+            expected = reduced[: len(pivots)]
             kernel = pairing._socle_kernel(shape, state)
             assert kernel.shape == expected.shape
             assert (kernel == expected).all()
@@ -517,7 +518,8 @@ def test_dropping_the_first_echelon_row_leaves_a_t_stable_parent(sub):
     parent = FpSubspace(shape, sub.basis[1:])
     assert (parent.basis == sub.basis[1:]).all()
     assert parent.is_t_stable()
-    assert parent.contains(first @ t_action_matrix(shape) % shape.p)
+    shifted = first @ t_action_matrix(shape) % shape.p
+    assert not reduce_rows(parent.basis, parent.pivots, shifted, shape.p).any()
     # the parent is exactly the members vanishing up to the first pivot
     members = sub.vectors()
     zero_prefix = members[~members[:, : sub.pivots[0] + 1].any(axis=1)]
@@ -592,7 +594,7 @@ def test_vectors_guard_and_members():
     sub = FpSubspace(shape, [[1, 0, 0, 0], [0, 0, 1, 0]])
     vecs = sub.vectors()
     assert len(vecs) == 9
-    assert all(sub.contains(v) for v in vecs)
+    assert not reduce_rows(sub.basis, sub.pivots, vecs, 3).any()
     zero = FpSubspace(shape).vectors()
     assert zero.shape == (1, shape.dim) and not zero.any()
 

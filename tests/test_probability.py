@@ -221,6 +221,7 @@ def two_pass_report(p, n, m):
     census = probability.enumerate_maximal
     fibers = Counter(probability.project(high, n) for high in census(p, m))
     low_forms = list(census(p, n))
+    census_set = set(low_forms)
     uniform = len(fibers) == len(low_forms) and all(
         fibers[f] == expected for f in low_forms
     )
@@ -237,7 +238,10 @@ def two_pass_report(p, n, m):
         expected_fiber=expected,
         fibers_uniform=uniform,
         lifts_partition=partition,
-        fiber_counts=dict(sorted((f.index(), c) for f, c in fibers.items())),
+        fiber_counts=dict(
+            sorted((f.index(), c) for f, c in fibers.items() if f in census_set)
+        ),
+        stray_counts={f: c for f, c in fibers.items() if f not in census_set},
     )
 
 
@@ -257,6 +261,7 @@ def test_pushforward_matches_the_two_pass_check(p, n, m):
     report = pushforward_consistency(p, n, m)
     assert report == two_pass_report(p, n, m)
     assert list(report.fiber_counts) == list(range(count_maximal(p, n)))
+    assert report.stray_counts == {}
     assert report.fibers_uniform and report.lifts_partition
 
 
@@ -299,7 +304,30 @@ def test_pushforward_counts_a_projection_outside_the_census(monkeypatch):
     report = pushforward_consistency(3, 1, 2)
     assert not report.fibers_uniform
     assert not report.lifts_partition
-    assert report.fiber_counts == {0: 2, 1: 3, 2: 3, 3: 3, 11: 1}
+    assert report.fiber_counts == {0: 2, 1: 3, 2: 3, 3: 3}
+    assert report.stray_counts == {outside: 1}
+    assert report == two_pass_report(3, 1, 2)
+
+
+def test_pushforward_keeps_a_stray_apart_from_the_census_form_of_its_index(
+    monkeypatch,
+):
+    # the stray has index 0, like the census form 0 it takes a form from
+    real = probability.project
+    stray = next(enumerate_maximal(3, 2))
+    outside = CyclicSubmodule(5, 1, "A", (0,))
+
+    def patched(high, n):
+        return outside if high == stray else real(high, n)
+
+    monkeypatch.setattr(probability, "project", patched)
+    report = pushforward_consistency(3, 1, 2)
+    assert not report.fibers_uniform
+    assert not report.lifts_partition
+    assert report.fiber_counts == {0: 2, 1: 3, 2: 3, 3: 3}
+    assert report.stray_counts == {outside: 1}
+    counted = sum(report.fiber_counts.values()) + sum(report.stray_counts.values())
+    assert counted == count_maximal(3, 2)
     assert report == two_pass_report(3, 1, 2)
 
 
@@ -314,7 +342,8 @@ def test_pushforward_detects_an_extra_form_projecting_outside(monkeypatch):
 
     monkeypatch.setattr(probability, "enumerate_maximal", patched)
     report = pushforward_consistency(3, 1, 2)
-    assert report.fiber_counts == {0: 3, 1: 3, 2: 3, 3: 3, 4: 1}
+    assert report.fiber_counts == {0: 3, 1: 3, 2: 3, 3: 3}
+    assert report.stray_counts == {CyclicSubmodule(5, 1, "A", (4,)): 1}
     assert not report.fibers_uniform
     assert not report.lifts_partition
     assert report == replace(two_pass_report(3, 1, 2), lifts_partition=False)

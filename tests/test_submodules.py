@@ -10,7 +10,6 @@ from fpmods import (
     ModuleVector,
     SubmoduleTower,
     TruncatedSeries,
-    canonical_form,
     census_maximal_generators,
     count_maximal,
     count_maximal_generators,
@@ -182,31 +181,6 @@ def test_bools_are_rejected_as_integers():
         CyclicSubmodule.from_index(3, 1, False)
 
 
-@st.composite
-def generator_and_unit(draw):
-    """A maximal generator and a unit, at random (p, n)."""
-    p = draw(st.sampled_from(ODD_PRIMES))
-    n = draw(st.integers(1, MAX_LEVEL))
-    digits = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
-    first, second, unit = draw(digits), draw(digits), draw(digits)
-    # make one coordinate a unit, so the vector generates a maximal submodule
-    lead = draw(st.integers(1, p - 1))
-    if draw(st.booleans()):
-        first[0] = lead
-    else:
-        second[0] = lead
-    unit[0] = draw(st.integers(1, p - 1))
-    v = ModuleVector(TruncatedSeries(p, first), TruncatedSeries(p, second))
-    return v, TruncatedSeries(p, unit)
-
-
-@settings(max_examples=150, deadline=None)
-@given(generator_and_unit())
-def test_canonical_form_is_invariant_under_unit_scaling(case):
-    v, u = case
-    assert canonical_form(v.scaled(u)) == canonical_form(v)
-
-
 def test_param_must_be_a_tuple():
     # a list param would make the value unhashable and break lifts
     with pytest.raises(ValueError, match="param must be a tuple, got list"):
@@ -234,62 +208,21 @@ def test_index_round_trip():
         CyclicSubmodule.from_index(3, 2, 12)
 
 
-def test_canonical_form_examples():
-    v = ModuleVector(TruncatedSeries(3, (2, 0)), TruncatedSeries(3, (1, 1)))
-    assert canonical_form(v) == CyclicSubmodule(3, 2, "A", (2, 2))
-    w = ModuleVector(TruncatedSeries(3, (0, 1)), TruncatedSeries(3, (2, 0)))
-    assert canonical_form(w) == CyclicSubmodule(3, 2, "B", (2,))
-    zero_ish = ModuleVector(TruncatedSeries(3, (0, 1)), TruncatedSeries(3, (0, 2)))
-    with pytest.raises(ValueError):
-        canonical_form(zero_ish)
-
-
-def test_canonical_form_exhaustive_soundness():
-    # every maximal vector generates exactly the module of its canonical form
-    for p, n in [(3, 1), (3, 2)]:
+def test_census_holds_every_maximal_vector_exactly_once():
+    # the census is complete: a maximal vector generates a module of size
+    # p^n, so lying in exactly one census form's span means it generates
+    # exactly one of them
+    for p, n in [(3, 1), (3, 2), (5, 1), (5, 2)]:
+        spans = [span_set(f.generator) for f in enumerate_maximal(p, n)]
         for v in iter_module_vectors(p, n):
-            if not is_maximal(v):
-                continue
-            form = canonical_form(v)
-            assert span_set(form.generator) == span_set(v)
-            assert form.contains(v)
-
-
-def test_canonical_form_soundness_sampled():
-    rng = np.random.default_rng(20)
-    for p, n in [(3, 3), (5, 2)]:
-        for _ in range(60):
-            coords = [int(c) for c in rng.integers(0, p, 2 * n)]
-            v = ModuleVector(
-                TruncatedSeries(p, coords[:n]), TruncatedSeries(p, coords[n:])
-            )
-            if not is_maximal(v):
-                continue
-            assert span_set(canonical_form(v).generator) == span_set(v)
+            if is_maximal(v):
+                assert sum(v.flatten() in span for span in spans) == 1
 
 
 def test_distinct_canonical_forms_are_distinct_modules():
     for p, n in [(3, 1), (3, 2)]:
         spans = [span_set(f.generator) for f in enumerate_maximal(p, n)]
         assert len(set(spans)) == len(spans)
-
-
-def test_membership_matches_span():
-    rng = np.random.default_rng(21)
-    for p, n in [(3, 2), (3, 3)]:
-        for _ in range(20):
-            sub = random_submodule(p, n, rng)
-            members = span_set(sub.generator)
-            assert len(members) == p**n
-            for v in itertools.islice(iter_module_vectors(p, n), 0, None, 7):
-                assert sub.contains(v) == (v.flatten() in members)
-
-
-def test_elements_enumerates_the_span():
-    sub = CyclicSubmodule(3, 2, "A", (1, 2))
-    got = {v.flatten() for v in sub.elements()}
-    assert got == span_set(sub.generator)
-    assert len(got) == 9
 
 
 def test_intersection_example():
@@ -314,7 +247,7 @@ def test_intersection_against_set_oracle_exhaustive():
             if meet.size_exponent > 0:
                 gen = meet.generator
                 assert span_set(gen) == common
-                assert n1.contains(gen) and n2.contains(gen)
+                assert gen.flatten() in s1 and gen.flatten() in s2
             else:
                 assert meet.generator is None
 
@@ -444,10 +377,8 @@ def test_projection_is_the_module_image():
     for _ in range(25):
         sub = random_submodule(3, 3, rng)
         low = project(sub, 2)
-        image = {
-            (v.first.truncate(2).coeffs + v.second.truncate(2).coeffs)
-            for v in sub.elements()
-        }
+        # a flattened level-3 vector is (first[0:3], second[0:3])
+        image = {flat[:2] + flat[3:5] for flat in span_set(sub.generator)}
         assert image == span_set(low.generator)
 
 
