@@ -5,14 +5,19 @@ row spans. Elimination keeps everything in exact integer arithmetic.
 
 Input matrices are read through `_entries`, the one integer check, so
 floats raise `ValueError` rather than being truncated. `rref` reduces one
-matrix and serves `nullspace`, the subspace code and the tests as the
-reference; the nonzero rows of its result are the row space's one canonical
-basis, and `nullspace` returns the kernel's, its reduced row echelon form.
+matrix and serves the subspace code and the tests as the reference; the
+nonzero rows of its result are the row space's one canonical basis.
 `rref_stack` reduces a whole (N, rows, cols) stack at once, with each matrix
-pivoting on its own. Both take the pivot step that
-`rref_stack` describes, with one inverse table per prime built by Fermat's
-little theorem, the library's only modular inverse. The table has p
-entries, so p should be one of the library's small primes. `reduce_rows` is
+pivoting on its own. `nullspace_stack` reads the kernel of every matrix of a
+stack off one such elimination, in its reduced row echelon form; the
+isotropic search reads the socle kernels of a batch of states off it, and
+`nullspace`, its one-matrix case, serves `FpSubspace.orthogonal_complement`
+and the tests. `rref` and `rref_stack` take the pivot step that
+`rref_stack` describes, with one inverse table per modulus built by Fermat's
+little theorem, the library's only modular inverse. The table is checked
+once per modulus, so a modulus that is not prime raises `ValueError` instead
+of eliminating with wrong inverses; it has p entries, so p should be one of
+the library's small primes. `reduce_rows` is
 the one reduction against an rref basis, which it takes as given: exactly
 the nonzero rows of an rref with the given pivot columns. It is also the one
 membership test: a row lies in the span exactly when its residual is zero.
@@ -51,8 +56,11 @@ def as_matrix(rows, p: int, width: int | None = None) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _inverse_table(p: int) -> np.ndarray:
-    """inv[a] = a^(-1) mod p for a in [1, p), and inv[0] = 0."""
+    """inv[a] = a^(-1) mod p for a in [1, p), and inv[0] = 0; ValueError
+    unless p is prime, the one case where every a in [1, p) is inverted."""
     table = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
+    if p < 2 or (np.arange(1, p) * table[1:] % p != 1).any():
+        raise ValueError(f"elimination needs a prime modulus, got {p}")
     table.setflags(write=False)
     return table
 
@@ -98,10 +106,10 @@ def rref_stack(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     if a.ndim != 3:
         raise ValueError("stack must be 3-dimensional")
     count, nrows, ncols = a.shape
+    inverses = _inverse_table(p)
     pivots = np.full((count, nrows), -1, dtype=np.int64)
     if count == 0 or nrows == 0:
         return a, pivots
-    inverses = _inverse_table(p)
     every = np.arange(count)
     row_ids = np.arange(nrows)
     r = np.zeros(count, dtype=np.int64)
@@ -133,26 +141,38 @@ def rank(mat, p: int) -> int:
     return len(rref(mat, p)[1])
 
 
-def nullspace(mat, p: int) -> np.ndarray:
-    """The reduced row echelon basis of the kernel {x : mat @ x == 0 mod p}.
+def nullspace_stack(stack, p: int) -> np.ndarray:
+    """The kernel {x : mat @ x == 0 mod p} of every matrix of an (N, rows,
+    cols) stack, as an (N, cols, cols) array: the nonzero rows of its k-th
+    matrix, in order, are the reduced row echelon basis of stack[k]'s
+    kernel, and its other rows are zero.
 
-    With mat's columns reversed, each free column f of its rref gives a
-    kernel row with a 1 at f, zeros at the other free columns and entries
-    only at pivot columns before f. Flipping columns and rows back leads
-    each row with its 1, at a free column zero in every other row, in
-    increasing column order. A vector is read as one row.
+    With a matrix's columns reversed, each free column f of its rref R gives
+    a kernel row with a 1 at f, zeros at the other free columns and -R[i, f]
+    at the pivot column of each row i. Once R's rows are moved to the rows
+    named by their pivot columns, row f of I - R^T is that kernel row, and
+    the row of a pivot column is zero, since R is the identity on its pivot
+    columns. Flipping columns and rows back leads each kernel row with its
+    1, at a free column zero in every other row, in increasing column order.
     """
+    a = np.asarray(stack)
+    if a.ndim != 3:
+        raise ValueError("stack must be 3-dimensional")
+    count, _, ncols = a.shape
+    reduced, pivots = rref_stack(a[:, :, ::-1], p)
+    # rows of R without a pivot (column -1) land on the spare last row
+    placed = np.zeros((count, ncols + 1, ncols), dtype=np.int64)
+    placed[np.arange(count)[:, None], pivots] = reduced
+    kernels = (np.eye(ncols, dtype=np.int64) - placed[:, :-1].transpose(0, 2, 1)) % p
+    return kernels[:, ::-1, ::-1]
+
+
+def nullspace(mat, p: int) -> np.ndarray:
+    """The reduced row echelon basis of the kernel {x : mat @ x == 0 mod p}:
+    nullspace_stack's one-matrix case. A vector is read as one row."""
     a = as_matrix(mat, p, width=np.shape(mat)[-1])
-    r, piv = rref(a[:, ::-1], p)
-    ncols = a.shape[1]
-    pivot_set = set(piv)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for i, c in enumerate(free):
-        basis[i, c] = 1
-        for row, pc in enumerate(piv):
-            basis[i, pc] = (-int(r[row, c])) % p
-    return basis[::-1, ::-1]
+    kernel = nullspace_stack(a[None], p)[0]
+    return kernel[kernel.any(axis=1)]
 
 
 def reduce_rows(basis_rref: np.ndarray, pivots, rows, p: int) -> np.ndarray:

@@ -90,6 +90,29 @@ def test_nullspace_is_the_reduced_echelon_basis_of_the_kernel(p):
         assert not (mat @ ns.T % p).any()
 
 
+@pytest.mark.parametrize("p", [3, 5, 97])
+def test_nullspace_stack_gives_each_matrix_its_echelon_kernel(p):
+    """Every matrix of one stack, whatever its rank and pivots, gets the
+    reduced row echelon basis of its own kernel among zero rows."""
+    rng = np.random.default_rng(p + 1)
+    stack = rng.integers(0, p, size=(12, 4, 6))
+    stack[0] = 0
+    stack[1, :, :2] = 0
+    stack[2, 3] = (2 * stack[2, 0] + stack[2, 1]) % p
+    stack[3, :, ::2] = 0
+    kernels = linalg.nullspace_stack(stack, p)
+    assert kernels.shape == (12, 6, 6)
+    for mat, kernel in zip(stack, kernels):
+        ns = kernel[kernel.any(axis=1)]
+        assert len(ns) == 6 - linalg.rank(mat, p)
+        reduced, piv = linalg.rref(ns, p)
+        assert len(piv) == len(ns) and (reduced == ns).all()
+        assert not (mat @ ns.T % p).any()
+    assert linalg.nullspace_stack(np.zeros((0, 2, 5), dtype=np.int64), p).shape == (0, 5, 5)
+    with pytest.raises(ValueError, match="3-dimensional"):
+        linalg.nullspace_stack(stack[0], p)
+
+
 def test_reduce_rows_membership():
     p = 3
     mat = np.array([[1, 0, 2], [0, 1, 1]], dtype=np.int64)
@@ -176,6 +199,24 @@ def test_inverse_table():
         assert not inv.flags.writeable
         with pytest.raises(ValueError):
             inv[1] = 0
+
+
+@pytest.mark.parametrize("p", [1, 4, 9])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: linalg.rref([[2, 1], [1, 1]], p),
+        lambda p: linalg.rref_stack([[[3, 1]]], p),
+        lambda p: linalg.nullspace([[1, 2]], p),
+        lambda p: linalg.nullspace_stack([[[1, 2]]], p),
+    ],
+    ids=["rref", "rref_stack", "nullspace", "nullspace_stack"],
+)
+def test_eliminations_refuse_a_modulus_that_is_not_prime(call, p):
+    # mod 4 the Fermat "inverse" of 2 is 0, so an elimination would scale a
+    # pivot row to zero and report a wrong rank instead of failing
+    with pytest.raises(ValueError, match=f"prime modulus, got {p}"):
+        call(p)
 
 
 def test_nilpotent_block_sizes_known_forms():

@@ -353,7 +353,9 @@ def test_enumeration_rejects_a_child_out_of_echelon_form(monkeypatch, torsion):
     # must catch it before a wrong subspace is built, and name the torsion
     # levels, which p and n alone do not determine
     monkeypatch.setattr(
-        pairing, "_socle_kernel", lambda shape, state: np.eye(shape.dim, dtype=np.int64)
+        pairing,
+        "_socle_kernels",
+        lambda shape, states: [np.eye(shape.dim, dtype=np.int64) for _ in states],
     )
     levels = re.escape(f"torsion levels {torsion}")
     with pytest.raises(InvariantError, match=f"socle extension.*{levels}.*p=3, n=1"):
@@ -472,23 +474,72 @@ def test_orderly_generation_builds_each_state_once(monkeypatch):
 def test_socle_kernel_is_the_echelon_basis_of_its_definition(shape):
     # brute force over all of V: w zero on the state's pivots, orthogonal
     # to the state, with T w in the state; the states are the first 20
-    # Lagrangians and every state on their parent chains
+    # Lagrangians and every state on their parent chains, in one batch per
+    # dimension, so a batch mixes pivot sets and dimension 0 is one
     p = shape.p
     action = t_action_matrix(shape)
     gram = gram_matrix(shape)
     space = FpSubspace(shape, np.eye(shape.dim, dtype=np.int64)).vectors()
     lagrangians = [r.subspace for r in enumerate_maximal_isotropic(shape)][:20]
+    by_dim = collections.defaultdict(dict)
     for lagrangian in lagrangians:
         for k in range(lagrangian.dim + 1):
             state = FpSubspace(shape, lagrangian.basis[k:])
+            by_dim[state.dim][state.key()] = state
+    assert 0 in by_dim
+    assert any(len({s.pivots for s in batch.values()}) > 1 for batch in by_dim.values())
+    for batch in by_dim.values():
+        states = list(batch.values())
+        kernels = pairing._socle_kernels(shape, states)
+        assert len(kernels) == len(states)
+        for state, kernel in zip(states, kernels):
             members = space[~space[:, list(state.pivots)].any(axis=1)]
             members = members[~(members @ gram @ state.basis.T % p).any(axis=1)]
             shifted = reduce_rows(state.basis, state.pivots, members @ action % p, p)
             reduced, pivots = rref(members[~shifted.any(axis=1)], p)
             expected = reduced[: len(pivots)]
-            kernel = pairing._socle_kernel(shape, state)
             assert kernel.shape == expected.shape
             assert (kernel == expected).all()
+
+
+def _reports(shape):
+    return [
+        (r, r.subspace.key(), r.subspace.pivots) for r in enumerate_maximal_isotropic(shape)
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("shape", [SpaceShape(3, 1, (1, 1)), SpaceShape(3, 3, (1,))], ids=str)
+def test_search_chunk_size_leaves_the_reports_unchanged(monkeypatch, shape, chunk):
+    # the reports compare all five diagnostics and the subspace, in order
+    expected = _reports(shape)
+    monkeypatch.setattr(pairing, "SEARCH_CHUNK", chunk)
+    assert _reports(shape) == expected
+
+
+def test_search_reads_kernels_off_stacked_eliminations(monkeypatch):
+    expanded = []
+    stacks = []
+    socle_kernels = pairing._socle_kernels
+    rref_stack = pairing.linalg.rref_stack
+
+    def counting_kernels(shape, states):
+        expanded.append(len(states))
+        return socle_kernels(shape, states)
+
+    def counting_stack(stack, p):
+        stacks.append(len(stack))
+        return rref_stack(stack, p)
+
+    def refused(*args):
+        raise AssertionError("the search called linalg.nullspace")
+
+    monkeypatch.setattr(pairing, "_socle_kernels", counting_kernels)
+    monkeypatch.setattr(pairing.linalg, "rref_stack", counting_stack)
+    monkeypatch.setattr(pairing.linalg, "nullspace", refused)
+    assert len(list(enumerate_maximal_isotropic(SpaceShape(3, 1, (1, 1))))) == 1120
+    assert stacks == expanded
+    assert len(stacks) < sum(expanded)
 
 
 @st.composite
