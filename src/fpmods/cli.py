@@ -46,7 +46,7 @@ from .errors import InvariantError, ResourceBoundError
 from .pairing import SpaceShape, enumerate_maximal_isotropic
 from .probability import (
     RngSpec,
-    SampledCollisions,
+    SampledExponents,
     collision_probability_census,
     collision_probability_exact,
     intersection_bound,
@@ -227,7 +227,7 @@ def _exhaustive_fields(config: ExperimentConfig, n: int) -> dict:
     return dict(exact=exact, extra=extra)
 
 
-def _sampled_fields(res: SampledCollisions, *extra: str) -> dict:
+def _sampled_fields(res: SampledExponents, *extra: str) -> dict:
     return dict(
         exact=res.exact,
         empirical=res.frequency,
@@ -250,10 +250,12 @@ def _montecarlo_fields(config: ExperimentConfig, n: int) -> dict:
 
 def _tower_fields(config: ExperimentConfig, n: int) -> dict:
     res = tower_experiment(config.prime, n, config.trials, RngSpec(config.seed))
+    # pairs distinct at the top (v < n) stabilize from level n0 = v + 1 on
+    distinct = {v: c for v, c in res.exponent_counts.items() if v < n}
     return _sampled_fields(
         res,
-        _counts_extra("v", res.exponent_counts),
-        _counts_extra("n0_", res.stabilization_level_counts),
+        _counts_extra("v", distinct),
+        _counts_extra("n0_", {v + 1: c for v, c in distinct.items()}),
     )
 
 

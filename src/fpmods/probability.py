@@ -24,12 +24,15 @@ drawing a submodule.
 Monte Carlo and tower trials run as one numpy kernel over trial-index
 arrays, in fixed chunks of CHUNK_TRIALS, using the closed forms on canonical
 indices: v is the first differing digit for kind-'A' pairs, min(1 + first
-differing digit, n) for kind-'B' pairs and 0 for mixed pairs; the quotient
-by the sum is cyclic of size p^v, and tower stage k has exponent min(v, k).
-In every call, for both modes, the first trial of each observed (kind pair,
-v) class is recomputed through the scalar path: `SubmoduleTower.from_top`
-of each submodule and `intersect` at every stage k must give min(v, k); a
-disagreement raises InvariantError naming (p, n, seed, trial).
+differing digit, n) for kind-'B' pairs and 0 for mixed pairs. Both modes
+return the same histogram of v, a `SampledExponents`, read two ways: by
+`monte_carlo` as intersection sizes p^v, with the quotient by the sum cyclic
+of size p^v, and by `tower_experiment` as a tower whose stage k has exponent
+min(v, k). In every call, for both modes, the first trial of each observed
+(kind pair, v) class is recomputed through the scalar path:
+`SubmoduleTower.from_top` of each submodule and `intersect` at every stage k
+must give min(v, k); a disagreement raises InvariantError naming (p, n,
+seed, trial).
 """
 
 from __future__ import annotations
@@ -320,14 +323,32 @@ def _exponent_census(p: int, n: int, trials: int, spec: RngSpec) -> np.ndarray:
     return counts.reshape(_KIND_PAIRS, width).sum(axis=0)
 
 
-def _nonzero(by_exponent: np.ndarray) -> dict:
-    return {v: int(c) for v, c in enumerate(by_exponent.tolist()) if c}
+@dataclass(frozen=True)
+class SampledExponents:
+    """The intersection exponents v of `trials` sampled pairs at `level`.
 
+    `exponent_counts` maps each observed v in [0, level], in increasing
+    order, to its number of trials; v = level is a collision, an equal pair.
+    Read down a tower, the intersection exponent of a pair at stage k is
+    min(v, k): a pair distinct at the top stabilizes from level v + 1 on,
+    and an equal pair has exponent k at every level k. Violations raise
+    instead of being recorded. `stderr` is the binomial standard error of
+    the collision frequency at the exact probability.
+    """
 
-class SampledCollisions:
-    """The collision frequency of a sampled result with ``collisions``,
-    ``trials`` and ``exact``, and its binomial standard error at the exact
-    probability."""
+    p: int
+    level: int
+    trials: int
+    seed: int
+    exponent_counts: dict
+
+    @property
+    def collisions(self) -> int:
+        return self.exponent_counts.get(self.level, 0)
+
+    @property
+    def exact(self) -> Fraction:
+        return collision_probability_exact(self.p, self.level)
 
     @property
     def frequency(self) -> Fraction:
@@ -338,39 +359,32 @@ class SampledCollisions:
         q = float(self.exact)
         return sqrt(q * (1 - q) / self.trials)
 
-
-@dataclass(frozen=True)
-class MonteCarloResult(SampledCollisions):
-    """Aggregated collision and intersection statistics for sampled pairs."""
-
-    p: int
-    level: int
-    trials: int
-    seed: int
-    collisions: int
-    exponent_counts: dict
-    quotient_structure_counts: dict
-    exact: Fraction
-
     @property
     def delta(self) -> float:
         return float(self.frequency - self.exact)
 
 
-def monte_carlo(p: int, n: int, trials: int, spec: RngSpec) -> MonteCarloResult:
+def _sampled_exponents(p: int, n: int, trials: int, spec: RngSpec) -> SampledExponents:
+    counts = _exponent_census(p, n, trials, spec).tolist()
+    exps = {v: c for v, c in enumerate(counts) if c}
+    return SampledExponents(p, n, trials, spec.seed, exps)
+
+
+def monte_carlo(p: int, n: int, trials: int, spec: RngSpec) -> SampledExponents:
     """Sample pairs trials [0, trials) with the kernel, cross-check each
     observed class through the scalar path, aggregate."""
-    exps = _nonzero(_exponent_census(p, n, trials, spec))
-    return MonteCarloResult(
-        p=p,
-        level=n,
-        trials=trials,
-        seed=spec.seed,
-        collisions=exps.get(n, 0),
-        exponent_counts=exps,
-        quotient_structure_counts={((v,) if v else ()): c for v, c in exps.items()},
-        exact=collision_probability_exact(p, n),
-    )
+    return _sampled_exponents(p, n, trials, spec)
+
+
+def tower_experiment(p: int, n: int, trials: int, spec: RngSpec) -> SampledExponents:
+    """Sample pairs at the top level n and track intersections down the tower.
+
+    The result is `monte_carlo`'s for the same arguments. This stays a def
+    of its own, not an alias or a call of `monte_carlo`, so that a profiler
+    that wraps functions by name (as perfbench/layers.py does) times the
+    two modes apart.
+    """
+    return _sampled_exponents(p, n, trials, spec)
 
 
 @dataclass(frozen=True)
@@ -455,42 +469,4 @@ def pushforward_consistency(p: int, n: int, m: int) -> PushforwardReport:
             low.index(): count for low, (count, _) in fibers.items() if count
         },
         stray_counts=dict(strays),
-    )
-
-
-@dataclass(frozen=True)
-class TowerReport(SampledCollisions):
-    """Stabilization statistics for sampled tower pairs.
-
-    For a pair distinct at the top, the intersection exponent at level k is
-    min(v, k) where v is the exponent at the top, so it stabilizes from
-    level v + 1 on; equal pairs have exponent k at every level k. Violations
-    raise instead of being recorded.
-    """
-
-    p: int
-    max_level: int
-    trials: int
-    seed: int
-    collisions: int
-    exponent_counts: dict
-    stabilization_level_counts: dict
-    exact: Fraction
-
-
-def tower_experiment(
-    p: int, max_level: int, trials: int, spec: RngSpec
-) -> TowerReport:
-    """Sample pairs at the top level and track intersections down the tower."""
-    by_exponent = _exponent_census(p, max_level, trials, spec)
-    exps = _nonzero(by_exponent[:max_level])
-    return TowerReport(
-        p=p,
-        max_level=max_level,
-        trials=trials,
-        seed=spec.seed,
-        collisions=int(by_exponent[max_level]),
-        exponent_counts=exps,
-        stabilization_level_counts={v + 1: c for v, c in exps.items()},
-        exact=collision_probability_exact(p, max_level),
     )

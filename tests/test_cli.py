@@ -302,7 +302,48 @@ def test_tower_rows_match_library():
     assert row.empirical == res.frequency
     assert row.stderr == res.stderr
     assert f"collisions={res.collisions}" in row.extra
-    assert "n0_" in row.extra
+
+
+def _extra_counts(extra: dict, prefix: str) -> dict:
+    return {
+        int(key[len(prefix):]): int(count)
+        for key, count in extra.items()
+        if key.startswith(prefix) and key[len(prefix):].isdigit()
+    }
+
+
+@pytest.mark.parametrize(
+    "prime, level, trials, seed",
+    [(3, 1, 300, 0), (3, 2, 2000, 7), (3, 4, 3000, 11), (5, 3, 1000, 2**64 - 1)],
+)
+def test_tower_rows_relabel_montecarlo_rows(prime, level, trials, seed):
+    """Both modes render one histogram of v at the same (p, level, trials,
+    seed): the tower keeps the v below the level and labels each with the
+    level n0 = v + 1 from which its pair's intersection stabilizes."""
+    rows = {}
+    for mode in ("montecarlo", "tower"):
+        report = run(
+            config(mode=mode, prime=prime, levels=(level,), trials=trials, seed=seed)
+        )
+        (rows[mode],) = csv.DictReader(io.StringIO(render_csv(report)))
+    mc, tower = rows["montecarlo"], rows["tower"]
+    for cell in ("exact_num", "exact_den", "exact_decimal", "empirical", "stderr",
+                 "trials", "seed"):
+        assert tower[cell] == mc[cell], cell
+    mc_extra, tower_extra = (
+        dict(part.split("=") for part in row["extra"].split(";")) for row in (mc, tower)
+    )
+    assert tower_extra["collisions"] == mc_extra["collisions"]
+    mc_v = _extra_counts(mc_extra, "v")
+    assert int(mc_extra["collisions"]) == mc_v.get(level, 0)
+    tower_v = _extra_counts(tower_extra, "v")
+    assert tower_v == {v: c for v, c in mc_v.items() if v < level}
+    n0 = _extra_counts(tower_extra, "n0_")
+    assert n0 and all(count == mc_v[level0 - 1] for level0, count in n0.items())
+    assert n0.keys() == {v + 1 for v in tower_v}
+    assert set(tower_extra) == {
+        "collisions", *(f"v{v}" for v in tower_v), *(f"n0_{k}" for k in n0)
+    }
 
 
 def test_isotropic_rows():

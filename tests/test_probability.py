@@ -22,6 +22,7 @@ from fpmods import (
     project,
     pushforward_consistency,
     sample_pair,
+    sum_and_quotient,
     tower_experiment,
 )
 from fpmods.errors import ResourceBoundError
@@ -112,7 +113,6 @@ def test_monte_carlo_matches_exact_within_four_sigma():
     assert abs(float(res.frequency) - float(res.exact)) <= 4 * res.stderr
     assert res.collisions == res.exponent_counts.get(2, 0)
     assert sum(res.exponent_counts.values()) == res.trials
-    assert sum(res.quotient_structure_counts.values()) == res.trials
 
 
 def test_monte_carlo_exponents_match_exhaustive_distribution():
@@ -121,16 +121,17 @@ def test_monte_carlo_exponents_match_exhaustive_distribution():
     exact_counts = Counter(
         intersect(a, b).size_exponent for a in forms for b in forms
     )
+    # duality over every pair: the quotient by the sum is cyclic of order p^v,
+    # so the exponent histogram is also the quotient-structure histogram
+    assert Counter(
+        sum_and_quotient(a, b).cyclic_structure for a in forms for b in forms
+    ) == {(() if v == 0 else (v,)): c for v, c in exact_counts.items()}
     total_pairs = len(forms) ** 2
     res = monte_carlo(p, n, 20_000, RngSpec(13))
     for v, pairs in exact_counts.items():
         q = pairs / total_pairs
         tol = 4 * (q * (1 - q) / res.trials) ** 0.5
         assert abs(res.exponent_counts.get(v, 0) / res.trials - q) <= tol
-    # duality held trial by trial: structures are single blocks keyed by v
-    assert {
-        (() if v == 0 else (v,)): c for v, c in res.exponent_counts.items()
-    } == res.quotient_structure_counts
 
 
 def test_monte_carlo_seed_sensitivity():
@@ -372,11 +373,13 @@ def test_pushforward_rejects_bad_levels():
 def test_tower_experiment_report():
     trials = 3000
     report = tower_experiment(3, 3, trials, RngSpec(21))
+    assert (report.level, report.trials, report.seed) == (3, trials, 21)
     assert report.exact == Fraction(1, 36)
-    assert sum(report.exponent_counts.values()) + report.collisions == trials
-    assert report.stabilization_level_counts == {
-        v + 1: c for v, c in report.exponent_counts.items()
-    }
+    assert sum(report.exponent_counts.values()) == trials
+    assert report.collisions == report.exponent_counts.get(3, 0)
+    assert set(report.exponent_counts) <= {0, 1, 2, 3}
+    # one histogram read two ways: the tower's is the Monte Carlo one
+    assert report == monte_carlo(3, 3, trials, RngSpec(21))
     expected = float(report.exact)
     tol = 4 * (expected * (1 - expected) / trials) ** 0.5
     assert abs(report.collisions / trials - expected) <= tol
