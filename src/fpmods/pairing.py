@@ -43,6 +43,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -203,17 +204,21 @@ _set_element_shape, _set_element_coords = slot_setters(SpaceElement)
 
 @lru_cache(maxsize=None)
 def _block_gram(p: int, m: int) -> np.ndarray:
-    """Pairing matrix of one level-m block on the basis T^i u, T^j v."""
-    one = TruncatedSeries.one(p, m)
-    s = TruncatedSeries.group_generator(p, m).inverse() - one
-    a = np.zeros((m, m), dtype=np.int64)
-    inv_pow = one
-    for j in range(m):
-        for i in range(m):
-            shifted = TruncatedSeries.monomial(p, m, i) * inv_pow
-            a[i, j] = shifted.group_basis()[0]
-        inv_pow = inv_pow * s
-    return a
+    """Pairing matrix of one level-m block on the basis T^i u, T^j v:
+    (T^i u, T^j v) = (-1)^i * C(m-1-i, j) mod p.
+
+    The entry is eps(T^i * inv(T)^j). T^k = (g - 1)^k has g^0 coefficient
+    (-1)^k, so eps(x) = sum_k (-1)^k x_k, and inv(T) = g^(-1) - 1 =
+    -T (1+T)^(-1). The T^k coefficient of T^(i+j) (1+T)^(-j) is
+    (-1)^(k-i-j) C(k-i-1, j-1) for k >= i + j and j >= 1, so
+    eps(T^i * inv(T)^j) = (-1)^i * sum_{t=j-1}^{m-i-2} C(t, j-1), which the
+    hockey-stick identity sums to (-1)^i * C(m-1-i, j); at j = 0 it is
+    eps(T^i) = (-1)^i = (-1)^i * C(m-1-i, 0).
+    """
+    return np.array(
+        [[(-1) ** i * comb(m - 1 - i, j) % p for j in range(m)] for i in range(m)],
+        dtype=np.int64,
+    )
 
 
 @lru_cache(maxsize=None)

@@ -56,7 +56,6 @@ from .submodules import (
     project,
 )
 
-MAX_CENSUS_FORMS = 2_000
 MAX_UNIFORMITY_FORMS = 4_000_000
 CHUNK_TRIALS = 1 << 14
 
@@ -105,14 +104,9 @@ def collision_probability_census(p: int, n: int) -> Fraction:
 
     Over all N^2 ordered pairs of enumerated forms, a form occurring c times
     collides in c^2 of them, so the census needs one pass, not N^2 compares.
-    A census of more than MAX_CENSUS_FORMS forms raises ResourceBoundError.
+    enumerate_maximal bounds that pass: above MAX_ENUM_SUBMODULES forms it
+    raises ResourceBoundError.
     """
-    total = count_maximal(p, n)
-    if total > MAX_CENSUS_FORMS:
-        raise ResourceBoundError(
-            f"{total} forms at (p={p}, n={n}) exceed the census bound "
-            f"{MAX_CENSUS_FORMS}"
-        )
     multiplicity = Counter(enumerate_maximal(p, n))
     pairs = sum(multiplicity.values()) ** 2
     return Fraction(sum(c * c for c in multiplicity.values()), pairs)

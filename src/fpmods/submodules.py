@@ -20,6 +20,12 @@ module's only use of linear algebra. Projections to lower levels truncate
 the canonical parameter and lifting enumerates the p^(m-n) parameter
 extensions, in canonical index order.
 
+The lattice operations (the index, `enumerate_maximal`, `intersect`,
+`sum_and_quotient`, `project`, `lifts` and towers) read only the canonical
+parameters. Series arithmetic lives in the vector-level oracles:
+`CyclicSubmodule.generator`, `basis_rows`, `ModuleVector` and
+`iter_module_vectors`.
+
 Validation happens at the public boundary, once per call: the
 `CyclicSubmodule(...)` constructor checks every field, and
 `enumerate_maximal`, `CyclicSubmodule.from_index`, `project` and `lifts`
@@ -203,7 +209,7 @@ def count_maximal_generators(p: int, n: int) -> int:
 def enumerate_maximal(p: int, n: int) -> Iterator[CyclicSubmodule]:
     """All maximal cyclic submodules in canonical index order.
 
-    Checks (p, n) and the census bound once, not each yielded form.
+    Checks (p, n) and the enumeration bound once, not each yielded form.
     """
     total = count_maximal(p, n)
     if total > MAX_ENUM_SUBMODULES:
@@ -240,14 +246,10 @@ def census_maximal_generators(p: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class Intersection:
-    """N1 meet N2: a cyclic module of size p^size_exponent.
-
-    The generator is T^(n - size_exponent) times the first canonical
-    generator, or None for the trivial intersection.
-    """
+    """N1 meet N2: the cyclic module T^(n - size_exponent) * N1, of size
+    p^size_exponent (the zero module when size_exponent is 0)."""
 
     size_exponent: int
-    generator: ModuleVector | None
 
 
 def _check_pair(n1: CyclicSubmodule, n2: CyclicSubmodule) -> None:
@@ -280,20 +282,15 @@ def intersect(n1: CyclicSubmodule, n2: CyclicSubmodule) -> Intersection:
     and mixed pairs meet trivially, v = 0: tau*(1, g) = sigma*(T h, 1)
     forces tau = sigma*T*h and sigma = tau*g, so tau*(1 - g*T*h) = 0, and
     1 - g*T*h is a unit, so tau = 0. In every case the intersection is the
-    unique size-p^v submodule T^(n-v) * N1 of N1.
+    unique size-p^v submodule T^(n-v) * N1 of N1, so a generator of it is
+    n1.generator.scaled(TruncatedSeries.monomial(p, n, n - v)) for v > 0.
     """
     _check_pair(n1, n2)
-    n = n1.level
     if n1.kind != n2.kind:
-        v = 0
-    elif n1.kind == "A":
-        v = _diff_valuation(n1.param, n2.param)
-    else:
-        v = min(1 + _diff_valuation(n1.param, n2.param), n)
-    if v == 0:
-        return Intersection(0, None)
-    t_shift = TruncatedSeries.monomial(n1.p, n, n - v)
-    return Intersection(v, n1.generator.scaled(t_shift))
+        return Intersection(0)
+    if n1.kind == "A":
+        return Intersection(_diff_valuation(n1.param, n2.param))
+    return Intersection(min(1 + _diff_valuation(n1.param, n2.param), n1.level))
 
 
 @dataclass(frozen=True)

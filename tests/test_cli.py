@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fpmods import cli
+from fpmods import TruncatedSeries, cli, pairing
 from fpmods.cli import (
     CSV_COLUMNS,
     EXIT_INVARIANT,
@@ -506,7 +506,7 @@ def test_main_resource_bound_exit(tmp_path, capsys):
         "--prime",
         "97",
         "--levels",
-        "2",
+        "3",
         "--output",
         str(tmp_path / "x"),
     )
@@ -514,12 +514,45 @@ def test_main_resource_bound_exit(tmp_path, capsys):
     assert "resource bound" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("prime, code", [(43, EXIT_OK), (47, EXIT_RESOURCE)])
+@pytest.mark.parametrize("prime, code", [(19, EXIT_OK), (23, EXIT_RESOURCE)])
 def test_main_exhaustive_census_boundary(tmp_path, capsys, prime, code):
-    # the census bound is 2,000 forms: 1,892 at (43, 2), 2,256 at (47, 2)
-    argv = ("--mode", "exhaustive", "--prime", str(prime), "--levels", "2")
+    # the census walks enumerate_maximal, bounded at 10,000 forms: 7,220 at
+    # (19, 3), 12,696 at (23, 3)
+    argv = ("--mode", "exhaustive", "--prime", str(prime), "--levels", "3")
     assert run_main(tmp_path, *argv, "--output", str(tmp_path / "x")) == code
-    assert ("census bound" in capsys.readouterr().err) == (code == EXIT_RESOURCE)
+    assert ("enumeration bound" in capsys.readouterr().err) == (code == EXIT_RESOURCE)
+
+
+# One op per mode; montecarlo and tower re-check classes with v > 0, and
+# isotropic builds the Gram matrix of a level-3 block.
+NO_SERIES_OPS = {
+    "count": "--prime 3 --levels 1,2,3",
+    "exhaustive": "--prime 3 --levels 1,2,3",
+    "montecarlo": "--prime 3 --levels 1,3 --trials 2000",
+    "tower": "--prime 5 --levels 1,2,7 --trials 500",
+    "isotropic": "--prime 3 --levels 3 --shape 1",
+}
+
+
+@pytest.mark.parametrize("mode", NO_SERIES_OPS)
+def test_no_mode_builds_a_series(tmp_path, monkeypatch, mode):
+    # every mode computes on canonical digits and integer matrices: with
+    # TruncatedSeries unconstructible it still writes the same CSV bytes
+    argv = ["--mode", mode, *NO_SERIES_OPS[mode].split()]
+
+    def csv_bytes(name: str) -> bytes:
+        assert cli.main([*argv, "--output", str(tmp_path / name)]) == EXIT_OK
+        return (tmp_path / f"{name}.csv").read_bytes()
+
+    want = csv_bytes("plain")
+    pairing._block_gram.cache_clear()
+    pairing.gram_matrix.cache_clear()
+
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError(f"{mode} built a TruncatedSeries")
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", refuse)
+    assert csv_bytes("patched") == want
 
 
 def test_main_io_error_exit(tmp_path, capsys):

@@ -148,6 +148,27 @@ def test_bilinearity_and_gram_consistency():
             assert x.pair(y) == int(x.to_vector() @ gram @ y.to_vector() % p)
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [
+        SpaceShape(3, 9),
+        SpaceShape(5, 5),
+        SpaceShape(7, 7),
+        SpaceShape(97, 1),
+        SpaceShape(3, 3, (9,)),
+    ],
+    ids=lambda shape: f"{shape.p}-{shape.rank_level}-{shape.torsion_levels}",
+)
+def test_gram_matrix_entries_equal_the_series_pairing(shape):
+    # gram_matrix is a closed form; SpaceElement.pair multiplies series
+    basis = [
+        SpaceElement.from_vector(shape, row)
+        for row in np.eye(shape.dim, dtype=np.int64)
+    ]
+    want = [[x.pair(y) for y in basis] for x in basis]
+    assert gram_matrix(shape).tolist() == want
+
+
 def test_equivariance_on_random_triples():
     rng = np.random.default_rng(32)
     for shape in ACCEPTANCE_SHAPES:

@@ -225,13 +225,20 @@ def test_distinct_canonical_forms_are_distinct_modules():
         assert len(set(spans)) == len(spans)
 
 
+def meet_generator(n1: CyclicSubmodule, v: int) -> ModuleVector:
+    """A generator of T^(n - v) * N1, which intersect documents as N1 meet N2."""
+    shift = TruncatedSeries.monomial(n1.p, n1.level, n1.level - v)
+    return n1.generator.scaled(shift)
+
+
 def test_intersection_example():
     n1 = CyclicSubmodule(3, 2, "A", (0, 0))
     n2 = CyclicSubmodule(3, 2, "A", (0, 1))
     meet = intersect(n1, n2)
     assert meet.size_exponent == 1
-    assert meet.generator is not None
-    assert meet.generator.flatten() == (0, 1, 0, 0)
+    gen = meet_generator(n1, meet.size_exponent)
+    assert gen.flatten() == (0, 1, 0, 0)
+    assert span_set(gen) == span_set(n1.generator) & span_set(n2.generator)
 
 
 def test_intersection_against_set_oracle_exhaustive():
@@ -245,11 +252,11 @@ def test_intersection_against_set_oracle_exhaustive():
             common = s1 & s2
             assert len(common) == p**meet.size_exponent
             if meet.size_exponent > 0:
-                gen = meet.generator
+                gen = meet_generator(n1, meet.size_exponent)
                 assert span_set(gen) == common
                 assert gen.flatten() in s1 and gen.flatten() in s2
             else:
-                assert meet.generator is None
+                assert common == {(0,) * (2 * n)}
 
 
 def test_intersection_against_set_oracle_sampled():
