@@ -32,7 +32,6 @@ import json
 import os
 import platform
 import sys
-import tempfile
 import time
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from datetime import datetime, timezone
@@ -53,7 +52,7 @@ from .probability import (
     monte_carlo,
     tower_experiment,
 )
-from .series import check_level, check_prime, is_int
+from .series import check_level, check_prime, is_int, is_power_of
 from .submodules import count_maximal, count_maximal_generators, enumerate_maximal
 
 EXIT_OK = 0
@@ -150,6 +149,9 @@ class ExperimentConfig:
         if not is_int(self.threads) or self.threads < 0:
             raise UsageError(f"threads must be an integer >= 0, got {self.threads!r}")
         if self.mode == "isotropic":
+            for n in self.levels:
+                if not is_power_of(n, self.prime):
+                    raise UsageError(f"levels: level {n} is not a power of {self.prime}")
             try:
                 for n in self.levels:
                     SpaceShape(self.prime, n, self.shape)
@@ -357,13 +359,11 @@ def render_json(report: ExperimentReport) -> str:
 def _stage(path: str, text: str) -> str:
     """Write text to a new temp file beside path and return its name."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fpmods-")
+    tmp = os.path.join(directory, f".fpmods-{os.urandom(8).hex()}")
+    # 0666 less the umask, applied by the kernel: the mode open() would give
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            # mkstemp creates the file 0600; give it the mode open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
     except BaseException:
         _discard(tmp)
@@ -398,9 +398,12 @@ def emit(report: ExperimentReport) -> list[str]:
         for path, tmp in staged.items():
             os.replace(tmp, path)
             placed.append(path)
-    except BaseException:
+    except BaseException as e:
         for name in [*staged.values(), *placed]:
             _discard(name)
+        if isinstance(e, OSError):
+            # name the report being staged or renamed, not its temp file
+            raise OSError(e.errno, e.strerror, path) from e
         raise
     return list(texts)
 

@@ -226,12 +226,11 @@ def gram_matrix(shape: SpaceShape) -> np.ndarray:
     """Gram matrix of the pairing on the flattened coordinate basis."""
     p = shape.p
     g = np.zeros((shape.dim, shape.dim), dtype=np.int64)
-    offset = 0
-    for m in shape.block_levels:
+    for b, m in enumerate(shape.block_levels):
         a = _block_gram(p, m)
-        g[offset : offset + m, offset + m : offset + 2 * m] = a
-        g[offset + m : offset + 2 * m, offset : offset + m] = (-a.T) % p
-        offset += 2 * m
+        u, v = shape.generator_slice(b, 0), shape.generator_slice(b, 1)
+        g[u, v] = a
+        g[v, u] = (-a.T) % p
     g.setflags(write=False)
     return g
 

@@ -12,7 +12,8 @@ is below p and marks kind 'B' when it equals p, and n-1 digits in [0, p),
 the remaining parameter coefficients. Every submodule is exactly equally
 likely and kind 'A' has probability p/(p+1). Weighted by p^j, digit j
 sums with the others to the canonical index, which `sample_pair` decodes
-through `CyclicSubmodule.from_index`. Each digit is a SplitMix64-mixed
+through `CyclicSubmodule.from_index`; it returns the two forms, a tuple
+(n1, n2) of `CyclicSubmodule`s. Each digit is a SplitMix64-mixed
 64-bit word keyed by (seed, trial, coordinate, digit, attempt), a
 counter-based draw in the manner of Salmon et al. (SC'11); a word at or above
 the largest multiple of the digit's bound is rejected and redrawn with the
@@ -75,18 +76,6 @@ class RngSpec:
     def __post_init__(self):
         if not is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-
-
-@dataclass(frozen=True)
-class PairSample:
-    """Two independently sampled maximal submodules at a common (p, level)."""
-
-    n1: CyclicSubmodule
-    n2: CyclicSubmodule
-
-    def __post_init__(self):
-        if self.n1.p != self.n2.p or self.n1.level != self.n2.level:
-            raise ValueError("pair must share p and level")
 
 
 def collision_probability_exact(p: int, n: int) -> Fraction:
@@ -178,10 +167,6 @@ def _digit(keys: np.ndarray, coord: int, j: int, bound: int) -> np.ndarray:
     return _uniform(_stream(keys, coord, j), bound)
 
 
-def _top_digit(p: int, n: int, keys: np.ndarray, coord: int) -> np.ndarray:
-    return _digit(keys, coord, n - 1, p + 1)
-
-
 def _pair_exponents(
     p: int, n: int, keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -190,8 +175,8 @@ def _pair_exponents(
     kind pair is 2 * [first is kind B] + [second is kind B], and p^v is the
     size of the intersection.
     """
-    top1 = _top_digit(p, n, keys, 0)
-    top2 = _top_digit(p, n, keys, 1)
+    top1 = _digit(keys, 0, n - 1, p + 1)
+    top2 = _digit(keys, 1, n - 1, p + 1)
     # first differing lower digit, n - 1 when all n - 1 of them agree;
     # descending j leaves the smallest differing j in place
     first = np.full(len(keys), n - 1, dtype=np.int64)
@@ -208,14 +193,17 @@ def _pair_exponents(
 def _kernel_indices(p: int, n: int, keys: np.ndarray, coord: int) -> np.ndarray:
     """Canonical indices of submodule `coord` for each trial key (int64, so
     only for censuses below 2^63)."""
-    index = _top_digit(p, n, keys, coord)
+    index = _digit(keys, coord, n - 1, p + 1)
     for j in range(n - 2, -1, -1):
         index = index * p + _digit(keys, coord, j, p)
     return index
 
 
-def sample_pair(p: int, n: int, spec: RngSpec, trial: int) -> PairSample:
-    """The trial-th pair: exactly the pair the sampling kernel uses for it.
+def sample_pair(
+    p: int, n: int, spec: RngSpec, trial: int
+) -> tuple[CyclicSubmodule, CyclicSubmodule]:
+    """The trial-th pair (n1, n2): exactly the two forms the sampling kernel
+    uses for it.
 
     trial is an integer in [0, 2^64), the kernel's range of trial indices.
     """
@@ -231,7 +219,7 @@ def sample_pair(p: int, n: int, spec: RngSpec, trial: int) -> PairSample:
         CyclicSubmodule.from_index(p, n, sum(d * p**j for j, d in enumerate(digits)))
         for digits in _uniform(streams, bounds).reshape(2, n).tolist()
     )
-    return PairSample(n1, n2)
+    return n1, n2
 
 
 def chi_square_uniformity(
@@ -266,14 +254,11 @@ def _check_trial(p: int, n: int, spec: RngSpec, trial: int, kinds: int, v: int) 
 
     Stage n is the top intersection; its v is also the quotient's exponent.
     """
-    pair = sample_pair(p, n, spec, trial)
-    stages = zip(
-        SubmoduleTower.from_top(pair.n1).stages,
-        SubmoduleTower.from_top(pair.n2).stages,
-    )
+    n1, n2 = sample_pair(p, n, spec, trial)
+    stages = zip(SubmoduleTower.from_top(n1).stages, SubmoduleTower.from_top(n2).stages)
     got = {
-        "kind pair": 2 * (pair.n1.kind == "B") + (pair.n2.kind == "B"),
-        "collision": pair.n1 == pair.n2,
+        "kind pair": 2 * (n1.kind == "B") + (n2.kind == "B"),
+        "collision": n1 == n2,
         "stage exponents": [intersect(a, b).size_exponent for a, b in stages],
     }
     want = {

@@ -12,7 +12,7 @@ which is exactly when g has multiplicative order equal to the level.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from functools import lru_cache
+from math import comb
 from operator import attrgetter, index
 from typing import Iterable
 
@@ -59,15 +59,6 @@ def is_power_of(n: int, base: int) -> bool:
             return False
         n //= base
     return n == 1
-
-
-@lru_cache(maxsize=None)
-def _binomials(size: int) -> tuple[tuple[int, ...], ...]:
-    rows = [[1] + [0] * (size - 1)]
-    for i in range(1, size):
-        prev = rows[-1]
-        rows.append([1] + [prev[j - 1] + prev[j] for j in range(1, size)])
-    return tuple(tuple(r) for r in rows)
 
 
 class Frozen:
@@ -283,12 +274,11 @@ class TruncatedSeries(Frozen):
         n, p = self.level, self.p
         if not is_power_of(n, p):
             raise ValueError(f"group basis needs a level that is a power of {p}, got {n}")
-        binom = _binomials(n)
         out = []
         for j in range(n):
             acc = 0
             for i in range(j, n):
-                term = self.coeffs[i] * binom[i][j]
+                term = self.coeffs[i] * comb(i, j)
                 acc += -term if (i - j) & 1 else term
             out.append(acc % p)
         return tuple(out)

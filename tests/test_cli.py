@@ -355,9 +355,12 @@ def test_isotropic_rows():
 
 
 def test_isotropic_bad_shape_is_usage_error():
-    with pytest.raises(UsageError, match="shape"):
+    with pytest.raises(UsageError, match="^shape: "):
         run(config(mode="isotropic", levels=(1,), shape=(5,)))
-    with pytest.raises(UsageError, match="shape"):
+
+
+def test_isotropic_bad_level_is_a_levels_error():
+    with pytest.raises(UsageError, match="^levels: level 2 is not a power of 3$"):
         run(config(mode="isotropic", levels=(2,), shape=()))
 
 
@@ -568,7 +571,9 @@ def test_main_io_error_exit(tmp_path, capsys):
         str(tmp_path / "missing" / "deep" / "x"),
     )
     assert code == EXIT_IO
-    assert "i/o error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "i/o error" in err
+    assert "x.csv" in err and ".fpmods-" not in err
 
 
 def test_main_invariant_exit(tmp_path, capsys, monkeypatch):
@@ -678,6 +683,27 @@ def test_reports_get_umask_default_mode(tmp_path, umask):
         assert os.stat(f"{out}.{ext}").st_mode & 0o777 == 0o666 & ~umask
 
 
+def test_staging_never_touches_the_umask(tmp_path, monkeypatch):
+    def forbidden(mask):
+        raise AssertionError("staging changed the process umask")
+
+    umask = 0o027
+    old = os.umask(umask)
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(cli.os, "umask", forbidden)
+            out = str(tmp_path / "rep")
+            code = run_main(
+                tmp_path, "--mode", "count", "--prime", "3", "--levels", "1",
+                "--output", out, "--format", "both",
+            )
+    finally:
+        os.umask(old)
+    assert code == EXIT_OK
+    for ext in ("csv", "json"):
+        assert os.stat(f"{out}.{ext}").st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_emit_both_writes_nothing_when_a_render_fails(tmp_path, monkeypatch):
     report = run(config(format="both", output=str(tmp_path / "rep")))
 
@@ -690,7 +716,9 @@ def test_emit_both_writes_nothing_when_a_render_fails(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
-def test_emit_both_writes_nothing_when_staging_the_second_fails(tmp_path, monkeypatch):
+def test_emit_both_writes_nothing_when_staging_the_second_fails(
+    tmp_path, monkeypatch, capsys
+):
     real_fdopen = os.fdopen
     opened = []
 
@@ -709,9 +737,13 @@ def test_emit_both_writes_nothing_when_staging_the_second_fails(tmp_path, monkey
     assert code == EXIT_IO
     assert len(opened) == 2
     assert os.listdir(tmp_path) == []
+    err = capsys.readouterr().err
+    assert "No space left on device" in err and "rep.json" in err
 
 
-def test_emit_both_writes_nothing_when_the_second_rename_fails(tmp_path, monkeypatch):
+def test_emit_both_writes_nothing_when_the_second_rename_fails(
+    tmp_path, monkeypatch, capsys
+):
     real_replace = os.replace
     renamed = []
 
@@ -729,6 +761,8 @@ def test_emit_both_writes_nothing_when_the_second_rename_fails(tmp_path, monkeyp
     assert code == EXIT_IO
     assert renamed == [str(tmp_path / "rep.csv"), str(tmp_path / "rep.json")]
     assert os.listdir(tmp_path) == []
+    err = capsys.readouterr().err
+    assert "rep.json" in err and ".fpmods-" not in err
 
 
 @pytest.mark.parametrize("prime, shape", [("97", "1"), ("13", "1,1")])

@@ -73,11 +73,12 @@ def test_sample_pair_deterministic_and_independent():
     again = sample_pair(3, 3, RngSpec(7), 11)
     assert pair == again
     other_trial = sample_pair(3, 3, spec, 12)
-    assert (pair.n1, pair.n2) != (other_trial.n1, other_trial.n2)
+    assert pair != other_trial
 
 
 def test_sample_pair_accepts_every_kernel_trial():
-    assert sample_pair(3, 2, RngSpec(5), 2**64 - 1).n1.level == 2
+    n1, n2 = sample_pair(3, 2, RngSpec(5), 2**64 - 1)
+    assert n1.level == n2.level == 2
 
 
 @pytest.mark.parametrize("trial", [True, 1.5, -1, 2**64])
