@@ -19,8 +19,11 @@ counter-based draw in the manner of Salmon et al. (SC'11); a word at or above
 the largest multiple of the digit's bound is rejected and redrawn with the
 next attempt (Lemire, ACM TOMACS 2019), so digits are exactly uniform. Every
 draw is a pure function of (seed, trial, coordinate), so results do not
-depend on how trials are chunked. This kernel is the library's only way of
-drawing a submodule.
+depend on how trials are chunked or batched. This kernel is the library's
+only way of drawing a submodule, and `_draw_pairs`, which draws the digits
+of any list of trials in one stacked call and decodes them with Python
+ints, is its only way of decoding pairs; `sample_pair` is its one-trial
+case.
 
 Monte Carlo and tower trials run as one numpy kernel over trial-index
 arrays, in fixed chunks of CHUNK_TRIALS, using the closed forms on canonical
@@ -30,10 +33,12 @@ return the same histogram of v, a `SampledExponents`, read two ways: by
 `monte_carlo` as intersection sizes p^v, with the quotient by the sum cyclic
 of size p^v, and by `tower_experiment` as a tower whose stage k has exponent
 min(v, k). In every call, for both modes, the first trial of each observed
-(kind pair, v) class is recomputed through the scalar path:
-`SubmoduleTower.from_top` of each submodule and `intersect` at every stage k
-must give min(v, k); a disagreement raises InvariantError naming (p, n,
-seed, trial).
+(kind pair, v) class is recomputed through the scalar path. The pairs of
+all classes new in a chunk come from one stacked draw; they are then
+re-checked one by one, in ascending class order: `SubmoduleTower.from_top`
+of each submodule and `intersect` at every stage k must give min(v, k); the
+first disagreement raises InvariantError naming (p, n, seed, trial), which
+`sample_pair(p, n, RngSpec(seed), trial)` reproduces.
 """
 
 from __future__ import annotations
@@ -119,20 +124,32 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
-    """One 64-bit key per trial in [start, stop), a pure function of (seed, trial)."""
+def _trial_keys(seed: int, start, stop: int | None = None) -> np.ndarray:
+    """One 64-bit key per trial, a pure function of (seed, trial).
+
+    The trials are [start, stop), or, when stop is None, the sequence of
+    trial indices `start`, in its order.
+    """
     root = _mix64(np.array([seed], dtype=np.uint64))
-    trials = np.arange(start, stop, dtype=np.uint64)
+    if stop is None:
+        trials = np.array(start, dtype=np.uint64)
+    else:
+        trials = np.arange(start, stop, dtype=np.uint64)
     return _mix64(root + (trials + 1) * np.uint64(_GOLDEN))
 
 
-def _stream(keys: np.ndarray, coord: int, j: int) -> np.ndarray:
-    """Keys offset for digit j of submodule `coord`.
+def _stream_offset(coord: int, j: int) -> int:
+    """Offset of digit j of submodule `coord` from the trial key.
 
     Attempt a of the digit mixes key + c * golden with counter
     c = (a << 9 | coord << 8 | j) + 1, that is, stream + a * _ATTEMPT_STEP.
     """
-    return keys + np.uint64(((coord << 8 | j) + 1) * _GOLDEN % 2**64)
+    return ((coord << 8 | j) + 1) * _GOLDEN % 2**64
+
+
+def _stream(keys: np.ndarray, coord: int, j: int) -> np.ndarray:
+    """Keys offset for digit j of submodule `coord`."""
+    return keys + np.uint64(_stream_offset(coord, j))
 
 
 def _accept_max(bound: np.ndarray) -> np.ndarray:
@@ -199,6 +216,30 @@ def _kernel_indices(p: int, n: int, keys: np.ndarray, coord: int) -> np.ndarray:
     return index
 
 
+def _draw_pairs(
+    p: int, n: int, seed: int, trials: list[int]
+) -> list[tuple[CyclicSubmodule, CyclicSubmodule]]:
+    """The pair (n1, n2) of each trial in `trials`, from one stacked draw.
+
+    The 2n digit streams of every trial go through a single `_uniform`
+    call; its rejection rule acts per element, so each digit is the one a
+    draw of its trial alone gives. Indices are summed as Python ints, since
+    the census exceeds int64 at large (p, n).
+    """
+    keys = _trial_keys(seed, trials)
+    offsets = [_stream_offset(c, j) for c in (0, 1) for j in range(n)]
+    streams = keys + np.array(offsets, dtype=np.uint64)[:, None]
+    bounds = np.repeat(([p] * (n - 1) + [p + 1]) * 2, len(trials))
+    digits = _uniform(streams.reshape(-1), bounds).reshape(2, n, len(trials))
+    # digit j has weight p^j, so a top digit p gives index p^n + lower, kind B
+    weights = [p**j for j in range(n)]
+    forms = [
+        CyclicSubmodule.from_index(p, n, sum(d * w for d, w in zip(row, weights)))
+        for row in digits.transpose(2, 0, 1).reshape(-1, n).tolist()
+    ]
+    return list(zip(forms[::2], forms[1::2]))
+
+
 def sample_pair(
     p: int, n: int, spec: RngSpec, trial: int
 ) -> tuple[CyclicSubmodule, CyclicSubmodule]:
@@ -206,20 +247,15 @@ def sample_pair(
     uses for it.
 
     trial is an integer in [0, 2^64), the kernel's range of trial indices.
+    This is the one-trial case of the stacked draw with which the sampled
+    modes' cross-check decodes all new classes of a chunk at once, so it
+    reproduces any trial an InvariantError names.
     """
     check_prime(p)
     check_level(n)
     if not is_int(trial) or not 0 <= trial < 2**64:
         raise ValueError(f"trial must be an integer in [0, 2^64), got {trial!r}")
-    keys = _trial_keys(spec.seed, trial, trial + 1)
-    streams = np.concatenate([_stream(keys, c, j) for c in (0, 1) for j in range(n)])
-    bounds = ([p] * (n - 1) + [p + 1]) * 2
-    # digit j has weight p^j, so a top digit p gives index p^n + lower, kind B
-    n1, n2 = (
-        CyclicSubmodule.from_index(p, n, sum(d * p**j for j, d in enumerate(digits)))
-        for digits in _uniform(streams, bounds).reshape(2, n).tolist()
-    )
-    return n1, n2
+    return _draw_pairs(p, n, spec.seed, [trial])[0]
 
 
 def chi_square_uniformity(
@@ -249,38 +285,47 @@ def chi_square_uniformity(
     return stat, count - 1
 
 
-def _check_trial(p: int, n: int, spec: RngSpec, trial: int, kinds: int, v: int) -> None:
-    """Recompute one kernel trial through the scalar path; raise on mismatch.
+def _check_trials(
+    p: int, n: int, spec: RngSpec, checks: list[tuple[int, int, int]]
+) -> None:
+    """Recompute kernel trials through the scalar path; raise on a mismatch.
 
-    Stage n is the top intersection; its v is also the quotient's exponent.
+    `checks` holds (trial, kind pair, v) in ascending class order. All the
+    pairs come from one stacked draw, then each is checked in turn, so the
+    first failing class is the one reported. Stage n is the top
+    intersection; its v is also the quotient's exponent.
     """
-    n1, n2 = sample_pair(p, n, spec, trial)
-    stages = zip(SubmoduleTower.from_top(n1).stages, SubmoduleTower.from_top(n2).stages)
-    got = {
-        "kind pair": 2 * (n1.kind == "B") + (n2.kind == "B"),
-        "collision": n1 == n2,
-        "stage exponents": [intersect(a, b).size_exponent for a, b in stages],
-    }
-    want = {
-        "kind pair": kinds,
-        "collision": v == n,
-        "stage exponents": [min(v, k) for k in range(1, n + 1)],
-    }
-    for key in want:
-        if got[key] != want[key]:
-            raise InvariantError(
-                f"sampling kernel disagrees with the scalar path on the "
-                f"{key}: kernel {want[key]}, scalar {got[key]}",
-                p=p, n=n, seed=spec.seed, trial=trial,
-            )
+    pairs = _draw_pairs(p, n, spec.seed, [trial for trial, _, _ in checks])
+    for (trial, kinds, v), (n1, n2) in zip(checks, pairs):
+        stages = zip(
+            SubmoduleTower.from_top(n1).stages, SubmoduleTower.from_top(n2).stages
+        )
+        got = {
+            "kind pair": 2 * (n1.kind == "B") + (n2.kind == "B"),
+            "collision": n1 == n2,
+            "stage exponents": [intersect(a, b).size_exponent for a, b in stages],
+        }
+        want = {
+            "kind pair": kinds,
+            "collision": v == n,
+            "stage exponents": [min(v, k) for k in range(1, n + 1)],
+        }
+        for key in want:
+            if got[key] != want[key]:
+                raise InvariantError(
+                    f"sampling kernel disagrees with the scalar path on the "
+                    f"{key}: kernel {want[key]}, scalar {got[key]}",
+                    p=p, n=n, seed=spec.seed, trial=trial,
+                )
 
 
 def _exponent_census(p: int, n: int, trials: int, spec: RngSpec) -> np.ndarray:
     """Trial counts by v (index 0..n) over trials [0, trials).
 
     Validates (p, n, trials) for both sampled modes. Works in chunks of
-    CHUNK_TRIALS so memory stays flat; the first trial of every newly
-    observed (kind pair, v) class goes through _check_trial.
+    CHUNK_TRIALS so memory stays flat; the first trials of all newly
+    observed (kind pair, v) classes of a chunk go to one _check_trials call,
+    in ascending class order.
     """
     check_prime(p)
     check_level(n)
@@ -294,10 +339,12 @@ def _exponent_census(p: int, n: int, trials: int, spec: RngSpec) -> np.ndarray:
         chunk = np.bincount(classes, minlength=len(counts))
         if ((chunk > 0) & (counts == 0)).any():
             seen, first = np.unique(classes, return_index=True)
-            for cls, i in zip(seen.tolist(), first.tolist()):
-                if counts[cls] == 0:
-                    kind_pair, exponent = divmod(cls, width)
-                    _check_trial(p, n, spec, start + i, kind_pair, exponent)
+            new = counts[seen] == 0
+            checks = [
+                (start + i, *divmod(cls, width))
+                for cls, i in zip(seen[new].tolist(), first[new].tolist())
+            ]
+            _check_trials(p, n, spec, checks)
         counts += chunk
     return counts.reshape(_KIND_PAIRS, width).sum(axis=0)
 

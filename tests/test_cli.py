@@ -3,9 +3,11 @@ import io
 import json
 import os
 import platform
+import subprocess
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -556,6 +558,31 @@ def test_no_mode_builds_a_series(tmp_path, monkeypatch, mode):
 
     monkeypatch.setattr(TruncatedSeries, "__init__", refuse)
     assert csv_bytes("patched") == want
+
+
+def test_no_mode_imports_numpy_ma(tmp_path):
+    # a plain np.unique(x) imports numpy.ma, 1.3-1.6 MB of peak RSS in a
+    # fresh interpreter; no mode may pay that
+    ops = [
+        ["--mode", mode, *args.split(), "--format", "both",
+         "--output", str(tmp_path / mode)]
+        for mode, args in NO_SERIES_OPS.items()
+    ]
+    script = (
+        "import sys\n"
+        "from fpmods.cli import main\n"
+        f"codes = [main(argv) for argv in {ops!r}]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == f"{[EXIT_OK] * len(ops)} False"
 
 
 def test_main_io_error_exit(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 from fpmods import (
+    CyclicSubmodule,
     InvariantError,
     QuotientStructure,
     RngSpec,
@@ -25,6 +26,8 @@ from fpmods import (
 from fpmods import probability
 from fpmods.probability import (
     CHUNK_TRIALS,
+    _digit,
+    _draw_pairs,
     _kernel_indices,
     _pair_exponents,
     _trial_keys,
@@ -176,20 +179,71 @@ def test_tower_equals_scalar_reference():
 
 
 def test_oracle_runs_once_per_observed_class(monkeypatch):
-    checked = []
-    original = probability._check_trial
+    checked, drawn = [], []
+    check, draw = probability._check_trials, probability._draw_pairs
 
-    def spy(p, n, spec, trial, kinds, v):
-        checked.append((kinds, v))
-        original(p, n, spec, trial, kinds, v)
+    def spy_check(p, n, spec, checks):
+        checked.append(list(checks))
+        check(p, n, spec, checks)
 
-    monkeypatch.setattr(probability, "_check_trial", spy)
+    def spy_draw(p, n, seed, trials):
+        drawn.append(list(trials))
+        return draw(p, n, seed, trials)
+
+    monkeypatch.setattr(probability, "_check_trials", spy_check)
+    monkeypatch.setattr(probability, "_draw_pairs", spy_draw)
     p, n, spec, trials = 3, 3, RngSpec(3), 2 * CHUNK_TRIALS
     monte_carlo(p, n, trials, spec)
     kinds, v = _pair_exponents(p, n, _trial_keys(spec.seed, 0, trials))
-    observed = set(zip(kinds.tolist(), v.tolist()))
-    assert sorted(checked) == sorted(observed)
-    assert len(checked) == len(set(checked))
+    classes = (kinds * (n + 1) + v).tolist()
+    first = {}
+    for t, cls in enumerate(classes):
+        first.setdefault(divmod(cls, n + 1), t)
+    flat = [c for call in checked for c in call]
+    # every observed class exactly once, at its first trial
+    assert sorted(c[1:] for c in flat) == sorted(first)
+    assert all(first[c[1:]] == c[0] for c in flat)
+    # one batch per chunk at most, each in ascending class order and drawn once
+    assert 1 <= len(checked) <= 2
+    for call in checked:
+        assert [c[1:] for c in call] == sorted(c[1:] for c in call)
+    assert drawn == [[t for t, _, _ in call] for call in checked]
+
+
+# unsorted, with repeats, from both ends of the trial range
+DRAW_TRIALS = [5, 0, 2**64 - 1, 17, 5, 2**63, 0, 3, 2**64 - 1, 1]
+
+
+def digit_by_digit_pair(p, n, seed, trial):
+    """The trial's pair from one `_digit` call per digit, indices as ints."""
+    keys = _trial_keys(seed, trial, trial + 1)
+    indices = [
+        sum(
+            int(_digit(keys, coord, j, p + 1 if j == n - 1 else p)[0]) * p**j
+            for j in range(n)
+        )
+        for coord in (0, 1)
+    ]
+    return tuple(CyclicSubmodule.from_index(p, n, i) for i in indices)
+
+
+@pytest.mark.parametrize("redraw", [False, True], ids=["plain", "half-rejected"])
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 3), (97, 12)])
+def test_stacked_draw_equals_sample_pair(p, n, redraw, monkeypatch):
+    if redraw:  # the patch of test_rejected_words_are_redrawn
+        monkeypatch.setattr(
+            probability,
+            "_accept_max",
+            lambda bound: np.uint64(2**63) // bound * bound - 1,
+        )
+    for spec in (RngSpec(0), RngSpec(404), RngSpec(2**64 - 1)):
+        pairs = _draw_pairs(p, n, spec.seed, DRAW_TRIALS)
+        assert pairs == [sample_pair(p, n, spec, t) for t in DRAW_TRIALS]
+        assert pairs == [
+            digit_by_digit_pair(p, n, spec.seed, t) for t in DRAW_TRIALS
+        ]
+        if (p, n) == (97, 12):  # beyond int64: decoded with Python ints
+            assert max(form.index() for pair in pairs for form in pair) >= 2**63
 
 
 def _corrupt_trial(trial, n):
