@@ -27,14 +27,18 @@ members of M vanishing on every column up to r_1's pivot, is T-stable and
 isotropic, and T r_1 lies in P. P is M's parent, and M is the span of P and
 a vector w that is orthogonal to P, has T w in P, vanishes on P's pivots and
 leads with a 1 before them; all such w come from one kernel per state.
-The search expands states in batches of at most SEARCH_CHUNK, all of one
-dimension, and reads the kernels of a whole batch off one stacked
-elimination (linalg.rref_stack); the frontier it holds is at most the
-children of one batch per dimension.
+The search holds its states as arrays, not as FpSubspace objects: a batch
+of at most SEARCH_CHUNK states, all of one dimension, is one array of
+echelon bases and one of pivots. It reads the kernels of a whole batch off
+one stacked elimination (linalg.rref_stack) and builds the batch's children
+as one array; the frontier it holds is at most the children of one batch
+per dimension. FpSubspace objects are made only for the results, as they
+are yielded.
 
-The decomposition diagnostics of each Lagrangian found are read off its
-echelon basis in closed form, by duality, with no elimination (see
-_lagrangian_diagnostics).
+The decomposition diagnostics of the Lagrangians found are read off their
+echelon bases in closed form, by duality, with no elimination, for all
+results at once (see _lagrangian_diagnostics; isotropic_diagnostics is its
+one-subspace case).
 """
 
 from __future__ import annotations
@@ -215,10 +219,12 @@ def _block_gram(p: int, m: int) -> np.ndarray:
     hockey-stick identity sums to (-1)^i * C(m-1-i, j); at j = 0 it is
     eps(T^i) = (-1)^i = (-1)^i * C(m-1-i, 0).
     """
-    return np.array(
+    a = np.array(
         [[(-1) ** i * comb(m - 1 - i, j) % p for j in range(m)] for i in range(m)],
         dtype=np.int64,
     )
+    a.setflags(write=False)
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -370,12 +376,16 @@ def isotropic_diagnostics(sub: FpSubspace) -> MaximalIsotropic:
         raise ValueError(
             f"need an isotropic T-stable subspace of half dimension, got {sub!r}"
         )
-    return _lagrangian_diagnostics(sub)
+    (report,) = _lagrangian_diagnostics(
+        sub.shape, [sub], sub.basis[None], np.array([sub.pivots], dtype=np.int64)
+    )
+    return report
 
 
-def _lagrangian_diagnostics(sub: FpSubspace) -> MaximalIsotropic:
-    """isotropic_diagnostics without the check, read off the echelon basis B
-    of the T-stable Lagrangian L = sub.
+def _lagrangian_diagnostics(shape: SpaceShape, subspaces, bases, pivots):
+    """isotropic_diagnostics without the check, for every T-stable Lagrangian
+    L of subspaces at once, read off the stacked echelon bases B, an
+    (N, dim L, dim) array of any integer dtype, and their (N, dim L) pivots.
 
     Let R be the rank block (columns 0..2n-1, u_0 then v_0, n the rank
     level) and S the torsion blocks, so R^perp = S and L^perp = L.
@@ -396,18 +406,19 @@ def _lagrangian_diagnostics(sub: FpSubspace) -> MaximalIsotropic:
       (2n - d) + (dim L - d) = dim L, that is when d = n, which also gives M
       the dimension n: splits is d = n and M cyclic.
     """
-    shape = sub.shape
-    n = shape.rank_level
-    proj_dim = bisect_left(sub.pivots, shape.rank_dim)
-    cyclic = sub.pivots[0] == 0 or bool(sub.basis[:, n].any())
-    return MaximalIsotropic(
-        subspace=sub,
-        rank_projection_dim=proj_dim,
-        rank_intersection_dim=shape.rank_dim - proj_dim,
-        torsion_intersection_dim=sub.dim - proj_dim,
-        rank_intersection_cyclic=cyclic,
-        splits=proj_dim == n and cyclic,
-    )
+    n, rank_dim = shape.rank_level, shape.rank_dim
+    half = pivots.shape[1]
+    proj_dims = (pivots < rank_dim).sum(axis=1).tolist()
+    cyclic = ((pivots[:, 0] == 0) | bases[:, :, n].any(axis=1)).tolist()
+    for sub, d, c in zip(subspaces, proj_dims, cyclic):
+        yield MaximalIsotropic(
+            subspace=sub,
+            rank_projection_dim=d,
+            rank_intersection_dim=rank_dim - d,
+            torsion_intersection_dim=half - d,
+            rank_intersection_cyclic=c,
+            splits=d == n and c,
+        )
 
 
 @lru_cache(maxsize=None)
@@ -418,8 +429,12 @@ def _coefficients(p: int, count: int) -> np.ndarray:
     return out
 
 
-def _socle_kernels(shape: SpaceShape, states) -> list[np.ndarray]:
-    """For each of states, all of one dimension k, the reduced-row-echelon
+def _socle_kernels(
+    shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray
+) -> list[np.ndarray]:
+    """For each state of a batch, all of one dimension k, given as its
+    reduced-row-echelon basis in the (N, k, dim) int64 array bases and its
+    pivot columns in the (N, k) int64 array pivots: the reduced-row-echelon
     basis of the w that vanish on the state's pivot columns, are orthogonal
     to the state and have T w in the state.
 
@@ -433,8 +448,6 @@ def _socle_kernels(shape: SpaceShape, states) -> list[np.ndarray]:
     """
     p = shape.p
     action = t_action_matrix(shape)
-    bases = np.stack([state.basis for state in states])
-    pivots = np.array([state.pivots for state in states], dtype=np.int64)
     count, k, dim = bases.shape
     every = np.arange(count)[:, None]
     is_free = np.ones((count, dim), dtype=bool)
@@ -452,6 +465,71 @@ def _socle_kernels(shape: SpaceShape, states) -> list[np.ndarray]:
     out = np.zeros((count, dim - k, dim), dtype=np.int64)
     np.put_along_axis(out, free[:, None, :], kernels, axis=2)
     return [rows[kept] for rows, kept in zip(out, out.any(axis=2))]
+
+
+@lru_cache(maxsize=None)
+def _extensions(p: int, count: int, start: int, stop: int) -> np.ndarray:
+    """Coefficients, over the count rows of an echelon basis, of every vector
+    that is one row i in [start, stop) plus any combination of the rows after
+    it: by i, then lexicographically in the later coefficients."""
+    blocks = [np.zeros((0, count), dtype=np.int64)]
+    for i in range(start, stop):
+        later = _coefficients(p, count - 1 - i)
+        block = np.zeros((len(later), count), dtype=np.int64)
+        block[:, i] = 1
+        block[:, i + 1 :] = later
+        blocks.append(block)
+    out = np.concatenate(blocks)
+    out.setflags(write=False)
+    return out
+
+
+def _children(
+    shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The children of a batch of states of one dimension k, as the bases
+    (M, k + 1, dim) and pivots (M, k + 1) of their echelon bases
+    [w; state's basis], in state order (see enumerate_maximal_isotropic).
+
+    A state's kernel rows lead at increasing columns, so those leading in
+    [half - k - 1, first pivot) are a run, and one product with
+    _extensions lists every w of the state. The whole batch's w are then
+    checked at once: each must lead with a 1 before its state's first pivot
+    and vanish on its state's pivots, so that [w; state's basis] is in
+    reduced row echelon form, else InvariantError.
+    """
+    p, dim = shape.p, shape.dim
+    count, k = pivots.shape
+    lowest = dim // 2 - k - 1
+    firsts = pivots[:, 0] if k else np.full(count, dim)
+    rows, sizes = [], []
+    kernels = _socle_kernels(shape, bases, pivots)
+    for first, kernel in zip(firsts.tolist(), kernels):
+        leads = np.argmax(kernel != 0, axis=1).tolist()
+        coefficients = _extensions(
+            p, len(leads), bisect_left(leads, lowest), bisect_left(leads, first)
+        )
+        rows.append(coefficients @ kernel % p)
+        sizes.append(len(coefficients))
+    owner = np.repeat(np.arange(count), sizes)
+    w = np.concatenate(rows)
+    lead = np.argmax(w != 0, axis=1)
+    echelon = (
+        (lead < firsts[owner])
+        & (w[np.arange(len(w)), lead] == 1)
+        & ~np.take_along_axis(w, pivots[owner], axis=1).any(axis=1)
+    )
+    if not echelon.all():
+        first = firsts[owner[np.argmin(echelon)]]
+        raise InvariantError(
+            f"socle extension of a dimension-{k} state (torsion "
+            f"levels {shape.torsion_levels}) by a vector without a leading "
+            f"1 before its first pivot {first} or zeros on its pivots",
+            p=p, n=shape.rank_level,
+        )
+    child_bases = np.concatenate([w[:, None, :], bases[owner]], axis=1)
+    child_pivots = np.concatenate([lead[:, None], pivots[owner]], axis=1)
+    return child_bases, child_pivots
 
 
 def enumerate_maximal_isotropic(shape: SpaceShape):
@@ -475,64 +553,56 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
     dimension only if q >= half - j, since its descendants add rows with
     pivots before q; other children are not built.
 
-    The stack holds batches of states of one dimension. A popped batch gets
-    its kernels from one stacked elimination (_socle_kernels), and its
-    children are pushed in batches of at most SEARCH_CHUNK, so at each
-    dimension the stack holds at most the children of one batch, never a
-    whole level. Children of half dimension go straight to the results.
+    States are held as arrays, never as FpSubspace objects: a batch is an
+    (N, k, dim) int64 array of echelon bases and an (N, k) array of their
+    pivots, all of one dimension k. A popped batch gets its kernels from one
+    stacked elimination (_socle_kernels), its children are built as one
+    array of [w; P's basis] rows (_children) and pushed in batches of at most
+    SEARCH_CHUNK, so at each dimension the stack holds at most the children
+    of one batch, never a whole level. Children of half dimension go
+    straight to a compact result store, in the smallest unsigned dtypes that
+    hold their entries and pivots.
 
     States of half dimension equal their own complement, hence are maximal.
-    They are sorted by key and yielded with their diagnostics (see
-    _lagrangian_diagnostics). Cost is proportional to the number of T-stable
-    isotropic subspaces that can still reach half dimension, which is why
-    p^dim is bounded by MAX_SUBSPACE_VECTORS (so dim <= 12, as p >= 3); that
-    also bounds the p^m combinations listed for a kernel row with m rows
-    after it.
+    The store is sorted once, by its rows' bytes, which orders them as
+    FpSubspace.key does (each entry's bytes are those of its int64 key
+    padded with the same zero bytes). An FpSubspace with its int64 basis is
+    made only as each result is yielded, with diagnostics read for all
+    results at once (see _lagrangian_diagnostics). Cost is proportional to
+    the number of T-stable isotropic subspaces that can still reach half
+    dimension, which is why p^dim is bounded by MAX_SUBSPACE_VECTORS (so
+    dim <= 12, as p >= 3); that also bounds the p^m combinations listed for
+    a kernel row with m rows after it.
     """
     p = shape.p
     if p**shape.dim > MAX_SUBSPACE_VECTORS:
         raise ResourceBoundError(
             f"p^dim = {p ** shape.dim} member vectors exceed {MAX_SUBSPACE_VECTORS}"
         )
-    half = shape.dim // 2
+    dim, half = shape.dim, shape.dim // 2
+    entry, column = np.min_scalar_type(p - 1), np.min_scalar_type(dim - 1)
 
-    stack = [[FpSubspace(shape)]]
-    found: list[FpSubspace] = []
+    stack = [(np.zeros((1, 0, dim), dtype=np.int64), np.zeros((1, 0), dtype=np.int64))]
+    found_bases, found_pivots = [], []
     while stack:
-        batch = stack.pop()
-        children: list[FpSubspace] = []
-        for state, kernel in zip(batch, _socle_kernels(shape, batch)):
-            first = state.pivots[0] if state.dim else shape.dim
-            lowest = half - state.dim - 1
-            leads = np.argmax(kernel != 0, axis=1)
-            for i in np.flatnonzero((leads >= lowest) & (leads < first)):
-                later = kernel[i + 1 :]
-                rows = (kernel[i] + _coefficients(p, len(later)) @ later) % p
-                lead = np.argmax(rows != 0, axis=1)
-                echelon = (
-                    (lead < first)
-                    & (rows[np.arange(len(rows)), lead] == 1)
-                    & ~rows[:, list(state.pivots)].any(axis=1)
-                )
-                if not echelon.all():
-                    raise InvariantError(
-                        f"socle extension of a dimension-{state.dim} state (torsion "
-                        f"levels {shape.torsion_levels}) by a vector without a leading "
-                        f"1 before its first pivot {first} or zeros on its pivots",
-                        p=p, n=shape.rank_level,
-                    )
-                pivots = (int(leads[i]), *state.pivots)
-                for w in rows:
-                    children.append(
-                        FpSubspace._from_rref(shape, np.vstack([w, state.basis]), pivots)
-                    )
-        if batch[0].dim + 1 == half:
-            found.extend(children)
+        bases, pivots = _children(shape, *stack.pop())
+        if pivots.shape[1] == half:
+            found_bases.append(bases.astype(entry))
+            found_pivots.append(pivots.astype(column))
         else:
             stack.extend(
-                children[start : start + SEARCH_CHUNK]
-                for start in range(0, len(children), SEARCH_CHUNK)
+                (bases[start : start + SEARCH_CHUNK], pivots[start : start + SEARCH_CHUNK])
+                for start in range(0, len(bases), SEARCH_CHUNK)
             )
-    found.sort(key=FpSubspace.key)
-    for sub in found:
-        yield _lagrangian_diagnostics(sub)
+    # the span of the u coordinates is a T-stable Lagrangian, so found_* are
+    # never empty
+    bases, pivots = np.concatenate(found_bases), np.concatenate(found_pivots)
+    del found_bases, found_pivots
+    rows = bases.reshape(len(bases), -1)
+    order = np.argsort(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0])
+    bases, pivots = bases[order], pivots[order]
+    subspaces = (
+        FpSubspace._from_rref(shape, basis.astype(np.int64), tuple(piv.tolist()))
+        for basis, piv in zip(bases, pivots)
+    )
+    yield from _lagrangian_diagnostics(shape, subspaces, bases, pivots)

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import re
 
 import numpy as np
@@ -17,7 +18,7 @@ from fpmods import (
     isotropic_diagnostics,
     t_action_matrix,
 )
-from fpmods import pairing
+from fpmods import linalg, pairing
 from fpmods.errors import InvariantError, ResourceBoundError
 from fpmods.linalg import nullspace, rank, reduce_rows, rref
 
@@ -367,6 +368,55 @@ def test_enumeration_counts_dim_four_and_eight(shape, results, split):
         assert sub == sub.orthogonal_complement()
 
 
+@pytest.mark.parametrize(
+    "shape, results, split",
+    [
+        (SpaceShape(3, 1, (1, 1)), 1120, 160),
+        (SpaceShape(5, 1, (1, 1)), 19656, 936),
+        (SpaceShape(3, 1, (1, 1, 1)), 91840, 4480),
+    ],
+    ids=str,
+)
+def test_level_one_counts_follow_the_closed_forms(shape, results, split):
+    # level 1: T = 0 and g = half the dimension, so every Lagrangian counts,
+    # prod_{i<=g} (p^i + 1), and the split ones are a line of the rank
+    # block times a Lagrangian of the torsion blocks; streamed, so the
+    # largest shape's reports are never held at once
+    p, g = shape.p, shape.dim // 2
+    assert results == math.prod(p**i + 1 for i in range(1, g + 1))
+    assert split == (p + 1) * math.prod(p**i + 1 for i in range(1, g))
+    count = splits = 0
+    previous = b""
+    for report in enumerate_maximal_isotropic(shape):
+        key = report.subspace.key()
+        assert key > previous
+        previous = key
+        count += 1
+        splits += report.splits
+    assert (count, splits) == (results, split)
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [
+        lambda: gram_matrix(SpaceShape(3, 3, (1,))),
+        lambda: t_action_matrix(SpaceShape(3, 3, (1,))),
+        lambda: pairing._block_gram(3, 3),
+        lambda: pairing._coefficients(3, 2),
+        lambda: pairing._extensions(3, 3, 0, 2),
+        lambda: linalg._inverse_table(3),
+    ],
+    ids=["gram_matrix", "t_action_matrix", "_block_gram", "_coefficients", "_extensions",
+         "_inverse_table"],
+)
+def test_cached_arrays_are_read_only(cached):
+    # a write would change every later caller's copy
+    array = cached()
+    with pytest.raises(ValueError, match="read-only"):
+        array[(0,) * array.ndim] = 2
+    assert cached() is array
+
+
 @pytest.mark.parametrize("torsion", [(1,), (1, 1)], ids=["1", "1-1"])
 def test_enumeration_rejects_a_child_out_of_echelon_form(monkeypatch, torsion):
     # an identity "kernel" offers w that are nonzero on the state's pivots,
@@ -376,7 +426,7 @@ def test_enumeration_rejects_a_child_out_of_echelon_form(monkeypatch, torsion):
     monkeypatch.setattr(
         pairing,
         "_socle_kernels",
-        lambda shape, states: [np.eye(shape.dim, dtype=np.int64) for _ in states],
+        lambda shape, bases, pivots: [np.eye(shape.dim, dtype=np.int64) for _ in bases],
     )
     levels = re.escape(f"torsion levels {torsion}")
     with pytest.raises(InvariantError, match=f"socle extension.*{levels}.*p=3, n=1"):
@@ -477,6 +527,24 @@ def test_orderly_generation_matches_socle_bfs(shape):
 
 
 def test_orderly_generation_builds_each_state_once(monkeypatch):
+    # every expanded state (the bases handed to _socle_kernels) and every
+    # result is distinct; states of different dimensions differ in length
+    built = []
+    socle_kernels = pairing._socle_kernels
+
+    def recording(shape, bases, pivots):
+        built.extend(basis.tobytes() for basis in bases)
+        return socle_kernels(shape, bases, pivots)
+
+    monkeypatch.setattr(pairing, "_socle_kernels", recording)
+    found = list(enumerate_maximal_isotropic(SpaceShape(3, 1, (1, 1))))
+    assert len(found) == 1120
+    assert b"" in built
+    built.extend(r.subspace.key() for r in found)
+    assert len(built) == len(set(built))
+
+
+def test_search_builds_subspaces_only_for_results(monkeypatch):
     built = []
     from_rref = FpSubspace._from_rref.__func__
 
@@ -484,9 +552,14 @@ def test_orderly_generation_builds_each_state_once(monkeypatch):
         built.append(basis.tobytes())
         return from_rref(cls, shape, basis, pivots)
 
+    def refused(*args, **kwargs):
+        raise AssertionError("the search called np.vstack")
+
     monkeypatch.setattr(FpSubspace, "_from_rref", classmethod(recording))
-    assert len(list(enumerate_maximal_isotropic(SpaceShape(3, 1, (1, 1))))) == 1120
-    assert len(built) == len(set(built))
+    monkeypatch.setattr(np, "vstack", refused)
+    found = list(enumerate_maximal_isotropic(SpaceShape(3, 1, (1, 1))))
+    assert len(found) == 1120
+    assert built == [r.subspace.key() for r in found]
 
 
 @pytest.mark.parametrize(
@@ -511,7 +584,9 @@ def test_socle_kernel_is_the_echelon_basis_of_its_definition(shape):
     assert any(len({s.pivots for s in batch.values()}) > 1 for batch in by_dim.values())
     for batch in by_dim.values():
         states = list(batch.values())
-        kernels = pairing._socle_kernels(shape, states)
+        bases = np.stack([state.basis for state in states])
+        pivots = np.array([state.pivots for state in states], dtype=np.int64)
+        kernels = pairing._socle_kernels(shape, bases, pivots)
         assert len(kernels) == len(states)
         for state, kernel in zip(states, kernels):
             members = space[~space[:, list(state.pivots)].any(axis=1)]
@@ -544,9 +619,9 @@ def test_search_reads_kernels_off_stacked_eliminations(monkeypatch):
     socle_kernels = pairing._socle_kernels
     rref_stack = pairing.linalg.rref_stack
 
-    def counting_kernels(shape, states):
-        expanded.append(len(states))
-        return socle_kernels(shape, states)
+    def counting_kernels(shape, bases, pivots):
+        expanded.append(len(bases))
+        return socle_kernels(shape, bases, pivots)
 
     def counting_stack(stack, p):
         stacks.append(len(stack))
