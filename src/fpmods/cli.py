@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvariantError, ResourceBoundError
-from .pairing import SpaceShape, enumerate_maximal_isotropic
+from .pairing import SpaceShape, count_maximal_isotropic
 from .probability import (
     RngSpec,
     SampledExponents,
@@ -263,12 +263,9 @@ def _tower_fields(config: ExperimentConfig, n: int) -> dict:
 
 def _isotropic_fields(config: ExperimentConfig, n: int) -> dict:
     shape = SpaceShape(config.prime, n, config.shape)
-    splits = [report.splits for report in enumerate_maximal_isotropic(shape)]
-    extra = (
-        f"dim={shape.dim};splits_true={sum(splits)};"
-        f"splits_false={len(splits) - sum(splits)}"
-    )
-    return dict(exact=Fraction(len(splits)), extra=extra)
+    results, splits = count_maximal_isotropic(shape)
+    extra = f"dim={shape.dim};splits_true={splits};splits_false={results - splits}"
+    return dict(exact=Fraction(results), extra=extra)
 
 
 # Per mode, the fields of one level's row beyond mode, p, n, seed and runtime.

@@ -33,7 +33,9 @@ echelon bases and one of pivots. It reads the kernels of a whole batch off
 one stacked elimination (linalg.rref_stack) and builds the batch's children
 as one array; the frontier it holds is at most the children of one batch
 per dimension. FpSubspace objects are made only for the results, as they
-are yielded.
+are yielded. count_maximal_isotropic, the search's other outlet, stops one
+dimension short of half and counts the last children off the kernels, with
+no Lagrangian built.
 
 The decomposition diagnostics of the Lagrangians found are read off their
 echelon bases in closed form, by duality, with no elimination, for all
@@ -44,7 +46,6 @@ one-subspace case).
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -429,22 +430,22 @@ def _coefficients(p: int, count: int) -> np.ndarray:
     return out
 
 
-def _socle_kernels(
-    shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray
-) -> list[np.ndarray]:
+def _socle_kernels(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     """For each state of a batch, all of one dimension k, given as its
     reduced-row-echelon basis in the (N, k, dim) int64 array bases and its
     pivot columns in the (N, k) int64 array pivots: the reduced-row-echelon
     basis of the w that vanish on the state's pivot columns, are orthogonal
-    to the state and have T w in the state.
+    to the state and have T w in the state, as an (N, dim - k, dim) int64
+    array whose nonzero rows, in order, are that basis and whose other rows
+    are zero.
 
     w is unknown only on the free (non-pivot) columns, and T w = w A lies in
     the state P exactly when w A equals (w A)[pivots] P, so the conditions
     are z C = 0 for z = w[free] and C = [A - A[:, pivots] P | G P^T][free].
     linalg.nullspace_stack gives every state's kernel of C^T from one
     stacked elimination, by its contract the reduced row echelon basis of
-    the z among zero rows; placing it on the free columns keeps that form,
-    and the zero rows drop out. k = 0 takes the same steps with empty bases.
+    the z among zero rows; placing it on the free columns keeps that form.
+    k = 0 takes the same steps with empty bases.
     """
     p = shape.p
     action = t_action_matrix(shape)
@@ -464,7 +465,62 @@ def _socle_kernels(
     kernels = linalg.nullspace_stack(constraints.transpose(0, 2, 1), p)
     out = np.zeros((count, dim - k, dim), dtype=np.int64)
     np.put_along_axis(out, free[:, None, :], kernels, axis=2)
-    return [rows[kept] for rows, kept in zip(out, out.any(axis=2))]
+    return out
+
+
+def _kernel_runs(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray):
+    """The socle kernels of a batch of states of one dimension k, read for
+    both outlets of the search: returns (kernels, kept, leads, run,
+    children), where kernels is _socle_kernels' (N, R, dim) array and, per
+    kernel row, kept marks the nonzero rows, leads holds the leading column,
+    run marks the nonzero rows that lead in [half - k - 1, first pivot) (the
+    first pivot of the empty state is dim) and children counts the row's
+    children.
+
+    The children of a state are the spans [w; state's basis] for w = row i
+    of the run plus any combination sum_{j > i} c_j row j of the m nonzero
+    rows after it (see enumerate_maximal_isotropic), so row i has p^m
+    children. Before they are used the kernels are checked, else
+    InvariantError: every row of a run must lead with a 1, and every nonzero
+    row from a run's first row on must vanish on its state's pivots. By
+    _socle_kernels' contract the nonzero rows lead at strictly increasing
+    columns, and under that premise this check fails exactly when some child
+    would fail the check on the children themselves: w leads with a 1
+    before the state's first pivot and vanishes on its pivots, so that
+    [w; state's basis] is in reduced row echelon form.
+    - The rows after row i lead after it, so they vanish on its leading
+      column, and every w of row i leads where row i does, before the first
+      pivot by the run's definition, with row i's leading entry. So every w
+      leads with a 1 exactly when every run row does.
+    - Every w of every run row vanishes on the pivots exactly when every
+      nonzero row from the run's first row i on does: c = 0 gives row i, c =
+      e_j gives row i + row j and so row j, and sums of vanishing rows
+      vanish.
+    A state with an empty run has no children, and none of its rows is
+    checked.
+    """
+    dim = shape.dim
+    count, k = pivots.shape
+    kernels = _socle_kernels(shape, bases, pivots)
+    kept = kernels.any(axis=2)
+    leads = np.argmax(kernels != 0, axis=2)
+    firsts = pivots[:, :1] if k else np.full((count, 1), dim)
+    run = kept & (leads >= dim // 2 - k - 1) & (leads < firsts)
+    later = np.cumsum(kept[:, ::-1], axis=1)[:, ::-1] - kept
+    children = np.where(run, shape.p**later, 0)
+    leading = np.take_along_axis(kernels, leads[:, :, None], axis=2)[:, :, 0]
+    on_pivots = np.take_along_axis(kernels, pivots[:, None, :], axis=2).any(axis=2)
+    reached = np.cumsum(run, axis=1) > 0
+    faulty = (run & (leading != 1)) | (reached & on_pivots)
+    if faulty.any():
+        first = firsts[np.argmax(faulty.any(axis=1)), 0]
+        raise InvariantError(
+            f"socle extension of a dimension-{k} state (torsion "
+            f"levels {shape.torsion_levels}) by a vector without a leading "
+            f"1 before its first pivot {first} or zeros on its pivots",
+            p=shape.p, n=shape.rank_level,
+        )
+    return kernels, kept, leads, run, children
 
 
 @lru_cache(maxsize=None)
@@ -491,45 +547,82 @@ def _children(
     (M, k + 1, dim) and pivots (M, k + 1) of their echelon bases
     [w; state's basis], in state order (see enumerate_maximal_isotropic).
 
-    A state's kernel rows lead at increasing columns, so those leading in
-    [half - k - 1, first pivot) are a run, and one product with
-    _extensions lists every w of the state. The whole batch's w are then
-    checked at once: each must lead with a 1 before its state's first pivot
-    and vanish on its state's pivots, so that [w; state's basis] is in
-    reduced row echelon form, else InvariantError.
+    A state's run of kernel rows (_kernel_runs, which checks them) is
+    [start, stop) among its nonzero rows, so one product with _extensions
+    lists every w of the state; each w leads where its run row does.
     """
-    p, dim = shape.p, shape.dim
-    count, k = pivots.shape
-    lowest = dim // 2 - k - 1
-    firsts = pivots[:, 0] if k else np.full(count, dim)
-    rows, sizes = [], []
-    kernels = _socle_kernels(shape, bases, pivots)
-    for first, kernel in zip(firsts.tolist(), kernels):
-        leads = np.argmax(kernel != 0, axis=1).tolist()
-        coefficients = _extensions(
-            p, len(leads), bisect_left(leads, lowest), bisect_left(leads, first)
-        )
-        rows.append(coefficients @ kernel % p)
-        sizes.append(len(coefficients))
-    owner = np.repeat(np.arange(count), sizes)
+    p = shape.p
+    kernels, kept, leads, run, sizes = _kernel_runs(shape, bases, pivots)
+    starts = (kept & (np.cumsum(run, axis=1) == 0)).sum(axis=1)
+    stops = starts + run.sum(axis=1)
+    owner = np.flatnonzero(stops > starts)
+    rows = [np.zeros((0, shape.dim), dtype=np.int64)]
+    for kernel, nonzero, start, stop in zip(
+        kernels[owner], kept[owner], starts[owner].tolist(), stops[owner].tolist()
+    ):
+        kernel = kernel[nonzero]
+        rows.append(_extensions(p, len(kernel), start, stop) @ kernel % p)
     w = np.concatenate(rows)
-    lead = np.argmax(w != 0, axis=1)
-    echelon = (
-        (lead < firsts[owner])
-        & (w[np.arange(len(w)), lead] == 1)
-        & ~np.take_along_axis(w, pivots[owner], axis=1).any(axis=1)
-    )
-    if not echelon.all():
-        first = firsts[owner[np.argmin(echelon)]]
-        raise InvariantError(
-            f"socle extension of a dimension-{k} state (torsion "
-            f"levels {shape.torsion_levels}) by a vector without a leading "
-            f"1 before its first pivot {first} or zeros on its pivots",
-            p=p, n=shape.rank_level,
-        )
+    owner = np.repeat(np.arange(len(bases)), sizes.sum(axis=1))
     child_bases = np.concatenate([w[:, None, :], bases[owner]], axis=1)
-    child_pivots = np.concatenate([lead[:, None], pivots[owner]], axis=1)
+    child_pivots = np.concatenate(
+        [np.repeat(leads[run], sizes[run])[:, None], pivots[owner]], axis=1
+    )
     return child_bases, child_pivots
+
+
+def _count_children(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray):
+    """The number of children of a batch of states of dimension half - 1,
+    and of those children that split, read off the kernels with no child
+    built.
+
+    A state with k rows has, per row i of its run, p^m children, m = the
+    nonzero kernel rows after row i (_kernel_runs). The children are
+    Lagrangians, and by _lagrangian_diagnostics one with basis [w; P] splits
+    when d = n, d counting its pivots below 2n, and it is cyclic, which is
+    its basis being nonzero in column 0 or n. Every w of row i leads at row
+    i's lead q, so d is the state's pivots below 2n plus [q < 2n], and the
+    child is cyclic when q = 0, or the state's basis is nonzero in column n,
+    or w[n] != 0. For the last: w[n] = row_i[n] + sum_{j > i} c_j row_j[n],
+    over all c in GF(p)^m. If some later row is nonzero in column n, that is
+    a nonconstant affine function of c, which takes each value p^(m-1)
+    times, so p^m - p^(m-1) children have w[n] != 0. Otherwise w[n] =
+    row_i[n] for all p^m children, so all or none of them have it.
+    """
+    p, n, rank_dim = shape.p, shape.rank_level, shape.rank_dim
+    kernels, _, leads, _, children = _kernel_runs(shape, bases, pivots)
+    on_n = kernels[:, :, n] != 0
+    later_on_n = np.cumsum(on_n[:, ::-1], axis=1)[:, ::-1] > on_n
+    cyclic = np.where(
+        (leads == 0) | bases[:, :, n].any(axis=1)[:, None],
+        children,
+        np.where(later_on_n, children - children // p, on_n * children),
+    )
+    d = (pivots < rank_dim).sum(axis=1)[:, None] + (leads < rank_dim)
+    return int(children.sum()), int(cyclic[d == n].sum())
+
+
+def _batches(shape: SpaceShape, depth: int):
+    """The search's states of dimension depth, as batches (bases, pivots) of
+    at most SEARCH_CHUNK states, in depth-first order; ResourceBoundError
+    unless p^dim is at most MAX_SUBSPACE_VECTORS (see
+    enumerate_maximal_isotropic)."""
+    p = shape.p
+    if p**shape.dim > MAX_SUBSPACE_VECTORS:
+        raise ResourceBoundError(
+            f"p^dim = {p ** shape.dim} member vectors exceed {MAX_SUBSPACE_VECTORS}"
+        )
+    stack = [(np.zeros((1, 0, shape.dim), dtype=np.int64), np.zeros((1, 0), dtype=np.int64))]
+    while stack:
+        bases, pivots = stack.pop()
+        if pivots.shape[1] == depth:
+            yield bases, pivots
+            continue
+        bases, pivots = _children(shape, bases, pivots)
+        stack.extend(
+            (bases[start : start + SEARCH_CHUNK], pivots[start : start + SEARCH_CHUNK])
+            for start in range(0, len(bases), SEARCH_CHUNK)
+        )
 
 
 def enumerate_maximal_isotropic(shape: SpaceShape):
@@ -559,9 +652,11 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
     stacked elimination (_socle_kernels), its children are built as one
     array of [w; P's basis] rows (_children) and pushed in batches of at most
     SEARCH_CHUNK, so at each dimension the stack holds at most the children
-    of one batch, never a whole level. Children of half dimension go
-    straight to a compact result store, in the smallest unsigned dtypes that
-    hold their entries and pivots.
+    of one batch, never a whole level (_batches). Batches of half dimension
+    go to a compact result store, in the smallest unsigned dtypes that hold
+    their entries and pivots. count_maximal_isotropic is the search's other
+    outlet: it counts the children of the states of dimension half - 1
+    instead of building them.
 
     States of half dimension equal their own complement, hence are maximal.
     The store is sorted once, by its rows' bytes, which orders them as
@@ -574,26 +669,12 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
     dim <= 12, as p >= 3); that also bounds the p^m combinations listed for
     a kernel row with m rows after it.
     """
-    p = shape.p
-    if p**shape.dim > MAX_SUBSPACE_VECTORS:
-        raise ResourceBoundError(
-            f"p^dim = {p ** shape.dim} member vectors exceed {MAX_SUBSPACE_VECTORS}"
-        )
     dim, half = shape.dim, shape.dim // 2
-    entry, column = np.min_scalar_type(p - 1), np.min_scalar_type(dim - 1)
-
-    stack = [(np.zeros((1, 0, dim), dtype=np.int64), np.zeros((1, 0), dtype=np.int64))]
+    entry, column = np.min_scalar_type(shape.p - 1), np.min_scalar_type(dim - 1)
     found_bases, found_pivots = [], []
-    while stack:
-        bases, pivots = _children(shape, *stack.pop())
-        if pivots.shape[1] == half:
-            found_bases.append(bases.astype(entry))
-            found_pivots.append(pivots.astype(column))
-        else:
-            stack.extend(
-                (bases[start : start + SEARCH_CHUNK], pivots[start : start + SEARCH_CHUNK])
-                for start in range(0, len(bases), SEARCH_CHUNK)
-            )
+    for bases, pivots in _batches(shape, half):
+        found_bases.append(bases.astype(entry))
+        found_pivots.append(pivots.astype(column))
     # the span of the u coordinates is a T-stable Lagrangian, so found_* are
     # never empty
     bases, pivots = np.concatenate(found_bases), np.concatenate(found_pivots)
@@ -606,3 +687,21 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
         for basis, piv in zip(bases, pivots)
     )
     yield from _lagrangian_diagnostics(shape, subspaces, bases, pivots)
+
+
+def count_maximal_isotropic(shape: SpaceShape) -> tuple[int, int]:
+    """(results, splits): the number of maximal isotropic T-stable subspaces
+    and of those whose diagnostics split, equal to len(reports) and
+    sum(r.splits for r in reports) for the reports of
+    enumerate_maximal_isotropic(shape).
+
+    The same search, under the same MAX_SUBSPACE_VECTORS bound, stops at
+    dimension half - 1 and counts each batch's children off its kernels
+    (_count_children), so no Lagrangian is built or stored.
+    """
+    results = splits = 0
+    for bases, pivots in _batches(shape, shape.dim // 2 - 1):
+        batch_results, batch_splits = _count_children(shape, bases, pivots)
+        results += batch_results
+        splits += batch_splits
+    return results, splits

@@ -356,6 +356,22 @@ def test_isotropic_rows():
     assert "splits_true=" in row.extra and "splits_false=" in row.extra
 
 
+def test_isotropic_csv_row_equals_one_built_by_enumeration(tmp_path, monkeypatch):
+    # the CLI counts; a row built from the enumeration's reports is the same
+    argv = ["--mode", "isotropic", "--prime", "3", "--levels", "1", "--shape", "1,1"]
+    assert cli.main(argv + ["--output", str(tmp_path / "count")]) == EXIT_OK
+
+    def enumerated(shape):
+        reports = list(pairing.enumerate_maximal_isotropic(shape))
+        return len(reports), sum(r.splits for r in reports)
+
+    monkeypatch.setattr(cli, "count_maximal_isotropic", enumerated)
+    assert cli.main(argv + ["--output", str(tmp_path / "enumerated")]) == EXIT_OK
+    counted = (tmp_path / "count.csv").read_bytes()
+    assert counted == (tmp_path / "enumerated.csv").read_bytes()
+    assert b",1120,1,1120," in counted and b"splits_true=160;splits_false=960" in counted
+
+
 def test_isotropic_bad_shape_is_usage_error():
     with pytest.raises(UsageError, match="^shape: "):
         run(config(mode="isotropic", levels=(1,), shape=(5,)))
@@ -790,6 +806,25 @@ def test_emit_both_writes_nothing_when_the_second_rename_fails(
     assert os.listdir(tmp_path) == []
     err = capsys.readouterr().err
     assert "rep.json" in err and ".fpmods-" not in err
+
+
+@pytest.mark.parametrize("shape", ["1", "1,1"])
+def test_main_isotropic_child_out_of_echelon_form_exit(tmp_path, capsys, monkeypatch, shape):
+    # the count's twin of the enumeration's echelon test: an identity
+    # "kernel" offers w nonzero on the state's pivots
+    monkeypatch.setattr(
+        pairing,
+        "_socle_kernels",
+        lambda shape, bases, pivots: np.array([np.eye(shape.dim, dtype=np.int64) for _ in bases]),
+    )
+    code = run_main(
+        tmp_path, "--mode", "isotropic", "--prime", "3", "--levels", "1",
+        "--shape", shape, "--output", str(tmp_path / "iso"), "--format", "both",
+    )
+    assert code == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "internal invariant violated" in err and "socle extension" in err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("prime, shape", [("97", "1"), ("13", "1,1")])

@@ -13,6 +13,7 @@ from fpmods import (
     SpaceElement,
     SpaceShape,
     TruncatedSeries,
+    count_maximal_isotropic,
     enumerate_maximal_isotropic,
     gram_matrix,
     isotropic_diagnostics,
@@ -394,6 +395,16 @@ def test_level_one_counts_follow_the_closed_forms(shape, results, split):
         count += 1
         splits += report.splits
     assert (count, splits) == (results, split)
+    assert count_maximal_isotropic(shape) == (results, split)
+
+
+def test_count_follows_the_level_one_closed_forms_beyond_enumeration():
+    # (7,1,(1,1)): 137,600 Lagrangians, counted without building them
+    p, g = 7, 3
+    results = math.prod(p**i + 1 for i in range(1, g + 1))
+    split = (p + 1) * math.prod(p**i + 1 for i in range(1, g))
+    assert (results, split) == (137_600, 3_200)
+    assert count_maximal_isotropic(SpaceShape(7, 1, (1, 1))) == (results, split)
 
 
 @pytest.mark.parametrize(
@@ -426,7 +437,7 @@ def test_enumeration_rejects_a_child_out_of_echelon_form(monkeypatch, torsion):
     monkeypatch.setattr(
         pairing,
         "_socle_kernels",
-        lambda shape, bases, pivots: [np.eye(shape.dim, dtype=np.int64) for _ in bases],
+        lambda shape, bases, pivots: np.array([np.eye(shape.dim, dtype=np.int64) for _ in bases]),
     )
     levels = re.escape(f"torsion levels {torsion}")
     with pytest.raises(InvariantError, match=f"socle extension.*{levels}.*p=3, n=1"):
@@ -526,6 +537,114 @@ def test_orderly_generation_matches_socle_bfs(shape):
         assert len(found) == (3 + 1) * (9 + 1) * (27 + 1) == 1120
 
 
+def _children_oracle_rejects(shape, pivots, kernel):
+    """Oracle: the child check on every child itself, for one state with
+    the given pivots and padded kernel: some w of a run row fails to lead
+    with a 1 before the first pivot or to vanish on the pivots."""
+    half, k = shape.dim // 2, len(pivots)
+    first = pivots[0] if k else shape.dim
+    rows = kernel[kernel.any(axis=1)]
+    leads = np.argmax(rows != 0, axis=1)
+    for i in np.flatnonzero((leads >= half - k - 1) & (leads < first)):
+        later = rows[i + 1 :]
+        for c in itertools.product(range(shape.p), repeat=len(later)):
+            w = (rows[i] + np.array(c, dtype=np.int64) @ later) % shape.p
+            lead = np.argmax(w != 0)
+            if not (w.any() and lead < first and w[lead] == 1) or w[list(pivots)].any():
+                return True
+    return False
+
+
+def test_kernel_row_check_fails_exactly_when_a_child_check_would(monkeypatch):
+    # random padded kernels whose nonzero rows lead at strictly increasing
+    # columns (the kernels' contract), with leading entries and entries on
+    # the state's pivots that are mostly, not always, right
+    shape = SpaceShape(3, 1, (1, 1))
+    dim, rng = shape.dim, np.random.default_rng(26)
+    outcomes = collections.Counter()
+    for _ in range(300):
+        k = int(rng.integers(0, shape.dim // 2))
+        pivots = np.sort(rng.choice(dim, k, replace=False))
+        kernel = np.zeros((dim - k, dim), dtype=np.int64)
+        slots = np.sort(rng.choice(dim - k, int(rng.integers(0, dim - k + 1)), replace=False))
+        leads = np.sort(rng.choice(dim, len(slots), replace=False))
+        for slot, lead in zip(slots, leads):
+            kernel[slot, lead + 1 :] = rng.integers(0, 3, dim - lead - 1)
+            kernel[slot, lead] = rng.choice([1, 1, 1, 1, 2])
+            if rng.random() < 0.9:
+                kernel[slot, pivots[pivots != lead]] = 0
+        monkeypatch.setattr(pairing, "_socle_kernels", lambda *args: kernel[None])
+        bases = np.zeros((1, k, dim), dtype=np.int64)
+        expected = _children_oracle_rejects(shape, pivots, kernel)
+        for outlet in (pairing._children, pairing._count_children):
+            if expected:
+                with pytest.raises(InvariantError, match="socle extension"):
+                    outlet(shape, bases, pivots[None])
+            else:
+                outlet(shape, bases, pivots[None])
+        outcomes[expected] += 1
+    assert min(outcomes[True], outcomes[False]) > 30
+
+
+@pytest.mark.parametrize(
+    "state, rows, results, split",
+    [
+        # a later row is nonzero in column n = 3: 3 - 1 of row 0's 3
+        # children split, and row 1's one child
+        ((4, 5), [[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]], 4, 3),
+        # no later row is, and row 0 is: all 3 of its children split
+        ((4, 5), [[0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0]], 4, 3),
+        # no later row is, and row 0 is not: none split
+        ((4, 5), [[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]], 4, 0),
+        # w[n] = 0 always, but the state is nonzero in column n: all split
+        ((3, 5), [[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]], 4, 4),
+        # w[n] = 0 always, but row 0 leads at 0: its 3 children split
+        ((4, 5), [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]], 4, 3),
+    ],
+    ids=["later-row", "own-entry", "neither", "state-column", "lead-zero"],
+)
+def test_split_count_by_column_n(monkeypatch, state, rows, results, split):
+    # the state span(e_i : i in state) of (3,3,()) has every pivot below
+    # 2n, so d = n for every child; the kernel rows lead before the state's
+    # first pivot and vanish on its pivots, and the built children agree
+    shape = SpaceShape(3, 3)
+    bases = np.eye(6, dtype=np.int64)[None, list(state)]
+    pivots = np.array([state])
+    kernel = np.zeros((1, 4, 6), dtype=np.int64)
+    kernel[0, [0, 2]] = rows
+    monkeypatch.setattr(pairing, "_socle_kernels", lambda *args: kernel)
+    assert pairing._count_children(shape, bases, pivots) == (results, split)
+    child_bases, child_pivots = pairing._children(shape, bases, pivots)
+    reports = pairing._lagrangian_diagnostics(
+        shape, itertools.repeat(None), child_bases, child_pivots
+    )
+    assert [len(child_bases), sum(r.splits for r in reports)] == [results, split]
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES + [SpaceShape(3, 3, (3,))], ids=str)
+def test_count_matches_enumeration(shape):
+    found = list(enumerate_maximal_isotropic(shape))
+    assert count_maximal_isotropic(shape) == (len(found), sum(r.splits for r in found))
+
+
+def test_count_builds_no_state_of_half_dimension(monkeypatch):
+    built = []
+    children = pairing._children
+
+    def recording(shape, bases, pivots):
+        child_bases, child_pivots = children(shape, bases, pivots)
+        built.append(child_pivots.shape[1])
+        return child_bases, child_pivots
+
+    def refused(*args):
+        raise AssertionError("the count built a subspace")
+
+    monkeypatch.setattr(pairing, "_children", recording)
+    monkeypatch.setattr(FpSubspace, "_from_rref", refused)
+    assert count_maximal_isotropic(SpaceShape(3, 1, (1, 1))) == (1120, 160)
+    assert built and max(built) == 2
+
+
 def test_orderly_generation_builds_each_state_once(monkeypatch):
     # every expanded state (the bases handed to _socle_kernels) and every
     # result is distinct; states of different dimensions differ in length
@@ -587,8 +706,9 @@ def test_socle_kernel_is_the_echelon_basis_of_its_definition(shape):
         bases = np.stack([state.basis for state in states])
         pivots = np.array([state.pivots for state in states], dtype=np.int64)
         kernels = pairing._socle_kernels(shape, bases, pivots)
-        assert len(kernels) == len(states)
-        for state, kernel in zip(states, kernels):
+        assert kernels.shape == (len(states), shape.dim - bases.shape[1], shape.dim)
+        for state, padded in zip(states, kernels):
+            kernel = padded[padded.any(axis=1)]
             members = space[~space[:, list(state.pivots)].any(axis=1)]
             members = members[~(members @ gram @ state.basis.T % p).any(axis=1)]
             shifted = reduce_rows(state.basis, state.pivots, members @ action % p, p)
@@ -716,6 +836,8 @@ def test_enumeration_refuses_more_vectors_than_the_listing_bound(shape):
     message = r"p\^dim = \d+ member vectors exceed 2000000"
     with pytest.raises(ResourceBoundError, match=message):
         list(enumerate_maximal_isotropic(shape))
+    with pytest.raises(ResourceBoundError, match=message):
+        count_maximal_isotropic(shape)
 
 
 def test_diagnostics_split_and_nonsplit_cases():
