@@ -571,7 +571,9 @@ def _children(
     return child_bases, child_pivots
 
 
-def _count_children(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray):
+def _count_children(
+    shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray
+) -> tuple[int, int]:
     """The number of children of a batch of states of dimension half - 1,
     and of those children that split, read off the kernels with no child
     built.
