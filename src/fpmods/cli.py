@@ -434,6 +434,7 @@ def _read_config_file(path: str) -> dict:
         raise UsageError(f"{path}: not UTF-8 text ({e.reason})") from None
     keys = {setting.name for setting in fields(ExperimentConfig)}
     values: dict = {}
+    set_on: dict = {}  # the line that set each key
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -444,6 +445,11 @@ def _read_config_file(path: str) -> dict:
         key = key.strip()
         if key not in keys:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise UsageError(
+                f"{path}:{lineno}: key {key!r} is already set on line {set_on[key]}"
+            )
+        set_on[key] = lineno
         values[key] = value.strip()
     return values
 

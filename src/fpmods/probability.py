@@ -124,18 +124,19 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _trial_keys(seed: int, start, stop: int | None = None) -> np.ndarray:
-    """One 64-bit key per trial, a pure function of (seed, trial).
-
-    The trials are [start, stop), or, when stop is None, the sequence of
-    trial indices `start`, in its order.
-    """
+def _trial_keys(seed: int, trials) -> np.ndarray:
+    """One 64-bit key per trial, a pure function of (seed, trial), for a
+    sequence or uint64 array of trial indices, in its order."""
     root = _mix64(np.array([seed], dtype=np.uint64))
-    if stop is None:
-        trials = np.array(start, dtype=np.uint64)
-    else:
-        trials = np.arange(start, stop, dtype=np.uint64)
+    trials = np.asarray(trials, dtype=np.uint64)
     return _mix64(root + (trials + 1) * np.uint64(_GOLDEN))
+
+
+def _key_chunks(seed: int, total: int):
+    """(start, keys) for trials [0, total), in chunks of CHUNK_TRIALS."""
+    for start in range(0, total, CHUNK_TRIALS):
+        stop = min(start + CHUNK_TRIALS, total)
+        yield start, _trial_keys(seed, np.arange(start, stop, dtype=np.uint64))
 
 
 def _stream_offset(coord: int, j: int) -> int:
@@ -145,11 +146,6 @@ def _stream_offset(coord: int, j: int) -> int:
     c = (a << 9 | coord << 8 | j) + 1, that is, stream + a * _ATTEMPT_STEP.
     """
     return ((coord << 8 | j) + 1) * _GOLDEN % 2**64
-
-
-def _stream(keys: np.ndarray, coord: int, j: int) -> np.ndarray:
-    """Keys offset for digit j of submodule `coord`."""
-    return keys + np.uint64(_stream_offset(coord, j))
 
 
 def _accept_max(bound: np.ndarray) -> np.ndarray:
@@ -181,7 +177,7 @@ def _uniform(stream: np.ndarray, bound) -> np.ndarray:
 
 def _digit(keys: np.ndarray, coord: int, j: int, bound: int) -> np.ndarray:
     """Digit j of submodule `coord` for each trial key, uniform in [0, bound)."""
-    return _uniform(_stream(keys, coord, j), bound)
+    return _uniform(keys + np.uint64(_stream_offset(coord, j)), bound)
 
 
 def _pair_exponents(
@@ -276,9 +272,7 @@ def chi_square_uniformity(
             f"bound {MAX_UNIFORMITY_FORMS}"
         )
     observed = np.zeros(count, dtype=np.int64)
-    for start in range(0, draws, CHUNK_TRIALS):
-        stop = min(start + CHUNK_TRIALS, draws)
-        keys = _trial_keys(spec.seed, start, stop)
+    for _, keys in _key_chunks(spec.seed, draws):
         observed += np.bincount(_kernel_indices(p, n, keys, 0), minlength=count)
     expected = draws / count
     stat = float((((observed - expected) ** 2) / expected).sum())
@@ -317,36 +311,6 @@ def _check_trials(
                     f"{key}: kernel {want[key]}, scalar {got[key]}",
                     p=p, n=n, seed=spec.seed, trial=trial,
                 )
-
-
-def _exponent_census(p: int, n: int, trials: int, spec: RngSpec) -> np.ndarray:
-    """Trial counts by v (index 0..n) over trials [0, trials).
-
-    Validates (p, n, trials) for both sampled modes. Works in chunks of
-    CHUNK_TRIALS so memory stays flat; the first trials of all newly
-    observed (kind pair, v) classes of a chunk go to one _check_trials call,
-    in ascending class order.
-    """
-    check_prime(p)
-    check_level(n)
-    _check_count(trials, "trials")
-    width = n + 1
-    counts = np.zeros(_KIND_PAIRS * width, dtype=np.int64)
-    for start in range(0, trials, CHUNK_TRIALS):
-        stop = min(start + CHUNK_TRIALS, trials)
-        kinds, v = _pair_exponents(p, n, _trial_keys(spec.seed, start, stop))
-        classes = kinds * width + v
-        chunk = np.bincount(classes, minlength=len(counts))
-        if ((chunk > 0) & (counts == 0)).any():
-            seen, first = np.unique(classes, return_index=True)
-            new = counts[seen] == 0
-            checks = [
-                (start + i, *divmod(cls, width))
-                for cls, i in zip(seen[new].tolist(), first[new].tolist())
-            ]
-            _check_trials(p, n, spec, checks)
-        counts += chunk
-    return counts.reshape(_KIND_PAIRS, width).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -391,8 +355,32 @@ class SampledExponents:
 
 
 def _sampled_exponents(p: int, n: int, trials: int, spec: RngSpec) -> SampledExponents:
-    counts = _exponent_census(p, n, trials, spec).tolist()
-    exps = {v: c for v, c in enumerate(counts) if c}
+    """Trial counts by v over trials [0, trials), for both sampled modes.
+
+    Validates (p, n, trials). Chunks keep memory flat; the first trials of
+    all (kind pair, v) classes new in a chunk go to one _check_trials call,
+    in ascending class order.
+    """
+    check_prime(p)
+    check_level(n)
+    _check_count(trials, "trials")
+    width = n + 1
+    counts = np.zeros(_KIND_PAIRS * width, dtype=np.int64)
+    for start, keys in _key_chunks(spec.seed, trials):
+        kinds, v = _pair_exponents(p, n, keys)
+        classes = kinds * width + v
+        chunk = np.bincount(classes, minlength=len(counts))
+        if ((chunk > 0) & (counts == 0)).any():
+            seen, first = np.unique(classes, return_index=True)
+            new = counts[seen] == 0
+            checks = [
+                (start + i, *divmod(cls, width))
+                for cls, i in zip(seen[new].tolist(), first[new].tolist())
+            ]
+            _check_trials(p, n, spec, checks)
+        counts += chunk
+    by_v = counts.reshape(_KIND_PAIRS, width).sum(axis=0).tolist()
+    exps = {v: c for v, c in enumerate(by_v) if c}
     return SampledExponents(p, n, trials, spec.seed, exps)
 
 

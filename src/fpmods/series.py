@@ -108,12 +108,8 @@ class TruncatedSeries(Frozen):
     def __init__(self, p: int, coeffs: Iterable[int], level: int | None = None):
         check_prime(p)
         # from a list: tuple(generator) resizes its result, so every freed
-        # result grows CPython's tuple free list and long runs creep in RSS;
-        # index() takes ints and numpy integers but not floats
-        try:
-            cs = tuple([index(c) % p for c in coeffs])
-        except TypeError as exc:
-            raise ValueError(f"coefficients must be integers: {exc}") from None
+        # result grows CPython's tuple free list and long runs creep in RSS
+        cs = tuple([c % p for c in read_ints(coeffs)])
         if level is None:
             level = len(cs)
         check_level(level)

@@ -213,6 +213,19 @@ def test_config_file_errors(tmp_path):
         build_config(parse_args("--config", bad_int))
 
 
+def test_config_file_repeated_key_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x"
+    path = write_config(
+        tmp_path, f"mode=count\nprime=3\nlevels=1\nprime=5\noutput={out}\n"
+    )
+    message = r"exp\.cfg:4: key 'prime' is already set on line 2"
+    with pytest.raises(UsageError, match=message):
+        build_config(parse_args("--config", path))
+    assert run_main(tmp_path, "--config", path) == EXIT_USAGE
+    assert "key 'prime' is already set on line 2" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
 def test_config_file_not_utf8_is_usage_error(tmp_path, capsys):
     path = tmp_path / "exp.cfg"
     path.write_bytes(b"mode=count\nprime=3\xff\nlevels=1\n")

@@ -42,7 +42,9 @@ def kind_pair(n1, n2):
 def test_kernel_matches_scalar_path_per_trial(p, n):
     spec = RngSpec(404)
     trials = 2000
-    kinds, v = _pair_exponents(p, n, _trial_keys(spec.seed, 0, trials))
+    kinds, v = _pair_exponents(
+        p, n, _trial_keys(spec.seed, np.arange(trials, dtype=np.uint64))
+    )
     for t in range(trials):
         n1, n2 = sample_pair(p, n, spec, t)
         vt = int(v[t])
@@ -56,7 +58,7 @@ def test_kernel_matches_scalar_path_per_trial(p, n):
 
 def test_kernel_indices_match_sample_pair():
     p, n, spec = 5, 3, RngSpec(9)
-    keys = _trial_keys(spec.seed, 0, 300)
+    keys = _trial_keys(spec.seed, np.arange(300, dtype=np.uint64))
     first = _kernel_indices(p, n, keys, 0)
     second = _kernel_indices(p, n, keys, 1)
     for t in range(300):
@@ -92,7 +94,7 @@ def test_kernel_pair_indices_chi_square():
     # joint cells of both coordinates, so this also tests their independence
     p, n, draws = 3, 2, 1_000_000
     count = count_maximal(p, n)
-    keys = _trial_keys(31, 0, draws)
+    keys = _trial_keys(31, np.arange(draws, dtype=np.uint64))
     cells = _kernel_indices(p, n, keys, 0) * count + _kernel_indices(p, n, keys, 1)
     observed = np.bincount(cells, minlength=count * count)
     assert (observed > 0).all()  # full support
@@ -113,7 +115,7 @@ def test_rejected_words_are_redrawn(monkeypatch):
     p, n, spec = 3, 2, RngSpec(5)
     stat, dof = chi_square_uniformity(p, n, 60_000, spec)
     assert stat < chi2.ppf(0.999, dof)
-    keys = _trial_keys(spec.seed, 0, 200)
+    keys = _trial_keys(spec.seed, np.arange(200, dtype=np.uint64))
     first = _kernel_indices(p, n, keys, 0)
     for t in range(200):
         assert sample_pair(p, n, spec, t)[0].index() == first[t]
@@ -126,7 +128,9 @@ def test_chunking_does_not_change_results(monkeypatch):
     base = monte_carlo(p, n, trials, spec)
     # one run split at a chunk boundary into two independent halves
     halves = [
-        _pair_exponents(p, n, _trial_keys(spec.seed, a, b))[1]
+        _pair_exponents(
+            p, n, _trial_keys(spec.seed, np.arange(a, b, dtype=np.uint64))
+        )[1]
         for a, b in ((0, CHUNK_TRIALS), (CHUNK_TRIALS, trials))
     ]
     assert dict(sorted(Counter(np.concatenate(halves).tolist()).items())) == (
@@ -134,6 +138,14 @@ def test_chunking_does_not_change_results(monkeypatch):
     )
     monkeypatch.setattr(probability, "CHUNK_TRIALS", 4999)
     assert monte_carlo(p, n, trials, spec) == base
+
+
+def test_chi_square_chunking_does_not_change_results(monkeypatch):
+    p, n, spec = 3, 2, RngSpec(77)
+    draws = 3 * CHUNK_TRIALS + 17
+    base = chi_square_uniformity(p, n, draws, spec)
+    monkeypatch.setattr(probability, "CHUNK_TRIALS", 4999)
+    assert chi_square_uniformity(p, n, draws, spec) == base
 
 
 def scalar_monte_carlo(p, n, trials, spec):
@@ -194,7 +206,9 @@ def test_oracle_runs_once_per_observed_class(monkeypatch):
     monkeypatch.setattr(probability, "_draw_pairs", spy_draw)
     p, n, spec, trials = 3, 3, RngSpec(3), 2 * CHUNK_TRIALS
     monte_carlo(p, n, trials, spec)
-    kinds, v = _pair_exponents(p, n, _trial_keys(spec.seed, 0, trials))
+    kinds, v = _pair_exponents(
+        p, n, _trial_keys(spec.seed, np.arange(trials, dtype=np.uint64))
+    )
     classes = (kinds * (n + 1) + v).tolist()
     first = {}
     for t, cls in enumerate(classes):
@@ -216,7 +230,7 @@ DRAW_TRIALS = [5, 0, 2**64 - 1, 17, 5, 2**63, 0, 3, 2**64 - 1, 1]
 
 def digit_by_digit_pair(p, n, seed, trial):
     """The trial's pair from one `_digit` call per digit, indices as ints."""
-    keys = _trial_keys(seed, trial, trial + 1)
+    keys = _trial_keys(seed, [trial])
     indices = [
         sum(
             int(_digit(keys, coord, j, p + 1 if j == n - 1 else p)[0]) * p**j
