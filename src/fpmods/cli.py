@@ -17,6 +17,14 @@ platform, CPU count, argv) appear only in the JSON report. Exit codes:
 invariant violated (the message names p and n, plus the seed and trial of
 a sampling failure).
 
+Only the sampled modes (`montecarlo`, `tower`) and `isotropic` load numpy,
+by importing `probability` or `pairing` when a row of theirs is computed
+(and `isotropic` when its config is checked). `count` and `exhaustive`
+never import numpy. So neither this module nor any module it imports at
+load time may import numpy at module level: each exact run would pay
+numpy's start-up (about 90 ms) for no numpy call; see the `fpmods` package
+docstring.
+
 Settings are described once, by the fields of ExperimentConfig, so a bad
 value is a usage error with the same message from a flag or a config file.
 --threads is accepted and validated but no longer changes speed or results:
@@ -37,23 +45,20 @@ from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import InvariantError, ResourceBoundError
-from .pairing import SpaceShape, count_maximal_isotropic
-from .probability import (
-    RngSpec,
-    SampledExponents,
+from .laws import (
     collision_probability_census,
     collision_probability_exact,
     intersection_bound,
-    monte_carlo,
-    tower_experiment,
 )
 from .series import check_level, check_prime, is_int, is_power_of
 from .submodules import count_maximal, count_maximal_generators, enumerate_maximal
+
+if TYPE_CHECKING:
+    from .probability import SampledExponents
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -149,6 +154,8 @@ class ExperimentConfig:
         if not is_int(self.threads) or self.threads < 0:
             raise UsageError(f"threads must be an integer >= 0, got {self.threads!r}")
         if self.mode == "isotropic":
+            from .pairing import SpaceShape
+
             for n in self.levels:
                 if not is_power_of(n, self.prime):
                     raise UsageError(f"levels: level {n} is not a power of {self.prime}")
@@ -240,6 +247,8 @@ def _sampled_fields(res: SampledExponents, *extra: str) -> dict:
 
 
 def _montecarlo_fields(config: ExperimentConfig, n: int) -> dict:
+    from .probability import RngSpec, monte_carlo
+
     res = monte_carlo(config.prime, n, config.trials, RngSpec(config.seed))
     return _sampled_fields(
         res,
@@ -251,6 +260,8 @@ def _montecarlo_fields(config: ExperimentConfig, n: int) -> dict:
 
 
 def _tower_fields(config: ExperimentConfig, n: int) -> dict:
+    from .probability import RngSpec, tower_experiment
+
     res = tower_experiment(config.prime, n, config.trials, RngSpec(config.seed))
     # pairs distinct at the top (v < n) stabilize from level n0 = v + 1 on
     distinct = {v: c for v, c in res.exponent_counts.items() if v < n}
@@ -262,6 +273,8 @@ def _tower_fields(config: ExperimentConfig, n: int) -> dict:
 
 
 def _isotropic_fields(config: ExperimentConfig, n: int) -> dict:
+    from .pairing import SpaceShape, count_maximal_isotropic
+
     shape = SpaceShape(config.prime, n, config.shape)
     results, splits = count_maximal_isotropic(shape)
     extra = f"dim={shape.dim};splits_true={splits};splits_false={results - splits}"
@@ -332,6 +345,21 @@ def render_csv(report: ExperimentReport) -> str:
     return buf.getvalue()
 
 
+def _numpy_version() -> str:
+    """The numpy version, read without loading numpy when it is not loaded."""
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:
+        return numpy.__version__
+    from importlib import metadata
+
+    try:
+        return metadata.version("numpy")
+    except metadata.PackageNotFoundError:  # numpy present but not as a distribution
+        import numpy
+
+        return numpy.__version__
+
+
 def report_to_dict(report: ExperimentReport) -> dict:
     return {
         "config": report.config.to_dict(),
@@ -341,7 +369,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
             "version": report.version,
             "timestamp": report.timestamp,
             "python": platform.python_version(),
-            "numpy": np.__version__,
+            "numpy": _numpy_version(),
             "platform": platform.platform(),
             "cpu_count": os.cpu_count(),
             "argv": None if report.argv is None else list(report.argv),

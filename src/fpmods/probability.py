@@ -4,7 +4,8 @@ Two independent uniform maximal cyclic submodules at level n coincide with
 probability 1/((p+1)p^(n-1)) (one over the census), so they intersect
 nontrivially below the top with probability at least 1 - 1/((p+1)p^(n-1)),
 a bound increasing in n. The exact values are kept as Fractions end to end;
-floats appear only in summaries.
+floats appear only in summaries. Those exact laws live in `fpmods.laws`,
+which imports no numpy; this module re-exports them by name.
 
 Sampling draws each submodule's canonical index as n mixed-radix digits: a
 top digit in [0, p+1), which is param[n-1] of a kind-'A' submodule when it
@@ -51,6 +52,11 @@ from math import sqrt
 import numpy as np
 
 from .errors import InvariantError, ResourceBoundError
+from .laws import (  # re-exported: probability.<law> names the same function
+    collision_probability_census,
+    collision_probability_exact,
+    intersection_bound,
+)
 from .series import check_level, check_prime, is_int
 from .submodules import (
     CyclicSubmodule,
@@ -81,29 +87,6 @@ class RngSpec:
     def __post_init__(self):
         if not is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-
-
-def collision_probability_exact(p: int, n: int) -> Fraction:
-    """Probability that two uniform maximal submodules coincide."""
-    return Fraction(1, count_maximal(p, n))
-
-
-def intersection_bound(p: int, n: int) -> Fraction:
-    """Lower bound for a nontrivial intersection below the top level."""
-    return 1 - collision_probability_exact(p, n)
-
-
-def collision_probability_census(p: int, n: int) -> Fraction:
-    """Collision probability recomputed from the full enumeration.
-
-    Over all N^2 ordered pairs of enumerated forms, a form occurring c times
-    collides in c^2 of them, so the census needs one pass, not N^2 compares.
-    enumerate_maximal bounds that pass: above MAX_ENUM_SUBMODULES forms it
-    raises ResourceBoundError.
-    """
-    multiplicity = Counter(enumerate_maximal(p, n))
-    pairs = sum(multiplicity.values()) ** 2
-    return Fraction(sum(c * c for c in multiplicity.values()), pairs)
 
 
 def _check_count(value: int, name: str) -> None:

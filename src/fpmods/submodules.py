@@ -16,9 +16,11 @@ cyclic, of size p^v where the exponent v has a closed form in the canonical
 parameters (0 for mixed-kind pairs), and the quotient by their sum is cyclic
 of the same size p^v. The rank-based
 `intersection_exponent_linalg` is kept as a test oracle, and is this
-module's only use of linear algebra. Projections to lower levels truncate
-the canonical parameter and lifting enumerates the p^(m-n) parameter
-extensions, in canonical index order.
+module's only use of linear algebra. It and `CyclicSubmodule.basis_rows`
+are the module's only numpy calls, and each imports numpy when called:
+the exact CLI modes import this module and must not load numpy.
+Projections to lower levels truncate the canonical parameter and lifting
+enumerates the p^(m-n) parameter extensions, in canonical index order.
 
 The lattice operations (the index, `enumerate_maximal`, `intersect`,
 `sum_and_quotient`, `project`, `lifts` and towers) read only the canonical
@@ -40,13 +42,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
-
-from . import linalg
 from .errors import ResourceBoundError
 from .series import Frozen, TruncatedSeries, check_level, check_prime, is_int, slot_setters
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_ENUM_SUBMODULES = 10_000
 MAX_ENUM_VECTORS = 1_000_000
@@ -156,6 +158,8 @@ class CyclicSubmodule(Frozen):
 
     def basis_rows(self) -> np.ndarray:
         """Rows T^i * generator flattened to length 2*level, i = 0..level-1."""
+        import numpy as np  # an oracle only; see the module docstring
+
         n = self.level
         flat = self.generator.flatten()
         rows = np.zeros((n, 2 * n), dtype=np.int64)
@@ -269,6 +273,10 @@ def intersection_exponent_linalg(n1: CyclicSubmodule, n2: CyclicSubmodule) -> in
 
     dim(N1 meet N2) = dim N1 + dim N2 - dim(N1 + N2) = 2n - rank.
     """
+    import numpy as np  # an oracle only; see the module docstring
+
+    from . import linalg
+
     _check_pair(n1, n2)
     rows = np.vstack([n1.basis_rows(), n2.basis_rows()])
     return 2 * n1.level - linalg.rank(rows, n1.p)

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import fpmods
 
 
@@ -8,3 +14,44 @@ def test_all_names_resolve_and_star_import_succeeds():
     namespace = {}
     exec("from fpmods import *", namespace)
     assert set(fpmods.__all__) <= namespace.keys()
+
+
+MODULES = ("series", "linalg", "submodules", "probability", "pairing", "cli")
+LAZY_FACTS = f"""
+import json, sys
+import fpmods
+facts = {{"numpy_loaded": "numpy" in sys.modules}}
+facts["all_in_dir"] = set(fpmods.__all__) <= set(dir(fpmods))
+facts["modules"] = {{m: getattr(fpmods, m) is sys.modules["fpmods." + m] for m in {MODULES!r}}}
+facts["pushforward"] = fpmods.probability.pushforward_consistency.__name__
+try:
+    fpmods.no_such_name
+except AttributeError as e:
+    facts["unknown"] = str(e)
+facts["census_is_the_law"] = (
+    fpmods.probability.collision_probability_census
+    is fpmods.laws.collision_probability_census
+)
+print(json.dumps(facts))
+"""
+
+
+def test_import_loads_no_numpy_and_lazy_names_resolve():
+    # a fresh interpreter: this one has numpy and every module loaded already
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    result = subprocess.run(
+        [sys.executable, "-c", LAZY_FACTS], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    facts = json.loads(result.stdout)
+    assert facts == {
+        "numpy_loaded": False,
+        "all_in_dir": True,
+        "modules": dict.fromkeys(MODULES, True),
+        "pushforward": "pushforward_consistency",
+        "unknown": "module 'fpmods' has no attribute 'no_such_name'",
+        "census_is_the_law": True,
+    }
