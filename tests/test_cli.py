@@ -8,6 +8,7 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -618,7 +619,8 @@ def test_exact_modes_never_import_numpy(tmp_path):
     """count and exhaustive compute with Python ints and Fractions only. A
     module-level numpy import anywhere on their path costs every fresh run
     about 90 ms of start-up (Python 3.11, numpy 2.4, 2-vCPU host), most of
-    an exact run, for no numpy call. The JSON still names the numpy version."""
+    an exact run, for no numpy call. The JSON still names the numpy version,
+    read without importlib.metadata, which would cost about 20 ms more."""
     ops = [
         ["--mode", mode, *NO_SERIES_OPS[mode].split(), "--format", "both",
          "--output", str(tmp_path / mode)]
@@ -630,7 +632,7 @@ def test_exact_modes_never_import_numpy(tmp_path):
         "from fpmods.cli import main\n"
         f"ops = {ops!r}\n"
         "codes = [main(argv) for argv in ops]\n"
-        "loaded = 'numpy' in sys.modules\n"
+        "loaded = [m for m in ('numpy', 'importlib.metadata') if m in sys.modules]\n"
         "versions = [json.loads(Path(argv[-1] + '.json').read_text())\n"
         "            ['metadata']['numpy'] for argv in ops]\n"
         "print(codes, loaded, versions)\n"
@@ -643,8 +645,22 @@ def test_exact_modes_never_import_numpy(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    want = f"{[EXIT_OK] * len(ops)} False {[np.__version__] * len(ops)}"
+    want = f"{[EXIT_OK] * len(ops)} [] {[np.__version__] * len(ops)}"
     assert result.stdout.splitlines()[-1] == want
+
+
+def test_numpy_version_reads_the_one_dist_info_name(monkeypatch, tmp_path):
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "numpy-9.8.7.dist-info").mkdir()
+    (tmp_path / "numpy_other-1.0.dist-info").mkdir()
+    spec = SimpleNamespace(origin=str(tmp_path / "numpy" / "__init__.py"))
+    monkeypatch.setattr(cli.importlib.util, "find_spec", lambda name: spec)
+    monkeypatch.setitem(sys.modules, "numpy", None)  # unloaded, and unimportable
+    assert cli._numpy_version() == "9.8.7"
+    # two candidates: it imports numpy instead of guessing
+    (tmp_path / "numpy-9.9.0.dist-info").mkdir()
+    with pytest.raises(ImportError):
+        cli._numpy_version()
 
 
 def test_main_io_error_exit(tmp_path, capsys):

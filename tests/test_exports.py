@@ -16,11 +16,27 @@ def test_all_names_resolve_and_star_import_succeeds():
     assert set(fpmods.__all__) <= namespace.keys()
 
 
-MODULES = ("series", "linalg", "submodules", "probability", "pairing", "cli")
+# every public name, sorted; adding one is a deliberate edit here too
+EXPORTED = [
+    "CyclicSubmodule", "FpSubspace", "Intersection", "InvariantError", "MAX_LEVEL",
+    "MAX_PRIME", "MaximalIsotropic", "ModuleVector", "PushforwardReport",
+    "QuotientStructure", "ResourceBoundError", "RngSpec", "SampledExponents",
+    "SpaceElement", "SpaceShape", "SubmoduleTower", "TruncatedSeries", "__version__",
+    "census_maximal_generators", "check_level", "check_prime", "chi_square_uniformity",
+    "collision_probability_census", "collision_probability_exact", "count_maximal",
+    "count_maximal_generators", "count_maximal_isotropic", "enumerate_maximal",
+    "enumerate_maximal_isotropic", "gram_matrix", "intersect", "intersection_bound",
+    "intersection_exponent_linalg", "is_maximal", "is_power_of", "isotropic_diagnostics",
+    "iter_module_vectors", "lifts", "monte_carlo", "project", "pushforward_consistency",
+    "sample_pair", "sum_and_quotient", "t_action_matrix", "tower_experiment",
+]
+MODULES = ("errors", "series", "laws", "linalg", "submodules", "probability", "pairing", "cli")
 LAZY_FACTS = f"""
 import json, sys
 import fpmods
 facts = {{"numpy_loaded": "numpy" in sys.modules}}
+facts["submodules_loaded"] = sorted(m for m in sys.modules if m.startswith("fpmods."))
+facts["all"] = sorted(fpmods.__all__)
 facts["all_in_dir"] = set(fpmods.__all__) <= set(dir(fpmods))
 facts["modules"] = {{m: getattr(fpmods, m) is sys.modules["fpmods." + m] for m in {MODULES!r}}}
 facts["pushforward"] = fpmods.probability.pushforward_consistency.__name__
@@ -49,6 +65,8 @@ def test_import_loads_no_numpy_and_lazy_names_resolve():
     facts = json.loads(result.stdout)
     assert facts == {
         "numpy_loaded": False,
+        "submodules_loaded": [],
+        "all": EXPORTED,
         "all_in_dir": True,
         "modules": dict.fromkeys(MODULES, True),
         "pushforward": "pushforward_consistency",

@@ -166,6 +166,10 @@ def test_as_matrix_rejects_non_integers():
     big = np.array([[2**64 - 1, 2**63]], dtype=np.uint64)
     assert (linalg.as_matrix(big, 3) == [[0, 2]]).all()
     assert linalg.as_matrix([], 3, width=2).shape == (0, 2)
+    with pytest.raises(ValueError, match="empty matrix needs an explicit width"):
+        linalg.as_matrix([], 3)
+    with pytest.raises(ValueError, match="matrix must be 2-dimensional"):
+        linalg.as_matrix([[[1, 2]]], 3)
 
 
 @pytest.mark.parametrize(

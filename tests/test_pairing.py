@@ -44,6 +44,8 @@ def test_shape_validation():
         SpaceShape(3, 3, (5,))
     with pytest.raises(ValueError):
         SpaceShape(4, 1)
+    with pytest.raises(ValueError, match="total dimension 4098 exceeds 4096"):
+        SpaceShape(3, 1, (1,) * 2048)
     sh = SpaceShape(5, 5, (1, 5))
     assert sh.dim == 2 * (5 + 1 + 5)
     assert sh.block_levels == (5, 1, 5)
@@ -85,6 +87,27 @@ def test_generator_indices_are_validated():
     assert SpaceElement.generator(shape, 1, 1) == SpaceElement.from_vector(
         shape, [0, 0, 0, 1]
     )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda sh, x, y: SpaceElement(sh, [TruncatedSeries(3, (1, 0))] + list(x.coords[1:])),
+         r"coordinate 0 must live in \(p=3, level=1\)"),
+        (lambda sh, x, y: SpaceElement(sh, [TruncatedSeries(5, (1,))] + list(x.coords[1:])),
+         r"coordinate 0 must live in \(p=3, level=1\)"),
+        (lambda sh, x, y: SpaceElement.from_vector(sh, [1, 0, 2]), "vector must have length 4"),
+        (lambda sh, x, y: x + y, "elements must share a shape"),
+        (lambda sh, x, y: x.pair(y), "elements must share a shape"),
+    ],
+    ids=["coordinate-level", "coordinate-prime", "vector-length", "add", "pair"],
+)
+def test_element_rejects_mismatched_shapes(call, message):
+    shape = SpaceShape(3, 1, (1,))
+    x = SpaceElement.from_vector(shape, [1, 0, 2, 1])
+    y = SpaceElement.generator(SpaceShape(3, 1), 0, 0)
+    with pytest.raises(ValueError, match=message):
+        call(shape, x, y)
 
 
 def test_element_addition_refuses_foreign_operands():
@@ -866,6 +889,10 @@ def test_vectors_guard_and_members():
     assert not reduce_rows(sub.basis, sub.pivots, vecs, 3).any()
     zero = FpSubspace(shape).vectors()
     assert zero.shape == (1, shape.dim) and not zero.any()
+    # 97^4 members exceed the listing bound, so none is built
+    whole = FpSubspace(SpaceShape(97, 1, (1,)), np.eye(4, dtype=np.int64))
+    with pytest.raises(ResourceBoundError, match="p\\^dim = 88529281 member vectors"):
+        whole.vectors()
 
 
 def test_act_is_module_action():

@@ -249,6 +249,18 @@ def test_power_and_scalar_ops():
     assert g**3 == TruncatedSeries.one(3, 3)  # order p at level p
     assert 2 * g == g + g
     assert (g**2).coeffs == (1, 2, 1)
+    # T^power vanishes at and beyond the level
+    assert TruncatedSeries.monomial(3, 3, 3) == TruncatedSeries.zero(3, 3)
+    assert (g**2).truncate(2) == TruncatedSeries(3, (1, 2))
+    with pytest.raises(ValueError, match="cannot truncate level 3 up to 4"):
+        g.truncate(4)
+
+
+def test_truthiness_and_str():
+    assert not TruncatedSeries.zero(3, 2) and TruncatedSeries.monomial(3, 2, 1)
+    assert str(TruncatedSeries(5, (0, 1, 3, 1))) == "T + 3*T^2 + T^3 (mod 5, T^4)"
+    assert str(TruncatedSeries(5, (2, 0, 4))) == "2 + 4*T^2 (mod 5, T^3)"
+    assert str(TruncatedSeries.zero(3, 2)) == "0 (mod 3, T^2)"
 
 
 def test_hash_and_equality():

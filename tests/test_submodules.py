@@ -187,6 +187,10 @@ def test_param_must_be_a_tuple():
         CyclicSubmodule(3, 2, "A", [1, 2])
     with pytest.raises(ValueError, match="param must be a tuple, got list"):
         CyclicSubmodule(3, 2, "B", [1])
+    with pytest.raises(ValueError, match="kind A at level 2 needs 2 parameter coefficients, got 1"):
+        CyclicSubmodule(3, 2, "A", (1,))
+    with pytest.raises(ValueError, match="kind B at level 2 needs 1 parameter coefficients, got 2"):
+        CyclicSubmodule(3, 2, "B", (1, 2))
     sub = CyclicSubmodule(3, 2, "A", (1, 2))
     assert hash(sub) == hash(CyclicSubmodule(3, 2, "A", (1, 2)))
     assert len(list(lifts(sub, 3))) == 3
@@ -436,6 +440,10 @@ def test_tower_validation_and_from_top():
         )
     with pytest.raises(ValueError):
         SubmoduleTower(())
+    with pytest.raises(ValueError, match="stages must share p"):
+        SubmoduleTower((CyclicSubmodule(3, 1, "A", (1,)), CyclicSubmodule(5, 2, "A", (1, 0))))
+    with pytest.raises(ValueError, match="stage levels must strictly increase"):
+        SubmoduleTower((top, top))
     partial = SubmoduleTower.from_top(top, (1, 3))
     assert partial.levels == (1, 3)
 
