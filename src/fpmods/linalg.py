@@ -8,16 +8,25 @@ floats raise `ValueError` rather than being truncated. `rref` reduces one
 matrix and serves the subspace code and the tests as the reference; the
 nonzero rows of its result are the row space's one canonical basis.
 `rref_stack` reduces a whole (N, rows, cols) stack at once, with each matrix
-pivoting on its own. `nullspace_stack` reads the kernel of every matrix of a
-stack off one such elimination, in its reduced row echelon form; the
-isotropic search reads the socle kernels of a batch of states off it, and
-`nullspace`, its one-matrix case, serves `FpSubspace.orthogonal_complement`
-and the tests. `rref` and `rref_stack` take the pivot step that
-`rref_stack` describes, with one inverse table per modulus built by Fermat's
-little theorem, the library's only modular inverse. The table is checked
-once per modulus, so a modulus that is not prime raises `ValueError` instead
-of eliminating with wrong inverses; it has p entries, so p should be one of
-the library's small primes. `reduce_rows` is
+pivoting on its own, and returns exactly `rref`'s result for each. It works
+column-major and lazily, and its docstring proves the three facts that make
+that exact:
+- a step at column c changes only columns >= c, because its pivot row is
+  zero mod p left of c;
+- entries reduced only in the pivoted column and the pivot row stay below
+  p + cols * p^2 in absolute value, so int64 holds them for the library's
+  small primes;
+- rows need no swaps: ordering them once at the end by their pivot columns
+  puts them where `rref` puts them, since the rows without a pivot are zero.
+`nullspace_stack` reads the kernel of every matrix of a stack off one such
+elimination, in its reduced row echelon form; the isotropic search reads
+the socle kernels of a batch of states off it, and `nullspace`, its
+one-matrix case, serves `FpSubspace.orthogonal_complement` and the tests.
+Both eliminations invert pivots with one inverse table per modulus built by
+Fermat's little theorem, the library's only modular inverse. The table is
+checked once per modulus, so a modulus that is not prime raises
+`ValueError` instead of eliminating with wrong inverses; it has p entries,
+so p should be one of the library's small primes. `reduce_rows` is
 the one reduction against an rref basis, which it takes as given: exactly
 the nonzero rows of an rref with the given pivot columns. It is also the one
 membership test: a row lies in the span exactly when its residual is zero.
@@ -66,7 +75,13 @@ def _inverse_table(p: int) -> np.ndarray:
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form over GF(p). Returns (R, pivot_columns)."""
+    """Reduced row echelon form over GF(p). Returns (R, pivot_columns).
+
+    Column by column, with r the next pivot row: the first row at or below r
+    that is nonzero in column c is scaled by the inverse of that entry, row
+    r moves into its place, one outer product clears column c in every row
+    nonzero there, and the scaled row is written at r.
+    """
     a = _entries(mat, p)
     nrows, ncols = a.shape
     inverses = _inverse_table(p)
@@ -96,45 +111,66 @@ def rref_stack(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (R, pivots): R[k] equals rref(stack[k], p)[0], and pivots[k] is
     an int64 row of length rows holding rref(stack[k], p)[1] padded with -1.
-    One pass over the columns serves all matrices. In each column every
-    matrix that still has a nonzero entry at or below its next pivot row
-    swaps its first such row up, scales it by an inverse-table entry and
-    clears the column elsewhere; the other matrices get a pivot row of
-    zeros, so the broadcast elimination leaves them unchanged.
+    One pass over the columns serves all matrices, on a column-major copy.
+    At column c the column is reduced mod p, and every matrix with a nonzero
+    entry there in a row that has no pivot yet takes the first such row as
+    its pivot row: the row is scaled by an inverse-table entry and reduced,
+    and every row i loses it times f_i, the column's entry in row i less 1
+    in the pivot row. That leaves the column zero but for a 1 in the pivot
+    row, and the pivot row equal to its scaled self mod p. The other
+    matrices get a pivot row of zeros, which changes nothing.
+    - Only columns >= c are updated. A row without a pivot is zero mod p in
+      every earlier column: a pivot step cleared it there, or no such row
+      was nonzero there. So the pivot row's earlier entries are multiples of
+      p, and the update they would add is zero mod p.
+    - Entries stay below p + cols * p^2 in absolute value. They start in
+      [0, p); a step adds at most (p - 1)^2 to an entry, since f_i lies in
+      [0, p - 1) at the pivot row and in [0, p) elsewhere and the scaled row
+      is reduced; and an entry is updated only by the steps at or before its
+      column. Everything is reduced once at the end.
+    - No rows are swapped. Each pivot row records its column, and one
+      stable sort by that column puts the pivot rows first, in the order in
+      which rref moves them to the top. rref's rows without a pivot are
+      zero, and so are these, so their order does not matter.
     """
     a = _entries(stack, p)
     if a.ndim != 3:
         raise ValueError("stack must be 3-dimensional")
     count, nrows, ncols = a.shape
     inverses = _inverse_table(p)
-    pivots = np.full((count, nrows), -1, dtype=np.int64)
     if count == 0 or nrows == 0:
-        return a, pivots
+        return a, np.full((count, nrows), -1, dtype=np.int64)
+    # b[k, c] is column c of the k-th matrix
+    b = np.ascontiguousarray(a.transpose(0, 2, 1))
+    del a
     every = np.arange(count)
-    row_ids = np.arange(nrows)
-    r = np.zeros(count, dtype=np.int64)
+    pivot_of = np.full((count, nrows), ncols, dtype=np.int64)
+    left = count * nrows
     for c in range(ncols):
-        below = (a[:, :, c] != 0) & (row_ids >= r[:, None])
-        has = below.any(axis=1)
+        column = b[:, c]
+        column %= p
+        candidates = (column != 0) & (pivot_of == ncols)
+        has = candidates.any(axis=1)
         if not has.any():
             continue
-        # matrices without a pivot here swap row min(r, rows - 1) with itself
-        top = np.minimum(r, nrows - 1)
-        lead = np.where(has, below.argmax(axis=1), top)
-        chosen = a[every, lead]
-        a[every, lead] = a[every, top]
-        pivot_row = chosen * (inverses[chosen[:, c]] * has)[:, None] % p
-        # clears column c in every row, the pivot row included, then puts
-        # the scaled pivot row back
-        a[every, top] = chosen
-        a -= a[:, :, c, None] * pivot_row[:, None, :]
-        a %= p
-        a[every, top] += pivot_row
-        pivots[every[has], r[has]] = c
-        r += has
-        if (r == nrows).all():
+        lead = candidates.argmax(axis=1)
+        pivot_row = b[every, c:, lead]
+        pivot_row *= (inverses[column[every, lead]] * has)[:, None]
+        pivot_row %= p
+        factor = column.copy()
+        factor[every, lead] -= has
+        b[:, c:] -= pivot_row[:, :, None] * factor[:, None, :]
+        chosen = np.flatnonzero(has)
+        pivot_of[chosen, lead[chosen]] = c
+        left -= len(chosen)
+        if left == 0:
             break
-    return a, pivots
+    order = np.argsort(pivot_of, axis=1, kind="stable")
+    pivot_of.sort(axis=1)
+    pivot_of[pivot_of == ncols] = -1
+    reduced = b.transpose(0, 2, 1)[every[:, None], order]
+    reduced %= p
+    return reduced, pivot_of
 
 
 def rank(mat, p: int) -> int:

@@ -62,8 +62,9 @@ MAX_TOTAL_DIM = 4096
 MAX_SUBSPACE_VECTORS = 2_000_000
 # States per batch of the isotropic search, whose socle kernels come from one
 # stacked elimination; bounds that elimination's arrays and the frontier held
-# at once. Measured trade against 1,024: up to 25% slower on (3,1,(1,1,1)),
-# but 0.25 MB less peak RSS on the isotropic benchmark at a fixed pass count.
+# at once. Measured trade against 1,024, counting (3,1,(1,1,1)) in five fresh
+# processes each on a 2-vCPU host: 0.29-0.45 s at 30.5 MB peak RSS, against
+# 0.17-0.27 s at 37.0 MB. The small batch keeps the peak down.
 SEARCH_CHUNK = 128
 
 
@@ -445,7 +446,11 @@ def _socle_kernels(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray) -> 
     linalg.nullspace_stack gives every state's kernel of C^T from one
     stacked elimination, by its contract the reduced row echelon basis of
     the z among zero rows; placing it on the free columns keeps that form.
-    k = 0 takes the same steps with empty bases.
+    Only the columns of C that are nonzero mod p for some state of the batch
+    are passed on: a column that is zero for every state constrains no z,
+    so every kernel is unchanged. At T = 0 (every block of level 1) that
+    drops the whole T part, leaving the k pairing constraints. k = 0 takes
+    the same steps with empty bases.
     """
     p = shape.p
     action = t_action_matrix(shape)
@@ -454,7 +459,7 @@ def _socle_kernels(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray) -> 
     is_free = np.ones((count, dim), dtype=bool)
     is_free[every, pivots] = False
     free = np.nonzero(is_free)[1].reshape(count, dim - k)
-    # only the free rows of C are formed; the elimination reduces them mod p
+    # only the free rows of C are formed, reduced so that zero columns show
     constraints = np.concatenate(
         [
             action[free] - action[free[:, :, None], pivots[:, None, :]] @ bases,
@@ -462,9 +467,11 @@ def _socle_kernels(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray) -> 
         ],
         axis=2,
     )
+    constraints %= p
+    constraints = constraints[:, :, constraints.any(axis=(0, 1))]
     kernels = linalg.nullspace_stack(constraints.transpose(0, 2, 1), p)
     out = np.zeros((count, dim - k, dim), dtype=np.int64)
-    np.put_along_axis(out, free[:, None, :], kernels, axis=2)
+    out[every, :, free] = kernels.transpose(0, 2, 1)
     return out
 
 
@@ -508,8 +515,9 @@ def _kernel_runs(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray):
     run = kept & (leads >= dim // 2 - k - 1) & (leads < firsts)
     later = np.cumsum(kept[:, ::-1], axis=1)[:, ::-1] - kept
     children = np.where(run, shape.p**later, 0)
-    leading = np.take_along_axis(kernels, leads[:, :, None], axis=2)[:, :, 0]
-    on_pivots = np.take_along_axis(kernels, pivots[:, None, :], axis=2).any(axis=2)
+    every = np.arange(count)[:, None]
+    leading = kernels[every, np.arange(kernels.shape[1]), leads]
+    on_pivots = kernels[every, :, pivots].any(axis=1)
     reached = np.cumsum(run, axis=1) > 0
     faulty = (run & (leading != 1)) | (reached & on_pivots)
     if faulty.any():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,7 +265,11 @@ def assert_stack_matches_scalar(stack, p):
 
 @pytest.mark.parametrize("p", [3, 5, 97])
 @pytest.mark.parametrize(
-    "size", [(40, 3, 4), (40, 4, 8), (30, 6, 3), (30, 1, 5), (30, 5, 1), (25, 7, 7)]
+    "size",
+    [
+        (40, 3, 4), (40, 4, 8), (30, 6, 3), (30, 1, 5), (30, 5, 1), (25, 7, 7),
+        (4, 40, 40), (3, 12, 60),
+    ],
 )
 def test_rref_stack_matches_rref_on_random_stacks(p, size):
     rng = np.random.default_rng(1000 * p + sum(size))
@@ -304,6 +310,19 @@ def test_rref_stack_mixed_ranks_in_one_stack():
     assert_stack_matches_scalar(stack, p)
 
 
+def test_rref_stack_temporaries_stay_below_three_stacks():
+    # the traced peak counts the result, the working copy and one step's
+    # product, each the size of the stack
+    stack = np.random.default_rng(11).integers(0, 3, size=(1024, 11, 8))
+    tracemalloc.start()
+    try:
+        linalg.rref_stack(stack, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * stack.nbytes
+
+
 def test_rref_stack_rejects_non_stacks():
     with pytest.raises(ValueError):
         linalg.rref_stack(np.zeros((3, 3), dtype=np.int64), 3)
@@ -315,7 +334,12 @@ def random_stack(draw):
     count = draw(st.integers(0, 6))
     rows = draw(st.integers(0, 6))
     cols = draw(st.integers(0, 6))
-    entries = st.integers(0, p - 1) if draw(st.booleans()) else st.integers(0, 1)
+    # reduced, 0/1 and unreduced or negative entries
+    entries = draw(
+        st.sampled_from(
+            [st.integers(0, p - 1), st.integers(0, 1), st.integers(-3 * p, 3 * p - 1)]
+        )
+    )
     flat = draw(st.lists(entries, min_size=count * rows * cols, max_size=count * rows * cols))
     return np.array(flat, dtype=np.int64).reshape(count, rows, cols), p
 

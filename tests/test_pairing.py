@@ -705,7 +705,9 @@ def test_search_builds_subspaces_only_for_results(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "shape", [SpaceShape(3, 3, (1,)), SpaceShape(5, 1, (1,))], ids=str
+    "shape",
+    [SpaceShape(3, 3, (1,)), SpaceShape(5, 1, (1,)), SpaceShape(3, 1, (1, 1))],
+    ids=str,
 )
 def test_socle_kernel_is_the_echelon_basis_of_its_definition(shape):
     # brute force over all of V: w zero on the state's pivots, orthogonal
@@ -779,6 +781,23 @@ def test_search_reads_kernels_off_stacked_eliminations(monkeypatch):
     assert len(list(enumerate_maximal_isotropic(SpaceShape(3, 1, (1, 1))))) == 1120
     assert stacks == expanded
     assert len(stacks) < sum(expanded)
+
+
+def test_socle_kernels_drop_constraints_that_constrain_nothing(monkeypatch):
+    # at T = 0 the T part of the constraints is zero, so a state of
+    # dimension k leaves at most its k pairing constraints to eliminate
+    shape = SpaceShape(5, 1, (1,))
+    received = []
+    nullspace_stack = pairing.linalg.nullspace_stack
+
+    def recording(stack, p):
+        received.append(stack.shape)
+        return nullspace_stack(stack, p)
+
+    monkeypatch.setattr(pairing.linalg, "nullspace_stack", recording)
+    assert count_maximal_isotropic(shape) == (156, 36)
+    assert {shape.dim - cols for _, _, cols in received} == {0, 1}
+    assert all(rows <= shape.dim - cols for _, rows, cols in received)
 
 
 @st.composite
