@@ -41,7 +41,7 @@ def read_ints(values: Iterable[int], what: str = "coefficients") -> list[int]:
 
 def check_prime(p: int) -> int:
     # is_int inlined here and in check_level: both run for every TruncatedSeries
-    # and every public CyclicSubmodule(...), though not for _trusted forms
+    # and every public CyclicSubmodule(...), though not for unchecked forms
     if not isinstance(p, int) or isinstance(p, bool) or p not in _ODD_PRIMES:
         raise ValueError(f"p must be an odd prime in [3, {MAX_PRIME}], got {p!r}")
     return p
@@ -62,13 +62,13 @@ def is_power_of(n: int, base: int) -> bool:
 
 
 class Frozen:
-    """Base of the slotted value classes. Assigning or deleting an attribute
-    raises `FrozenInstanceError`, an `AttributeError`, so subclasses fill their
-    slots through `slot_setters`. `copy`, `deepcopy` and `pickle` rebuild
-    through the validating constructor from the slots named by `_ARGS`
+    """Base of the immutable value classes: assigning or deleting an attribute
+    raises `FrozenInstanceError`, an `AttributeError`. Slotted subclasses fill
+    their slots through `slot_setters`, the tuple subclass `CyclicSubmodule`
+    is built whole by `tuple.__new__`. `copy`, `deepcopy` and `pickle` rebuild
+    through the validating constructor from the fields named by `_ARGS`
     (default `__slots__`, two or more), so a pickle written elsewhere is
-    checked again on load; equality and the hash are those of the same values.
-    """
+    checked again on load; equality and the hash are those of the same values."""
 
     __slots__ = ()
 

@@ -32,20 +32,23 @@ Validation happens at the public boundary, once per call: the
 `CyclicSubmodule(...)` constructor checks every field, and
 `enumerate_maximal`, `CyclicSubmodule.from_index`, `project` and `lifts`
 check their arguments, then build each result with the unchecked
-`CyclicSubmodule._trusted`, since a form made from validated parameters
-(a digit tuple, a slice of a valid param, a valid param plus digits) is
-valid by construction. `_trusted` fills its slots as every value class
-does, through `series.slot_setters` past the `series.Frozen` guard.
+`_form`, since a form made from validated parameters (a digit tuple, a
+slice of a valid param, a valid param plus digits) is valid by
+construction. A form is a tuple (p, level, kind, param), so `_form` is
+`tuple.__new__` bound to the class, and building, hashing and comparing
+forms run in C; a form equals only forms, and forms have no order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import partial
+from itertools import product, repeat
+from operator import add, itemgetter
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import ResourceBoundError
-from .series import Frozen, TruncatedSeries, check_level, check_prime, is_int, slot_setters
+from .series import Frozen, TruncatedSeries, check_level, check_prime, is_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,56 +93,57 @@ def is_maximal(v: ModuleVector) -> bool:
     return v.first.is_unit() or v.second.is_unit()
 
 
-@dataclass(frozen=True)
-class CyclicSubmodule(Frozen):
-    """A maximal cyclic submodule in canonical form.
+class CyclicSubmodule(Frozen, tuple):
+    """A maximal cyclic submodule in canonical form (p, level, kind, param).
 
     kind 'A' has generator (1, param); kind 'B' has generator (T*h, 1) where
     h is the level-(n-1) series with coefficients `param`. Two values are
-    equal iff they describe the same submodule.
+    equal iff they describe the same submodule; a form never equals a plain
+    tuple, and forms are unordered, since tuple order is not index order.
     """
 
-    __slots__ = ("p", "level", "kind", "param")
+    __slots__ = ()
+    # named like a namedtuple's, so dataclasses.asdict rebuilds a held form whole
+    _ARGS = _fields = ("p", "level", "kind", "param")
 
-    p: int
-    level: int
-    kind: str
-    param: tuple[int, ...]
+    p = property(itemgetter(0))
+    level = property(itemgetter(1))
+    kind = property(itemgetter(2))
+    param = property(itemgetter(3))
 
-    def __post_init__(self):
-        check_prime(self.p)
-        check_level(self.level)
-        if self.kind not in ("A", "B"):
-            raise ValueError(f"kind must be 'A' or 'B', got {self.kind!r}")
-        if not isinstance(self.param, tuple):
+    def __new__(cls, p: int, level: int, kind: str, param: tuple[int, ...]):
+        check_prime(p)
+        check_level(level)
+        if kind not in ("A", "B"):
+            raise ValueError(f"kind must be 'A' or 'B', got {kind!r}")
+        if not isinstance(param, tuple):
+            raise ValueError(f"param must be a tuple, got {type(param).__name__}")
+        expected = level if kind == "A" else level - 1
+        if len(param) != expected:
             raise ValueError(
-                f"param must be a tuple, got {type(self.param).__name__}"
+                f"kind {kind} at level {level} needs {expected} "
+                f"parameter coefficients, got {len(param)}"
             )
-        expected = self.level if self.kind == "A" else self.level - 1
-        if len(self.param) != expected:
-            raise ValueError(
-                f"kind {self.kind} at level {self.level} needs {expected} "
-                f"parameter coefficients, got {len(self.param)}"
-            )
-        if any(not is_int(c) or not 0 <= c < self.p for c in self.param):
+        if any(not is_int(c) or not 0 <= c < p for c in param):
             raise ValueError("parameter coefficients must be reduced mod p")
+        return tuple.__new__(cls, (p, level, kind, param))
 
-    @classmethod
-    def _trusted(
-        cls, p: int, level: int, kind: str, param: tuple[int, ...]
-    ) -> "CyclicSubmodule":
-        """Build without `__post_init__`: the caller guarantees valid fields.
+    # bools, never NotImplemented, or a plain tuple's reflected == would match
+    def __eq__(self, other):
+        return type(other) is CyclicSubmodule and tuple.__eq__(self, other)
 
-        For the module's own entry points only, which validate their
-        arguments once per call and pass a param tuple of reduced ints of
-        the length `kind` needs at `level`.
-        """
-        sub = object.__new__(cls)
-        _set_p(sub, p)
-        _set_level(sub, level)
-        _set_kind(sub, kind)
-        _set_param(sub, param)
-        return sub
+    def __ne__(self, other):
+        return type(other) is not CyclicSubmodule or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
+        raise TypeError("CyclicSubmodule values are unordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __repr__(self) -> str:
+        return "CyclicSubmodule(p={!r}, level={!r}, kind={!r}, param={!r})".format(*self)
 
     @classmethod
     def type_a(cls, g: TruncatedSeries) -> "CyclicSubmodule":
@@ -147,14 +151,11 @@ class CyclicSubmodule(Frozen):
 
     @property
     def generator(self) -> ModuleVector:
-        p, n = self.p, self.level
-        if self.kind == "A":
-            return ModuleVector(
-                TruncatedSeries.one(p, n), TruncatedSeries(p, self.param, n)
-            )
-        return ModuleVector(
-            TruncatedSeries(p, (0,) + self.param, n), TruncatedSeries.one(p, n)
-        )
+        p, n, kind, param = self
+        one = TruncatedSeries.one(p, n)
+        if kind == "A":
+            return ModuleVector(one, TruncatedSeries(p, param, n))
+        return ModuleVector(TruncatedSeries(p, (0,) + param, n), one)
 
     def basis_rows(self) -> np.ndarray:
         """Rows T^i * generator flattened to length 2*level, i = 0..level-1."""
@@ -170,11 +171,9 @@ class CyclicSubmodule(Frozen):
 
     def index(self) -> int:
         """Position in the canonical enumeration: kind 'A' first, then 'B'."""
-        p = self.p
-        value = 0
-        for c in reversed(self.param):
-            value = value * p + c
-        return value if self.kind == "A" else p**self.level + value
+        p, level, kind, param = self
+        value = sum([c * p**j for j, c in enumerate(param)])
+        return value if kind == "A" else p**level + value
 
     @classmethod
     def from_index(cls, p: int, level: int, i: int) -> "CyclicSubmodule":
@@ -186,14 +185,12 @@ class CyclicSubmodule(Frozen):
         else:
             kind, size = "B", level - 1
             i -= p**level
-        digits = []
-        for _ in range(size):
-            digits.append(i % p)
-            i //= p
-        return cls._trusted(p, level, kind, tuple(digits))
+        return _form((p, level, kind, tuple([i // p**j % p for j in range(size)])))
 
 
-_set_p, _set_level, _set_kind, _set_param = slot_setters(CyclicSubmodule)
+_form = partial(tuple.__new__, CyclicSubmodule)  # unchecked: see the module docstring
+# reversed, product's fastest digit, its last, becomes param[0], the lowest
+_reversed = itemgetter(slice(None, None, -1))
 
 
 def count_maximal(p: int, n: int) -> int:
@@ -221,12 +218,9 @@ def enumerate_maximal(p: int, n: int) -> Iterator[CyclicSubmodule]:
             f"{total} submodules at (p={p}, n={n}) exceed the "
             f"enumeration bound {MAX_ENUM_SUBMODULES}"
         )
-    trusted = CyclicSubmodule._trusted
     for kind, size in (("A", n), ("B", n - 1)):
-        # product varies its last digit fastest and param[0] is the lowest
-        # index digit, so the reversed tuples come in index order
-        for digits in itertools.product(range(p), repeat=size):
-            yield trusted(p, n, kind, digits[::-1])
+        params = map(_reversed, product(range(p), repeat=size))
+        yield from map(_form, zip(repeat(p), repeat(n), repeat(kind), params))
 
 
 def iter_module_vectors(p: int, n: int) -> Iterator[ModuleVector]:
@@ -237,7 +231,7 @@ def iter_module_vectors(p: int, n: int) -> Iterator[ModuleVector]:
         raise ResourceBoundError(
             f"p^(2n) = {p ** (2 * n)} vectors exceed the bound {MAX_ENUM_VECTORS}"
         )
-    for digits in itertools.product(range(p), repeat=2 * n):
+    for digits in product(range(p), repeat=2 * n):
         yield ModuleVector(
             TruncatedSeries(p, digits[:n]), TruncatedSeries(p, digits[n:])
         )
@@ -256,8 +250,15 @@ class Intersection:
     size_exponent: int
 
 
+def _checked(sub: CyclicSubmodule) -> CyclicSubmodule:
+    """sub, for unpacking as (p, level, kind, param); a plain tuple raises."""
+    if type(sub) is not CyclicSubmodule:
+        raise TypeError(f"expected a CyclicSubmodule, got {type(sub).__name__}")
+    return sub
+
+
 def _check_pair(n1: CyclicSubmodule, n2: CyclicSubmodule) -> None:
-    if n1.p != n2.p or n1.level != n2.level:
+    if _checked(n1)[:2] != _checked(n2)[:2]:
         raise ValueError("submodules must share p and level")
 
 
@@ -294,11 +295,11 @@ def intersect(n1: CyclicSubmodule, n2: CyclicSubmodule) -> Intersection:
     n1.generator.scaled(TruncatedSeries.monomial(p, n, n - v)) for v > 0.
     """
     _check_pair(n1, n2)
-    if n1.kind != n2.kind:
+    _, n, kind, a = n1
+    if kind != n2[2]:
         return Intersection(0)
-    if n1.kind == "A":
-        return Intersection(_diff_valuation(n1.param, n2.param))
-    return Intersection(min(1 + _diff_valuation(n1.param, n2.param), n1.level))
+    v = _diff_valuation(a, n2[3])
+    return Intersection(v if kind == "A" else min(1 + v, n))
 
 
 @dataclass(frozen=True)
@@ -329,10 +330,10 @@ def sum_and_quotient(n1: CyclicSubmodule, n2: CyclicSubmodule) -> QuotientStruct
 def project(sub: CyclicSubmodule, m: int) -> CyclicSubmodule:
     """Image under the truncation map to level m <= level; kind is preserved."""
     check_level(m)
-    if m > sub.level:
-        raise ValueError(f"cannot project level {sub.level} up to level {m}")
-    cut = m if sub.kind == "A" else m - 1
-    return CyclicSubmodule._trusted(sub.p, m, sub.kind, sub.param[:cut])
+    p, level, kind, param = _checked(sub)
+    if m > level:
+        raise ValueError(f"cannot project level {level} up to level {m}")
+    return _form((p, m, kind, param[: m if kind == "A" else m - 1]))
 
 
 def lifts(sub: CyclicSubmodule, m: int) -> Iterator[CyclicSubmodule]:
@@ -342,14 +343,13 @@ def lifts(sub: CyclicSubmodule, m: int) -> Iterator[CyclicSubmodule]:
     form's lifts are its fiber in the level-m census, in census order.
     """
     check_level(m)
-    if m < sub.level:
-        raise ValueError(f"cannot lift level {sub.level} down to level {m}")
-    extra = m - sub.level
-    trusted = CyclicSubmodule._trusted
+    p, level, kind, param = _checked(sub)
+    if m < level:
+        raise ValueError(f"cannot lift level {level} down to level {m}")
     # the tail's digits are the highest of the index; reversed, as in
     # enumerate_maximal, the lowest of them varies fastest
-    for tail in itertools.product(range(sub.p), repeat=extra):
-        yield trusted(sub.p, m, sub.kind, sub.param + tail[::-1])
+    params = map(add, repeat(param), map(_reversed, product(range(p), repeat=m - level)))
+    yield from map(_form, zip(repeat(p), repeat(m), repeat(kind), params))
 
 
 @dataclass(frozen=True)

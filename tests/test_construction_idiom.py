@@ -1,13 +1,16 @@
-"""The library builds a slotted immutable object in one way only.
+"""The library builds an immutable value object in one of two ways only.
 
 `TruncatedSeries`, `SpaceElement`, `FpSubspace` and `CyclicSubmodule`
 inherit `series.Frozen`, the one owner of the immutability guard and of the
-pickle hook, and fill their slots through the setters `series.slot_setters`
-binds once at import, which skip that guard. This test keeps the other
-idioms out of the package: a generic `object.__setattr__` per field (the
-slower one), a class other than `Frozen` defining `__setattr__`,
-`__delattr__` or `__reduce__`, a slot setter bound by hand outside
-`slot_setters`, and a `dataclass(slots=True)`, whose class rebuild breaks
+pickle hook. The slotted ones fill their slots through the setters
+`series.slot_setters` binds once at import, which skip that guard;
+`CyclicSubmodule` is a tuple, built whole by `tuple.__new__`, and is the one
+tuple-backed value, so only `submodules.py` calls `tuple.__new__`. This
+test keeps the other idioms out of the package: a generic
+`object.__setattr__` per field (the slower one), a class other than
+`Frozen` defining `__setattr__`, `__delattr__` or `__reduce__`, a slot
+setter bound by hand outside `slot_setters`, `tuple.__new__` outside
+`submodules.py`, and a `dataclass(slots=True)`, whose class rebuild breaks
 the frozen guard and whose generated `__setstate__` skips validation.
 """
 
@@ -88,6 +91,20 @@ def test_slot_setters_are_bound_only_by_slot_setters():
             and id(node) not in allowed
         ]
     assert found == []
+
+
+def test_only_submodules_builds_tuple_subclasses():
+    found = {}
+    for module, tree in _modules():
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__new__"
+            and isinstance(node.value, ast.Name) and node.value.id == "tuple"
+        ]
+        if lines:
+            found[module] = lines
+    assert set(found) == {"submodules.py"}
 
 
 def test_no_dataclass_is_built_with_slots():
