@@ -33,9 +33,10 @@ echelon bases and one of pivots. It reads the kernels of a whole batch off
 one stacked elimination (linalg.rref_stack) and builds the batch's children
 as one array; the frontier it holds is at most the children of one batch
 per dimension. FpSubspace objects are made only for the results, as they
-are yielded. count_maximal_isotropic, the search's other outlet, stops one
-dimension short of half and counts the last children off the kernels, with
-no Lagrangian built.
+are yielded. _search_count, the search's other outlet, stops one dimension
+short of half and counts the last children off the kernels, with no
+Lagrangian built. count_maximal_isotropic runs it only where T acts: at
+T = 0 (every block of level 1) it counts in closed form.
 
 The decomposition diagnostics of the Lagrangians found are read off their
 echelon bases in closed form, by duality, with no elimination, for all
@@ -48,7 +49,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -256,6 +257,15 @@ def t_action_matrix(shape: SpaceShape) -> np.ndarray:
     return a
 
 
+def _check_vector_count(p: int, dim: int) -> None:
+    """ResourceBoundError unless a space of dimension dim over GF(p) has at
+    most MAX_SUBSPACE_VECTORS members."""
+    if p**dim > MAX_SUBSPACE_VECTORS:
+        raise ResourceBoundError(
+            f"p^dim = {p ** dim} member vectors exceed {MAX_SUBSPACE_VECTORS}"
+        )
+
+
 class FpSubspace(Frozen):
     """A GF(p) subspace of the flattened space, stored as a canonical
     reduced-row-echelon basis (so equal subspaces compare equal)."""
@@ -329,10 +339,7 @@ class FpSubspace(Frozen):
     def vectors(self) -> np.ndarray:
         """All p^dim member vectors, one per row."""
         k = self.dim
-        if self.p**k > MAX_SUBSPACE_VECTORS:
-            raise ResourceBoundError(
-                f"p^dim = {self.p ** k} member vectors exceed {MAX_SUBSPACE_VECTORS}"
-            )
+        _check_vector_count(self.p, k)
         combos = np.array(
             list(itertools.product(range(self.p), repeat=k)), dtype=np.int64
         )
@@ -617,11 +624,7 @@ def _batches(shape: SpaceShape, depth: int):
     at most SEARCH_CHUNK states, in depth-first order; ResourceBoundError
     unless p^dim is at most MAX_SUBSPACE_VECTORS (see
     enumerate_maximal_isotropic)."""
-    p = shape.p
-    if p**shape.dim > MAX_SUBSPACE_VECTORS:
-        raise ResourceBoundError(
-            f"p^dim = {p ** shape.dim} member vectors exceed {MAX_SUBSPACE_VECTORS}"
-        )
+    _check_vector_count(shape.p, shape.dim)
     stack = [(np.zeros((1, 0, shape.dim), dtype=np.int64), np.zeros((1, 0), dtype=np.int64))]
     while stack:
         bases, pivots = stack.pop()
@@ -664,9 +667,9 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
     SEARCH_CHUNK, so at each dimension the stack holds at most the children
     of one batch, never a whole level (_batches). Batches of half dimension
     go to a compact result store, in the smallest unsigned dtypes that hold
-    their entries and pivots. count_maximal_isotropic is the search's other
-    outlet: it counts the children of the states of dimension half - 1
-    instead of building them.
+    their entries and pivots. _search_count is the search's other outlet:
+    it counts the children of the states of dimension half - 1 instead of
+    building them.
 
     States of half dimension equal their own complement, hence are maximal.
     The store is sorted once, by its rows' bytes, which orders them as
@@ -703,12 +706,42 @@ def count_maximal_isotropic(shape: SpaceShape) -> tuple[int, int]:
     """(results, splits): the number of maximal isotropic T-stable subspaces
     and of those whose diagnostics split, equal to len(reports) and
     sum(r.splits for r in reports) for the reports of
-    enumerate_maximal_isotropic(shape).
+    enumerate_maximal_isotropic(shape), under the same MAX_SUBSPACE_VECTORS
+    bound (ResourceBoundError above it).
 
-    The same search, under the same MAX_SUBSPACE_VECTORS bound, stops at
-    dimension half - 1 and counts each batch's children off its kernels
-    (_count_children), so no Lagrangian is built or stored.
+    Where T acts, this is _search_count. At T = 0, when every block has
+    level 1 and dim = 2g for g = shape.num_blocks, it is the closed form
+
+        results = prod_{i=1..g} (p^i + 1),
+        splits = (p + 1) * prod_{i=1..g-1} (p^i + 1),
+
+    with no search. At T = 0 every subspace is T-stable, so the results are
+    all the Lagrangians of a 2g-dimensional symplectic GF(p)-space, whose
+    number is prod_{i=1..g} (p^i + 1). By _lagrangian_diagnostics, with
+    n = 1, a Lagrangian L splits iff d = n = 1 and M = L meet R is cyclic,
+    R the rank block and S the torsion blocks:
+    - d = 0 is impossible: it would put the g-dimensional isotropic L inside
+      the 2(g - 1)-dimensional S.
+    - d = 1 means L meet R is a line l, and then L = l + (L meet S), a
+      direct sum, with L meet S a Lagrangian of S (dimension g - 1).
+    - M = l is cyclic, since L's basis is nonzero on column 0 or column
+      n = 1.
+    So the split Lagrangians are l + L_S for each of the p + 1 lines l of R
+    and each Lagrangian L_S of S, and every such sum is a Lagrangian.
     """
+    p, g = shape.p, shape.num_blocks
+    if shape.dim != 2 * g:
+        return _search_count(shape)
+    _check_vector_count(p, shape.dim)
+    torsion = prod(p**i + 1 for i in range(1, g))
+    return (p**g + 1) * torsion, (p + 1) * torsion
+
+
+def _search_count(shape: SpaceShape) -> tuple[int, int]:
+    """count_maximal_isotropic by the search, at any shape: it stops at
+    dimension half - 1 and counts each batch's children off its kernels
+    (_count_children), so no Lagrangian is built or stored. It serves the
+    shapes where T acts, and is the oracle of the T = 0 closed form."""
     results = splits = 0
     for bases, pivots in _batches(shape, shape.dim // 2 - 1):
         batch_results, batch_splits = _count_children(shape, bases, pivots)

@@ -353,12 +353,14 @@ def _sampled_exponents(p: int, n: int, trials: int, spec: RngSpec) -> SampledExp
         kinds, v = _pair_exponents(p, n, keys)
         classes = kinds * width + v
         chunk = np.bincount(classes, minlength=len(counts))
-        if ((chunk > 0) & (counts == 0)).any():
-            seen, first = np.unique(classes, return_index=True)
-            new = counts[seen] == 0
+        new = np.flatnonzero((chunk > 0) & (counts == 0))
+        if len(new):
+            # the first trial of each class; np.unique would sort the chunk
+            first = np.full(len(counts), len(keys))
+            np.minimum.at(first, classes, np.arange(len(keys)))
             checks = [
                 (start + i, *divmod(cls, width))
-                for cls, i in zip(seen[new].tolist(), first[new].tolist())
+                for cls, i in zip(new.tolist(), first[new].tolist())
             ]
             _check_trials(p, n, spec, checks)
         counts += chunk

@@ -870,17 +870,20 @@ def test_emit_both_writes_nothing_when_the_second_rename_fails(
     assert "rep.json" in err and ".fpmods-" not in err
 
 
-@pytest.mark.parametrize("shape", ["1", "1,1"])
-def test_main_isotropic_child_out_of_echelon_form_exit(tmp_path, capsys, monkeypatch, shape):
+@pytest.mark.parametrize("levels, shape", [("3", "1"), ("1", "3")])
+def test_main_isotropic_child_out_of_echelon_form_exit(
+    tmp_path, capsys, monkeypatch, levels, shape
+):
     # the count's twin of the enumeration's echelon test: an identity
-    # "kernel" offers w nonzero on the state's pivots
+    # "kernel" offers w nonzero on the state's pivots; T acts on both
+    # shapes, so the count searches
     monkeypatch.setattr(
         pairing,
         "_socle_kernels",
         lambda shape, bases, pivots: np.array([np.eye(shape.dim, dtype=np.int64) for _ in bases]),
     )
     code = run_main(
-        tmp_path, "--mode", "isotropic", "--prime", "3", "--levels", "1",
+        tmp_path, "--mode", "isotropic", "--prime", "3", "--levels", levels,
         "--shape", shape, "--output", str(tmp_path / "iso"), "--format", "both",
     )
     assert code == EXIT_INVARIANT

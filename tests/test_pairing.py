@@ -419,15 +419,31 @@ def test_level_one_counts_follow_the_closed_forms(shape, results, split):
         splits += report.splits
     assert (count, splits) == (results, split)
     assert count_maximal_isotropic(shape) == (results, split)
+    assert pairing._search_count(shape) == (results, split)
 
 
 def test_count_follows_the_level_one_closed_forms_beyond_enumeration():
-    # (7,1,(1,1)): 137,600 Lagrangians, counted without building them
+    # (7,1,(1,1)): 137,600 Lagrangians, counted by the search without
+    # building them, and in closed form
     p, g = 7, 3
     results = math.prod(p**i + 1 for i in range(1, g + 1))
     split = (p + 1) * math.prod(p**i + 1 for i in range(1, g))
     assert (results, split) == (137_600, 3_200)
-    assert count_maximal_isotropic(SpaceShape(7, 1, (1, 1))) == (results, split)
+    shape = SpaceShape(7, 1, (1, 1))
+    assert count_maximal_isotropic(shape) == (results, split)
+    assert pairing._search_count(shape) == (results, split)
+
+
+def test_level_one_counts_run_no_search(monkeypatch):
+    # (3,1,(1,1,1,1)) takes minutes by search; at T = 0 the count is the
+    # closed form, while a shape where T acts still searches
+    def refused(*args):
+        raise AssertionError("the count searched")
+
+    monkeypatch.setattr(pairing, "_batches", refused)
+    assert count_maximal_isotropic(SpaceShape(3, 1, (1, 1, 1, 1))) == (22_408_960, 367_360)
+    with pytest.raises(AssertionError, match="the count searched"):
+        count_maximal_isotropic(SpaceShape(3, 3, (1,)))
 
 
 @pytest.mark.parametrize(
@@ -664,7 +680,7 @@ def test_count_builds_no_state_of_half_dimension(monkeypatch):
 
     monkeypatch.setattr(pairing, "_children", recording)
     monkeypatch.setattr(FpSubspace, "_from_rref", refused)
-    assert count_maximal_isotropic(SpaceShape(3, 1, (1, 1))) == (1120, 160)
+    assert pairing._search_count(SpaceShape(3, 1, (1, 1))) == (1120, 160)
     assert built and max(built) == 2
 
 
@@ -795,7 +811,7 @@ def test_socle_kernels_drop_constraints_that_constrain_nothing(monkeypatch):
         return nullspace_stack(stack, p)
 
     monkeypatch.setattr(pairing.linalg, "nullspace_stack", recording)
-    assert count_maximal_isotropic(shape) == (156, 36)
+    assert pairing._search_count(shape) == (156, 36)
     assert {shape.dim - cols for _, _, cols in received} == {0, 1}
     assert all(rows <= shape.dim - cols for _, rows, cols in received)
 
