@@ -62,10 +62,10 @@ from .series import (
 MAX_TOTAL_DIM = 4096
 MAX_SUBSPACE_VECTORS = 2_000_000
 # States per batch of the isotropic search, whose socle kernels come from one
-# stacked elimination; bounds that elimination's arrays and the frontier held
-# at once. Measured trade against 1,024, counting (3,1,(1,1,1)) in five fresh
-# processes each on a 2-vCPU host: 0.29-0.45 s at 30.5 MB peak RSS, against
-# 0.17-0.27 s at 37.0 MB. The small batch keeps the peak down.
+# stacked elimination; bounds its arrays and the frontier held at once. Against
+# 1,024, counting in three fresh processes each on a 2-vCPU host: (3,3,(1,1))
+# 0.19-0.23 s at 31.5 MB peak RSS against 0.15-0.19 s at 35.2 MB; (3,3,(3,))
+# 0.11-0.13 s at 30.5 MB against 0.11-0.13 s at 35.7 MB. Small keeps RSS down.
 SEARCH_CHUNK = 128
 
 

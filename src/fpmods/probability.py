@@ -36,8 +36,8 @@ of size p^v, and by `tower_experiment` as a tower whose stage k has exponent
 min(v, k). In every call, for both modes, the first trial of each observed
 (kind pair, v) class is recomputed through the scalar path. The pairs of
 all classes new in a chunk come from one stacked draw; they are then
-re-checked one by one, in ascending class order: `SubmoduleTower.from_top`
-of each submodule and `intersect` at every stage k must give min(v, k); the
+re-checked one by one, in ascending class order: `intersect` of the two
+forms, each projected to level k, must give min(v, k) at every level k; the
 first disagreement raises InvariantError naming (p, n, seed, trial), which
 `sample_pair(p, n, RngSpec(seed), trial)` reproduces.
 """
@@ -60,7 +60,6 @@ from .laws import (  # re-exported: probability.<law> names the same function
 from .series import check_level, check_prime, is_int
 from .submodules import (
     CyclicSubmodule,
-    SubmoduleTower,
     count_maximal,
     enumerate_maximal,
     intersect,
@@ -269,23 +268,24 @@ def _check_trials(
 
     `checks` holds (trial, kind pair, v) in ascending class order. All the
     pairs come from one stacked draw, then each is checked in turn, so the
-    first failing class is the one reported. Stage n is the top
-    intersection; its v is also the quotient's exponent.
+    first failing class is the one reported. Level k intersects both forms
+    projected to k; level n is the top, and its v is the quotient's exponent.
     """
     pairs = _draw_pairs(p, n, spec.seed, [trial for trial, _, _ in checks])
+    levels = range(1, n + 1)
     for (trial, kinds, v), (n1, n2) in zip(checks, pairs):
-        stages = zip(
-            SubmoduleTower.from_top(n1).stages, SubmoduleTower.from_top(n2).stages
-        )
         got = {
             "kind pair": 2 * (n1.kind == "B") + (n2.kind == "B"),
             "collision": n1 == n2,
-            "stage exponents": [intersect(a, b).size_exponent for a, b in stages],
+            "stage exponents": [
+                intersect(project(n1, k), project(n2, k)).size_exponent
+                for k in levels
+            ],
         }
         want = {
             "kind pair": kinds,
             "collision": v == n,
-            "stage exponents": [min(v, k) for k in range(1, n + 1)],
+            "stage exponents": [min(v, k) for k in levels],
         }
         for key in want:
             if got[key] != want[key]:

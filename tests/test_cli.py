@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -590,6 +591,41 @@ def test_no_mode_builds_a_series(tmp_path, monkeypatch, mode):
     assert csv_bytes("patched") == want
 
 
+# The sha256 of the CSV bytes of one op per mode. A change that alters the
+# draws or any reported figure on purpose updates these digests.
+CSV_DIGESTS = {
+    "count": (
+        "--prime 3 --levels 1,2,3,4",
+        "d815753c64175185e750b9bbb50155f13df987ea6c0d28c871c95e4d5b3720a7",
+    ),
+    "exhaustive": (
+        "--prime 5 --levels 1,2,3",
+        "1c8cc703a42ca26eb853c1a5227da76d3ef8c9d915ea85d7b1010a7e78d5fef4",
+    ),
+    "montecarlo": (
+        "--prime 3 --levels 1,3,12 --trials 40000 --seed 42",
+        "dabfd92a93a7d7102261df34bbcddcd0aaf1c866e0ffce6724c90dcb9cef4ea3",
+    ),
+    "tower": (
+        "--prime 5 --levels 6 --trials 33000 --seed 7",
+        "aceb87d336b1fe13fc82ff6f282d4c9a2444e1faefa409f367810c472ab6e407",
+    ),
+    "isotropic": (
+        "--prime 3 --levels 3 --shape 1",
+        "d300d917d4850bab7ebc4891919f041951b935df811c86cc14921a9b6adbc091",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", CSV_DIGESTS)
+def test_csv_bytes_are_pinned(tmp_path, mode):
+    args, digest = CSV_DIGESTS[mode]
+    out = tmp_path / "pinned"
+    assert cli.main(["--mode", mode, *args.split(), "--output", str(out)]) == EXIT_OK
+    data = (tmp_path / "pinned.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest, data.decode()
+
+
 def test_no_mode_imports_numpy_ma(tmp_path):
     # a plain np.unique(x) imports numpy.ma, 1.3-1.6 MB of peak RSS in a
     # fresh interpreter; no mode may pay that
@@ -714,6 +750,31 @@ def test_main_invariant_exit(tmp_path, capsys, monkeypatch):
     assert "internal invariant violated" in err
     assert "seed=8675309" in err
     assert "trial=9" in err
+    assert not os.path.exists(tmp_path / "x.csv")
+
+
+def test_main_projection_fault_exit(tmp_path, capsys, monkeypatch):
+    # a projection that swaps the kind of level-1 forms changes a stage
+    # exponent of the first class checked: exit 5, not a traceback
+    from fpmods import CyclicSubmodule, probability
+
+    original = probability.project
+
+    def kind_swapped(sub, m):
+        if m > 1:
+            return original(sub, m)
+        if sub.kind == "A":
+            return CyclicSubmodule(sub.p, 1, "B", ())
+        return CyclicSubmodule(sub.p, 1, "A", (0,))
+
+    monkeypatch.setattr(probability, "project", kind_swapped)
+    argv = "--mode montecarlo --prime 3 --levels 3 --trials 100 --seed 41".split()
+    code = run_main(tmp_path, *argv, "--output", str(tmp_path / "x"))
+    assert code == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "internal invariant violated" in err
+    assert "seed=41" in err
+    assert "trial=2" in err
     assert not os.path.exists(tmp_path / "x.csv")
 
 

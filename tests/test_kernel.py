@@ -1,5 +1,6 @@
 """Differential tests of the index-space sampling kernel against the scalar path."""
 
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -284,19 +285,69 @@ def test_kernel_mismatch_raises_invariant_error(experiment, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("experiment", [monte_carlo, tower_experiment])
-def test_wrong_lower_stage_raises_invariant_error(experiment, monkeypatch):
-    """An intersection wrong only below the top level is caught in both modes."""
-    original = probability.intersect
-
-    def wrong_below_top(a, b):
+def _intersect_wrong_below_top(original):
+    def wrong(a, b):
         meet = original(a, b)
         if a.level < 3:
             return replace(meet, size_exponent=meet.size_exponent + 1)
         return meet
 
-    monkeypatch.setattr(probability, "intersect", wrong_below_top)
+    return wrong
+
+
+def _project_swaps_kind_at_level_1(original):
+    def wrong(sub, m):
+        if m > 1:
+            return original(sub, m)
+        if sub.kind == "A":
+            return CyclicSubmodule(sub.p, 1, "B", ())
+        return CyclicSubmodule(sub.p, 1, "A", (0,))
+
+    return wrong
+
+
+# the patched name of probability, its fault, and the scalar stage exponents
+# of the first class checked
+LOWER_STAGE_FAULTS = {
+    "intersect": (_intersect_wrong_below_top, "[1, 1, 0]"),
+    "project": (_project_swaps_kind_at_level_1, "[1, 0, 0]"),
+}
+
+
+@pytest.mark.parametrize(
+    "experiment, target",
+    [
+        pytest.param(monte_carlo, "intersect", id="monte_carlo"),
+        pytest.param(tower_experiment, "intersect", id="tower_experiment"),
+        pytest.param(monte_carlo, "project", id="monte_carlo-project"),
+        pytest.param(tower_experiment, "project", id="tower_experiment-project"),
+    ],
+)
+def test_wrong_lower_stage_raises_invariant_error(experiment, target, monkeypatch):
+    """An intersection or a projection wrong only below the top level is
+    caught in both modes."""
+    fault, scalar = LOWER_STAGE_FAULTS[target]
+    monkeypatch.setattr(probability, target, fault(getattr(probability, target)))
     # classes are rechecked in ascending order; trial 2 is the first of the
     # lowest one, an A-A pair with v = 0
-    with pytest.raises(InvariantError, match=r"stage exponents.*seed=41, trial=2"):
+    message = (
+        f"stage exponents: kernel [0, 0, 0], scalar {scalar} "
+        "(p=3, n=3, seed=41, trial=2)"
+    )
+    with pytest.raises(InvariantError, match=re.escape(message)):
         experiment(3, 3, 100, RngSpec(41))
+
+
+def test_sampled_check_builds_no_tower(monkeypatch):
+    """The cross-check intersects projected forms; it builds no tower."""
+
+    def refuse(self):
+        raise RuntimeError("the sampled check built a SubmoduleTower")
+
+    monkeypatch.setattr(SubmoduleTower, "__post_init__", refuse)
+    assert monte_carlo(3, 12, 2000, RngSpec(0)).exponent_counts == {
+        0: 1522, 1: 312, 2: 123, 3: 23, 4: 12, 5: 4, 6: 3, 10: 1,
+    }
+    assert tower_experiment(3, 6, 3000, RngSpec(0)).exponent_counts == {
+        0: 2245, 1: 508, 2: 173, 3: 48, 4: 15, 5: 8, 6: 3,
+    }
