@@ -46,6 +46,7 @@ from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
+from functools import cache
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -501,7 +502,10 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**settings)
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
+    """The flag parser, built once per process: parse_args leaves it
+    unchanged, and no flag has a default to share between runs."""
     parser = argparse.ArgumentParser(
         prog="fpmods",
         description="Experiments on maximal cyclic submodules over F_p[T]/(T^n).",

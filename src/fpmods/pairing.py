@@ -30,17 +30,19 @@ leads with a 1 before them; all such w come from one kernel per state.
 The search holds its states as arrays, not as FpSubspace objects: a batch
 of at most SEARCH_CHUNK states, all of one dimension, is one array of
 echelon bases and one of pivots. It reads the kernels of a whole batch off
-one stacked elimination (linalg.rref_stack) and builds the batch's children
-as one array; the frontier it holds is at most the children of one batch
-per dimension. FpSubspace objects are made only for the results, as they
-are yielded. _search_count, the search's other outlet, stops one dimension
-short of half and counts the last children off the kernels, with no
-Lagrangian built. count_maximal_isotropic runs it only where T acts: at
-T = 0 (every block of level 1) it counts in closed form.
+one stacked elimination (linalg.rref_stack) and builds all the batch's
+children as one array, in one pass; the frontier it holds is at most the
+children of one batch per dimension. The search has one outlet, its
+batches of half dimension: enumerate_maximal_isotropic stores them and
+makes FpSubspace objects only for the results, as they are yielded;
+_search_count counts them and drops them. count_maximal_isotropic runs that
+count only where T acts: at T = 0 (every block of level 1) it counts in
+closed form.
 
 The decomposition diagnostics of the Lagrangians found are read off their
 echelon bases in closed form, by duality, with no elimination, for all
-results at once (see _lagrangian_diagnostics; isotropic_diagnostics is its
+results at once (see _lagrangian_diagnostics, and _decomposition, where
+the count reads the same split criterion; isotropic_diagnostics is their
 one-subspace case).
 """
 
@@ -64,8 +66,8 @@ MAX_SUBSPACE_VECTORS = 2_000_000
 # States per batch of the isotropic search, whose socle kernels come from one
 # stacked elimination; bounds its arrays and the frontier held at once. Against
 # 1,024, counting in three fresh processes each on a 2-vCPU host: (3,3,(1,1))
-# 0.19-0.23 s at 31.5 MB peak RSS against 0.15-0.19 s at 35.2 MB; (3,3,(3,))
-# 0.11-0.13 s at 30.5 MB against 0.11-0.13 s at 35.7 MB. Small keeps RSS down.
+# 0.21-0.30 s at 31.8 MB peak RSS against 0.19-0.35 s at 34.9 MB; (3,3,(3,))
+# 0.13-0.28 s at 30.4 MB against 0.13-0.17 s at 36.1 MB. Small keeps RSS down.
 SEARCH_CHUNK = 128
 
 
@@ -393,14 +395,33 @@ def isotropic_diagnostics(sub: FpSubspace) -> MaximalIsotropic:
 
 def _lagrangian_diagnostics(shape: SpaceShape, subspaces, bases, pivots):
     """isotropic_diagnostics without the check, for every T-stable Lagrangian
-    L of subspaces at once, read off the stacked echelon bases B, an
-    (N, dim L, dim) array of any integer dtype, and their (N, dim L) pivots.
+    of subspaces at once, read off their stacked echelon bases, an
+    (N, dim L, dim) array of any integer dtype, and their (N, dim L) pivots,
+    through _decomposition."""
+    rank_dim, half = shape.rank_dim, pivots.shape[1]
+    columns = (a.tolist() for a in _decomposition(shape, bases, pivots))
+    for sub, d, cyclic, splits in zip(subspaces, *columns):
+        yield MaximalIsotropic(
+            subspace=sub,
+            rank_projection_dim=d,
+            rank_intersection_dim=rank_dim - d,
+            torsion_intersection_dim=half - d,
+            rank_intersection_cyclic=cyclic,
+            splits=splits,
+        )
+
+
+def _decomposition(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray):
+    """(d, cyclic, splits), three (N,) arrays, for the T-stable Lagrangians
+    L with stacked echelon bases B, an (N, dim L, dim) array of any integer
+    dtype, and (N, dim L) pivots: d = rank_projection_dim, cyclic whether L
+    meet R is cyclic, and splits. Both outlets of the search read the split
+    criterion here.
 
     Let R be the rank block (columns 0..2n-1, u_0 then v_0, n the rank
     level) and S the torsion blocks, so R^perp = S and L^perp = L.
     - The rank columns come first, so the rows of B nonzero on them are the
-      rows led by a rank column: d = rank_projection_dim counts the pivots
-      below 2n.
+      rows led by a rank column: d counts the pivots below 2n.
     - L meet S is the kernel of the projection of L to R, so
       torsion_intersection_dim = dim L - d.
     - (L meet R)^perp = L + S, of dimension dim S + d, so
@@ -415,27 +436,10 @@ def _lagrangian_diagnostics(shape: SpaceShape, subspaces, bases, pivots):
       (2n - d) + (dim L - d) = dim L, that is when d = n, which also gives M
       the dimension n: splits is d = n and M cyclic.
     """
-    n, rank_dim = shape.rank_level, shape.rank_dim
-    half = pivots.shape[1]
-    proj_dims = (pivots < rank_dim).sum(axis=1).tolist()
-    cyclic = ((pivots[:, 0] == 0) | bases[:, :, n].any(axis=1)).tolist()
-    for sub, d, c in zip(subspaces, proj_dims, cyclic):
-        yield MaximalIsotropic(
-            subspace=sub,
-            rank_projection_dim=d,
-            rank_intersection_dim=rank_dim - d,
-            torsion_intersection_dim=half - d,
-            rank_intersection_cyclic=c,
-            splits=d == n and c,
-        )
-
-
-@lru_cache(maxsize=None)
-def _coefficients(p: int, count: int) -> np.ndarray:
-    """Every coefficient vector in GF(p)^count, one per row, lexicographic."""
-    out = np.array(list(itertools.product(range(p), repeat=count)), dtype=np.int64)
-    out.setflags(write=False)
-    return out
+    n = shape.rank_level
+    d = (pivots < shape.rank_dim).sum(axis=1)
+    cyclic = (pivots[:, 0] == 0) | bases[:, :, n].any(axis=1)
+    return d, cyclic, (d == n) & cyclic
 
 
 def _socle_kernels(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray) -> np.ndarray:
@@ -482,26 +486,34 @@ def _socle_kernels(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray) -> 
     return out
 
 
-def _kernel_runs(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray):
-    """The socle kernels of a batch of states of one dimension k, read for
-    both outlets of the search: returns (kernels, kept, leads, run,
-    children), where kernels is _socle_kernels' (N, R, dim) array and, per
-    kernel row, kept marks the nonzero rows, leads holds the leading column,
-    run marks the nonzero rows that lead in [half - k - 1, first pivot) (the
-    first pivot of the empty state is dim) and children counts the row's
-    children.
+def _children(
+    shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The children of a batch of states of one dimension k, as the bases
+    (M, k + 1, dim) and pivots (M, k + 1) of their echelon bases
+    [w; state's basis], in state order (see enumerate_maximal_isotropic).
 
-    The children of a state are the spans [w; state's basis] for w = row i
-    of the run plus any combination sum_{j > i} c_j row j of the m nonzero
-    rows after it (see enumerate_maximal_isotropic), so row i has p^m
-    children. Before they are used the kernels are checked, else
-    InvariantError: every row of a run must lead with a 1, and every nonzero
-    row from a run's first row on must vanish on its state's pivots. By
-    _socle_kernels' contract the nonzero rows lead at strictly increasing
-    columns, and under that premise this check fails exactly when some child
-    would fail the check on the children themselves: w leads with a 1
-    before the state's first pivot and vanishes on its pivots, so that
-    [w; state's basis] is in reduced row echelon form.
+    Read per kernel row of _socle_kernels, a state's run is its nonzero rows
+    that lead in [half - k - 1, first pivot) (the first pivot of the empty
+    state is dim). The children of a state are the spans [w; state's basis]
+    for w = row i of the run plus any combination sum_{j=1..m} c_j row_{i+j}
+    of the m nonzero rows after it, so row i has p^m children, by run row
+    and then with c in itertools.product order: child t of row i's block
+    has c_j = digit j of t in base p, most significant first, that is
+    t // p^(m-j) % p. Each state's nonzero rows are stable-sorted to the
+    front, so row i + j is the j-th nonzero row after row i, and the
+    children of the whole batch are built at once, one pass per digit
+    position (at most dim). _batches admits only p^dim <=
+    MAX_SUBSPACE_VECTORS, so p^m and t fit in int64.
+
+    Before they are used the kernels are checked, else InvariantError:
+    every row of a run must lead with a 1, and every nonzero row from a
+    run's first row on must vanish on its state's pivots. By _socle_kernels'
+    contract the nonzero rows lead at strictly increasing columns, and under
+    that premise this check fails exactly when some child would fail the
+    check on the children themselves: w leads with a 1 before the state's
+    first pivot and vanishes on its pivots, so that [w; state's basis] is in
+    reduced row echelon form.
     - The rows after row i lead after it, so they vanish on its leading
       column, and every w of row i leads where row i does, before the first
       pivot by the run's definition, with row i's leading entry. So every w
@@ -513,15 +525,13 @@ def _kernel_runs(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray):
     A state with an empty run has no children, and none of its rows is
     checked.
     """
-    dim = shape.dim
+    p, dim = shape.p, shape.dim
     count, k = pivots.shape
     kernels = _socle_kernels(shape, bases, pivots)
     kept = kernels.any(axis=2)
     leads = np.argmax(kernels != 0, axis=2)
     firsts = pivots[:, :1] if k else np.full((count, 1), dim)
     run = kept & (leads >= dim // 2 - k - 1) & (leads < firsts)
-    later = np.cumsum(kept[:, ::-1], axis=1)[:, ::-1] - kept
-    children = np.where(run, shape.p**later, 0)
     every = np.arange(count)[:, None]
     leading = kernels[every, np.arange(kernels.shape[1]), leads]
     on_pivots = kernels[every, :, pivots].any(axis=1)
@@ -535,100 +545,37 @@ def _kernel_runs(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray):
             f"1 before its first pivot {first} or zeros on its pivots",
             p=shape.p, n=shape.rank_level,
         )
-    return kernels, kept, leads, run, children
-
-
-@lru_cache(maxsize=None)
-def _extensions(p: int, count: int, start: int, stop: int) -> np.ndarray:
-    """Coefficients, over the count rows of an echelon basis, of every vector
-    that is one row i in [start, stop) plus any combination of the rows after
-    it: by i, then lexicographically in the later coefficients."""
-    blocks = [np.zeros((0, count), dtype=np.int64)]
-    for i in range(start, stop):
-        later = _coefficients(p, count - 1 - i)
-        block = np.zeros((len(later), count), dtype=np.int64)
-        block[:, i] = 1
-        block[:, i + 1 :] = later
-        blocks.append(block)
-    out = np.concatenate(blocks)
-    out.setflags(write=False)
-    return out
-
-
-def _children(
-    shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The children of a batch of states of one dimension k, as the bases
-    (M, k + 1, dim) and pivots (M, k + 1) of their echelon bases
-    [w; state's basis], in state order (see enumerate_maximal_isotropic).
-
-    A state's run of kernel rows (_kernel_runs, which checks them) is
-    [start, stop) among its nonzero rows, so one product with _extensions
-    lists every w of the state; each w leads where its run row does.
-    """
-    p = shape.p
-    kernels, kept, leads, run, sizes = _kernel_runs(shape, bases, pivots)
-    starts = (kept & (np.cumsum(run, axis=1) == 0)).sum(axis=1)
-    stops = starts + run.sum(axis=1)
-    owner = np.flatnonzero(stops > starts)
-    rows = [np.zeros((0, shape.dim), dtype=np.int64)]
-    for kernel, nonzero, start, stop in zip(
-        kernels[owner], kept[owner], starts[owner].tolist(), stops[owner].tolist()
-    ):
-        kernel = kernel[nonzero]
-        rows.append(_extensions(p, len(kernel), start, stop) @ kernel % p)
-    w = np.concatenate(rows)
-    owner = np.repeat(np.arange(len(bases)), sizes.sum(axis=1))
-    child_bases = np.concatenate([w[:, None, :], bases[owner]], axis=1)
-    child_pivots = np.concatenate(
-        [np.repeat(leads[run], sizes[run])[:, None], pivots[owner]], axis=1
-    )
+    order = np.argsort(~kept, axis=1, kind="stable")
+    rows = kernels[every, order]
+    state, row = np.nonzero(run[every, order])
+    last = kept.sum(axis=1)[state] - 1
+    sizes = p ** (last - row)
+    block = np.repeat(np.arange(len(row)), sizes)
+    t = np.arange(len(block)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    state, row, last = state[block], row[block], last[block]
+    w = rows[state, row]
+    # digit j of t, most significant first, is digit e = m - j, least
+    # significant first, and weighs row i + j = last - e; for e >= m the
+    # digit of t < p^m is 0, whatever row last - e names
+    for e in range(int((last - row).max(initial=0))):
+        w += (t // p**e % p)[:, None] * rows[state, last - e]
+    w %= p
+    child_bases = np.concatenate([w[:, None, :], bases[state]], axis=1)
+    child_pivots = np.concatenate([leads[run][block][:, None], pivots[state]], axis=1)
     return child_bases, child_pivots
 
 
-def _count_children(
-    shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray
-) -> tuple[int, int]:
-    """The number of children of a batch of states of dimension half - 1,
-    and of those children that split, read off the kernels with no child
-    built.
-
-    A state with k rows has, per row i of its run, p^m children, m = the
-    nonzero kernel rows after row i (_kernel_runs). The children are
-    Lagrangians, and by _lagrangian_diagnostics one with basis [w; P] splits
-    when d = n, d counting its pivots below 2n, and it is cyclic, which is
-    its basis being nonzero in column 0 or n. Every w of row i leads at row
-    i's lead q, so d is the state's pivots below 2n plus [q < 2n], and the
-    child is cyclic when q = 0, or the state's basis is nonzero in column n,
-    or w[n] != 0. For the last: w[n] = row_i[n] + sum_{j > i} c_j row_j[n],
-    over all c in GF(p)^m. If some later row is nonzero in column n, that is
-    a nonconstant affine function of c, which takes each value p^(m-1)
-    times, so p^m - p^(m-1) children have w[n] != 0. Otherwise w[n] =
-    row_i[n] for all p^m children, so all or none of them have it.
-    """
-    p, n, rank_dim = shape.p, shape.rank_level, shape.rank_dim
-    kernels, _, leads, _, children = _kernel_runs(shape, bases, pivots)
-    on_n = kernels[:, :, n] != 0
-    later_on_n = np.cumsum(on_n[:, ::-1], axis=1)[:, ::-1] > on_n
-    cyclic = np.where(
-        (leads == 0) | bases[:, :, n].any(axis=1)[:, None],
-        children,
-        np.where(later_on_n, children - children // p, on_n * children),
-    )
-    d = (pivots < rank_dim).sum(axis=1)[:, None] + (leads < rank_dim)
-    return int(children.sum()), int(cyclic[d == n].sum())
-
-
-def _batches(shape: SpaceShape, depth: int):
-    """The search's states of dimension depth, as batches (bases, pivots) of
-    at most SEARCH_CHUNK states, in depth-first order; ResourceBoundError
-    unless p^dim is at most MAX_SUBSPACE_VECTORS (see
-    enumerate_maximal_isotropic)."""
+def _batches(shape: SpaceShape):
+    """The search's states of half dimension, its T-stable Lagrangians, as
+    batches (bases, pivots) of at most SEARCH_CHUNK states, in depth-first
+    order; ResourceBoundError unless p^dim is at most MAX_SUBSPACE_VECTORS
+    (see enumerate_maximal_isotropic)."""
     _check_vector_count(shape.p, shape.dim)
+    half = shape.dim // 2
     stack = [(np.zeros((1, 0, shape.dim), dtype=np.int64), np.zeros((1, 0), dtype=np.int64))]
     while stack:
         bases, pivots = stack.pop()
-        if pivots.shape[1] == depth:
+        if pivots.shape[1] == half:
             yield bases, pivots
             continue
         bases, pivots = _children(shape, bases, pivots)
@@ -665,11 +612,10 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
     stacked elimination (_socle_kernels), its children are built as one
     array of [w; P's basis] rows (_children) and pushed in batches of at most
     SEARCH_CHUNK, so at each dimension the stack holds at most the children
-    of one batch, never a whole level (_batches). Batches of half dimension
-    go to a compact result store, in the smallest unsigned dtypes that hold
-    their entries and pivots. _search_count is the search's other outlet:
-    it counts the children of the states of dimension half - 1 instead of
-    building them.
+    of one batch, never a whole level (_batches). The search's one outlet is
+    its batches of half dimension: here they go to a compact result store,
+    in the smallest unsigned dtypes that hold their entries and pivots, and
+    _search_count counts them and drops them.
 
     States of half dimension equal their own complement, hence are maximal.
     The store is sorted once, by its rows' bytes, which orders them as
@@ -679,13 +625,13 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
     results at once (see _lagrangian_diagnostics). Cost is proportional to
     the number of T-stable isotropic subspaces that can still reach half
     dimension, which is why p^dim is bounded by MAX_SUBSPACE_VECTORS (so
-    dim <= 12, as p >= 3); that also bounds the p^m combinations listed for
-    a kernel row with m rows after it.
+    dim <= 12, as p >= 3); that also bounds the p^m children built for a
+    kernel row with m rows after it.
     """
-    dim, half = shape.dim, shape.dim // 2
-    entry, column = np.min_scalar_type(shape.p - 1), np.min_scalar_type(dim - 1)
+    entry = np.min_scalar_type(shape.p - 1)
+    column = np.min_scalar_type(shape.dim - 1)
     found_bases, found_pivots = [], []
-    for bases, pivots in _batches(shape, half):
+    for bases, pivots in _batches(shape):
         found_bases.append(bases.astype(entry))
         found_pivots.append(pivots.astype(column))
     # the span of the u coordinates is a T-stable Lagrangian, so found_* are
@@ -717,7 +663,7 @@ def count_maximal_isotropic(shape: SpaceShape) -> tuple[int, int]:
 
     with no search. At T = 0 every subspace is T-stable, so the results are
     all the Lagrangians of a 2g-dimensional symplectic GF(p)-space, whose
-    number is prod_{i=1..g} (p^i + 1). By _lagrangian_diagnostics, with
+    number is prod_{i=1..g} (p^i + 1). By _decomposition, with
     n = 1, a Lagrangian L splits iff d = n = 1 and M = L meet R is cyclic,
     R the rank block and S the torsion blocks:
     - d = 0 is impossible: it would put the g-dimensional isotropic L inside
@@ -738,13 +684,13 @@ def count_maximal_isotropic(shape: SpaceShape) -> tuple[int, int]:
 
 
 def _search_count(shape: SpaceShape) -> tuple[int, int]:
-    """count_maximal_isotropic by the search, at any shape: it stops at
-    dimension half - 1 and counts each batch's children off its kernels
-    (_count_children), so no Lagrangian is built or stored. It serves the
-    shapes where T acts, and is the oracle of the T = 0 closed form."""
+    """count_maximal_isotropic by the search, at any shape: it runs the
+    search that enumerate_maximal_isotropic runs and counts the Lagrangians
+    of each batch and, by _decomposition, those that split; no result is
+    stored and no FpSubspace is made. It serves the shapes where T acts, and
+    is the oracle of the T = 0 closed form."""
     results = splits = 0
-    for bases, pivots in _batches(shape, shape.dim // 2 - 1):
-        batch_results, batch_splits = _count_children(shape, bases, pivots)
-        results += batch_results
-        splits += batch_splits
+    for bases, pivots in _batches(shape):
+        results += len(bases)
+        splits += int(_decomposition(shape, bases, pivots)[2].sum())
     return results, splits

@@ -237,6 +237,11 @@ def test_config_file_not_utf8_is_usage_error(tmp_path, capsys):
     assert f"usage error: {path}" in capsys.readouterr().err
 
 
+def test_parser_is_built_once():
+    # every run of main parses with the same parser
+    assert make_parser() is make_parser()
+
+
 def test_flags_are_the_config_fields():
     options = {
         opt

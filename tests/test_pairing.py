@@ -452,12 +452,9 @@ def test_level_one_counts_run_no_search(monkeypatch):
         lambda: gram_matrix(SpaceShape(3, 3, (1,))),
         lambda: t_action_matrix(SpaceShape(3, 3, (1,))),
         lambda: pairing._block_gram(3, 3),
-        lambda: pairing._coefficients(3, 2),
-        lambda: pairing._extensions(3, 3, 0, 2),
         lambda: linalg._inverse_table(3),
     ],
-    ids=["gram_matrix", "t_action_matrix", "_block_gram", "_coefficients", "_extensions",
-         "_inverse_table"],
+    ids=["gram_matrix", "t_action_matrix", "_block_gram", "_inverse_table"],
 )
 def test_cached_arrays_are_read_only(cached):
     # a write would change every later caller's copy
@@ -576,10 +573,10 @@ def test_orderly_generation_matches_socle_bfs(shape):
         assert len(found) == (3 + 1) * (9 + 1) * (27 + 1) == 1120
 
 
-def _children_oracle_rejects(shape, pivots, kernel):
-    """Oracle: the child check on every child itself, for one state with
-    the given pivots and padded kernel: some w of a run row fails to lead
-    with a 1 before the first pivot or to vanish on the pivots."""
+def _extensions_oracle(shape, pivots, kernel):
+    """Oracle: one state's w, each with its run row's lead, in the search's
+    order: for each run row i of the given padded kernel, row i plus every
+    combination of the nonzero rows after it, by itertools.product."""
     half, k = shape.dim // 2, len(pivots)
     first = pivots[0] if k else shape.dim
     rows = kernel[kernel.any(axis=1)]
@@ -587,42 +584,126 @@ def _children_oracle_rejects(shape, pivots, kernel):
     for i in np.flatnonzero((leads >= half - k - 1) & (leads < first)):
         later = rows[i + 1 :]
         for c in itertools.product(range(shape.p), repeat=len(later)):
-            w = (rows[i] + np.array(c, dtype=np.int64) @ later) % shape.p
-            lead = np.argmax(w != 0)
-            if not (w.any() and lead < first and w[lead] == 1) or w[list(pivots)].any():
-                return True
+            yield leads[i], (rows[i] + np.array(c, dtype=np.int64) @ later) % shape.p
+
+
+def _children_oracle_rejects(shape, pivots, kernel):
+    """Oracle: the child check on every child itself, for one state with
+    the given pivots and padded kernel: some w of a run row fails to lead
+    with a 1 before the first pivot or to vanish on the pivots."""
+    first = pivots[0] if len(pivots) else shape.dim
+    for _, w in _extensions_oracle(shape, pivots, kernel):
+        lead = np.argmax(w != 0)
+        if not (w.any() and lead < first and w[lead] == 1) or w[list(pivots)].any():
+            return True
     return False
 
 
-def test_kernel_row_check_fails_exactly_when_a_child_check_would(monkeypatch):
-    # random padded kernels whose nonzero rows lead at strictly increasing
-    # columns (the kernels' contract), with leading entries and entries on
-    # the state's pivots that are mostly, not always, right
-    shape = SpaceShape(3, 1, (1, 1))
-    dim, rng = shape.dim, np.random.default_rng(26)
-    outcomes = collections.Counter()
-    for _ in range(300):
+def _children_oracle(shape, basis, pivots, kernel):
+    """Oracle: one state's children as lists of echelon bases [w; basis]
+    and of their pivots, in the search's order."""
+    bases, child_pivots = [], []
+    for lead, w in _extensions_oracle(shape, pivots, kernel):
+        bases.append(np.vstack([w[None], basis]))
+        child_pivots.append([lead, *pivots])
+    return bases, child_pivots
+
+
+def _random_padded_kernels(shape, rng, count):
+    """count random (pivots, padded kernel) pairs for states of shape:
+    kernels whose nonzero rows lead at strictly increasing columns (the
+    kernels' contract), with leading entries and entries on the state's
+    pivots that are mostly, not always, right."""
+    dim = shape.dim
+    for _ in range(count):
         k = int(rng.integers(0, shape.dim // 2))
         pivots = np.sort(rng.choice(dim, k, replace=False))
         kernel = np.zeros((dim - k, dim), dtype=np.int64)
         slots = np.sort(rng.choice(dim - k, int(rng.integers(0, dim - k + 1)), replace=False))
         leads = np.sort(rng.choice(dim, len(slots), replace=False))
         for slot, lead in zip(slots, leads):
-            kernel[slot, lead + 1 :] = rng.integers(0, 3, dim - lead - 1)
+            kernel[slot, lead + 1 :] = rng.integers(0, shape.p, dim - lead - 1)
             kernel[slot, lead] = rng.choice([1, 1, 1, 1, 2])
             if rng.random() < 0.9:
                 kernel[slot, pivots[pivots != lead]] = 0
+        yield pivots, kernel
+
+
+def test_kernel_row_check_fails_exactly_when_a_child_check_would(monkeypatch):
+    shape = SpaceShape(3, 1, (1, 1))
+    outcomes = collections.Counter()
+    for pivots, kernel in _random_padded_kernels(shape, np.random.default_rng(26), 300):
         monkeypatch.setattr(pairing, "_socle_kernels", lambda *args: kernel[None])
-        bases = np.zeros((1, k, dim), dtype=np.int64)
+        bases = np.zeros((1, len(pivots), shape.dim), dtype=np.int64)
         expected = _children_oracle_rejects(shape, pivots, kernel)
-        for outlet in (pairing._children, pairing._count_children):
-            if expected:
-                with pytest.raises(InvariantError, match="socle extension"):
-                    outlet(shape, bases, pivots[None])
-            else:
-                outlet(shape, bases, pivots[None])
+        if expected:
+            with pytest.raises(InvariantError, match="socle extension"):
+                pairing._children(shape, bases, pivots[None])
+        else:
+            pairing._children(shape, bases, pivots[None])
         outcomes[expected] += 1
     assert min(outcomes[True], outcomes[False]) > 30
+
+
+def _assert_children_match_the_oracle(shape, bases, pivots, kernels):
+    expected_bases, expected_pivots = [], []
+    for basis, state_pivots, kernel in zip(bases, pivots, kernels):
+        state_bases, state_child_pivots = _children_oracle(shape, basis, state_pivots, kernel)
+        expected_bases += state_bases
+        expected_pivots += state_child_pivots
+    child_bases, child_pivots = pairing._children(shape, bases, pivots)
+    assert child_bases.dtype == child_pivots.dtype == np.int64
+    assert child_bases.shape == (len(expected_bases), pivots.shape[1] + 1, shape.dim)
+    assert child_pivots.tolist() == expected_pivots
+    assert all((child_bases[i] == b).all() for i, b in enumerate(expected_bases))
+    return len(expected_bases)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_children_are_built_in_the_per_state_order(monkeypatch, p):
+    # random kernels that pass the check, batched by state dimension, so a
+    # batch mixes states with runs and states without; the states' bases
+    # are random too, so a child with the wrong state's basis shows
+    shape = SpaceShape(p, 1, (1, 1))
+    rng = np.random.default_rng(34)
+    by_dim = collections.defaultdict(list)
+    for pivots, kernel in _random_padded_kernels(shape, rng, 900):
+        if not _children_oracle_rejects(shape, pivots, kernel):
+            by_dim[len(pivots)].append((pivots, kernel))
+    assert sum(map(len, by_dim.values())) >= 300
+    built = 0
+    for k, states in by_dim.items():
+        for start in range(0, len(states), 16):
+            batch = states[start : start + 16]
+            pivots = np.array([piv for piv, _ in batch], dtype=np.int64).reshape(len(batch), k)
+            kernels = np.array([kernel for _, kernel in batch])
+            bases = rng.integers(0, p, (len(batch), k, shape.dim))
+            monkeypatch.setattr(pairing, "_socle_kernels", lambda *args: kernels)
+            built += _assert_children_match_the_oracle(shape, bases, pivots, kernels)
+    assert built > 1000
+
+
+def test_children_of_search_batches_match_the_oracle(monkeypatch):
+    # every batch that the search at (3,3,(3,)) expands, at every dimension
+    shape = SpaceShape(3, 3, (3,))
+    expanded = []
+    children = pairing._children
+
+    def recording(shape, bases, pivots):
+        expanded.append((bases, pivots))
+        return children(shape, bases, pivots)
+
+    monkeypatch.setattr(pairing, "_children", recording)
+    assert pairing._search_count(shape) == (4720, 192)
+    monkeypatch.undo()
+    assert {pivots.shape[1] for _, pivots in expanded} == set(range(shape.dim // 2))
+    built = sum(
+        _assert_children_match_the_oracle(
+            shape, bases, pivots, pairing._socle_kernels(shape, bases, pivots)
+        )
+        for bases, pivots in expanded
+    )
+    assert built >= 4720
 
 
 @pytest.mark.parametrize(
@@ -642,7 +723,7 @@ def test_kernel_row_check_fails_exactly_when_a_child_check_would(monkeypatch):
     ],
     ids=["later-row", "own-entry", "neither", "state-column", "lead-zero"],
 )
-def test_split_count_by_column_n(monkeypatch, state, rows, results, split):
+def test_built_children_split_by_column_n(monkeypatch, state, rows, results, split):
     # the state span(e_i : i in state) of (3,3,()) has every pivot below
     # 2n, so d = n for every child; the kernel rows lead before the state's
     # first pivot and vanish on its pivots, and the built children agree
@@ -652,7 +733,6 @@ def test_split_count_by_column_n(monkeypatch, state, rows, results, split):
     kernel = np.zeros((1, 4, 6), dtype=np.int64)
     kernel[0, [0, 2]] = rows
     monkeypatch.setattr(pairing, "_socle_kernels", lambda *args: kernel)
-    assert pairing._count_children(shape, bases, pivots) == (results, split)
     child_bases, child_pivots = pairing._children(shape, bases, pivots)
     reports = pairing._lagrangian_diagnostics(
         shape, itertools.repeat(None), child_bases, child_pivots
@@ -666,22 +746,12 @@ def test_count_matches_enumeration(shape):
     assert count_maximal_isotropic(shape) == (len(found), sum(r.splits for r in found))
 
 
-def test_count_builds_no_state_of_half_dimension(monkeypatch):
-    built = []
-    children = pairing._children
-
-    def recording(shape, bases, pivots):
-        child_bases, child_pivots = children(shape, bases, pivots)
-        built.append(child_pivots.shape[1])
-        return child_bases, child_pivots
-
+def test_count_builds_no_subspace(monkeypatch):
     def refused(*args):
         raise AssertionError("the count built a subspace")
 
-    monkeypatch.setattr(pairing, "_children", recording)
     monkeypatch.setattr(FpSubspace, "_from_rref", refused)
     assert pairing._search_count(SpaceShape(3, 1, (1, 1))) == (1120, 160)
-    assert built and max(built) == 2
 
 
 def test_orderly_generation_builds_each_state_once(monkeypatch):
