@@ -428,9 +428,15 @@ def pushforward_consistency(p: int, n: int, m: int) -> PushforwardReport:
     each form outside that census that a projection hits to its count; a
     stray may share its index with a census form, so it is keyed by itself.
     Together they count each level-m census form once: the two sums add up
-    to count_maximal(p, m). Memory is O(p^n): one count and one lift stream
-    per level-n form; each level-m form is built once by the census and once
-    by `lifts`, and never stored.
+    to count_maximal(p, m). Memory is O(p^n): one count, one lift stream and
+    the form itself per level-n form; each level-m form is built once by the
+    census and once by `lifts`, and never stored.
+
+    The table is keyed by plain tuples, so lookups run in C; only images of
+    type `CyclicSubmodule` are looked up, and a lift matches only a form, so
+    a plain tuple never passes for a form. `project`, `lifts` (wrapped in
+    `iter`) and `enumerate_maximal` are called through this module's names,
+    so that patched faults and the layer tracer's wrappers reach the pass.
     """
     check_prime(p)
     check_level(n)
@@ -438,24 +444,25 @@ def pushforward_consistency(p: int, n: int, m: int) -> PushforwardReport:
     if n >= m:
         raise ValueError(f"need low level {n} < high level {m}")
     expected = p ** (m - n)
-    # each level-n form's fiber size so far and the rest of its lift stream
-    fibers = {low: [0, iter(lifts(low, m))] for low in enumerate_maximal(p, n)}
+    # by fields, each level-n form's fiber size, rest of lift stream and form
+    fibers = {tuple(f): [0, iter(lifts(f, m)), f] for f in enumerate_maximal(p, n)}
     strays = Counter()  # projections outside the level-n census
     in_order = True
     for high in enumerate_maximal(p, m):
         low = project(high, n)
-        entry = fibers.get(low)
+        entry = fibers.get(tuple(low)) if type(low) is CyclicSubmodule else None
         if entry is None:
             strays[low] += 1
             continue
         entry[0] += 1
-        if next(entry[1], None) != high:
+        nxt = next(entry[1], None)
+        if not (type(nxt) is CyclicSubmodule and tuple.__eq__(nxt, high)):
             in_order = False
-    uniform = not strays and all(count == expected for count, _ in fibers.values())
+    uniform = not strays and all(count == expected for count, _, _ in fibers.values())
     partition = (
         uniform
         and in_order
-        and all(next(rest, None) is None for _, rest in fibers.values())
+        and all(next(rest, None) is None for _, rest, _ in fibers.values())
     )
     return PushforwardReport(
         p=p,
@@ -465,7 +472,7 @@ def pushforward_consistency(p: int, n: int, m: int) -> PushforwardReport:
         fibers_uniform=uniform,
         lifts_partition=partition,
         fiber_counts={
-            low.index(): count for low, (count, _) in fibers.items() if count
+            low.index(): count for count, _, low in fibers.values() if count
         },
         stray_counts=dict(strays),
     )

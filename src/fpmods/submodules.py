@@ -31,18 +31,19 @@ parameters. Series arithmetic lives in the vector-level oracles:
 Validation happens at the public boundary, once per call: the
 `CyclicSubmodule(...)` constructor checks every field, and
 `enumerate_maximal`, `CyclicSubmodule.from_index`, `project` and `lifts`
-check their arguments, then build each result with the unchecked
-`_form`, since a form made from validated parameters (a digit tuple, a
-slice of a valid param, a valid param plus digits) is valid by
-construction. A form is a tuple (p, level, kind, param), so `_form` is
-`tuple.__new__` bound to the class, and building, hashing and comparing
-forms run in C; a form equals only forms, and forms have no order.
+check their arguments, then build each result unchecked, since a form made
+from validated parameters (a digit tuple, a slice of a valid param, a valid
+param plus digits) is valid by construction. A form is a tuple
+(p, level, kind, param), all built by one constructor, `tuple.__new__` on
+the class: `_forms` maps it over the zipped fields of a stream and single
+forms call it once, so building, hashing and comparing forms run in C.
+`project` skips its checks where they cannot fail, on a form and an int m
+in [1, sub.level]. A form equals only forms, and forms have no order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product, repeat
 from operator import add, itemgetter
 from typing import TYPE_CHECKING, Iterator
@@ -185,10 +186,16 @@ class CyclicSubmodule(Frozen, tuple):
         else:
             kind, size = "B", level - 1
             i -= p**level
-        return _form((p, level, kind, tuple([i // p**j % p for j in range(size)])))
+        param = tuple([i // p**j % p for j in range(size)])
+        return tuple.__new__(CyclicSubmodule, (p, level, kind, param))
 
 
-_form = partial(tuple.__new__, CyclicSubmodule)  # unchecked: see the module docstring
+def _forms(p: int, level: int, kind: str, params: Iterator) -> Iterator[CyclicSubmodule]:
+    """Unchecked forms, one per param: see the module docstring."""
+    fields = zip(repeat(p), repeat(level), repeat(kind), params)
+    return map(tuple.__new__, repeat(CyclicSubmodule), fields)
+
+
 # reversed, product's fastest digit, its last, becomes param[0], the lowest
 _reversed = itemgetter(slice(None, None, -1))
 
@@ -219,8 +226,7 @@ def enumerate_maximal(p: int, n: int) -> Iterator[CyclicSubmodule]:
             f"enumeration bound {MAX_ENUM_SUBMODULES}"
         )
     for kind, size in (("A", n), ("B", n - 1)):
-        params = map(_reversed, product(range(p), repeat=size))
-        yield from map(_form, zip(repeat(p), repeat(n), repeat(kind), params))
+        yield from _forms(p, n, kind, map(_reversed, product(range(p), repeat=size)))
 
 
 def iter_module_vectors(p: int, n: int) -> Iterator[ModuleVector]:
@@ -329,11 +335,13 @@ def sum_and_quotient(n1: CyclicSubmodule, n2: CyclicSubmodule) -> QuotientStruct
 
 def project(sub: CyclicSubmodule, m: int) -> CyclicSubmodule:
     """Image under the truncation map to level m <= level; kind is preserved."""
-    check_level(m)
-    p, level, kind, param = _checked(sub)
-    if m > level:
-        raise ValueError(f"cannot project level {level} up to level {m}")
-    return _form((p, m, kind, param[: m if kind == "A" else m - 1]))
+    if type(sub) is not CyclicSubmodule or type(m) is not int or not 1 <= m <= sub[1]:
+        check_level(m)
+        level = _checked(sub)[1]
+        if m > level:
+            raise ValueError(f"cannot project level {level} up to level {m}")
+    p, _, kind, param = sub
+    return tuple.__new__(CyclicSubmodule, (p, m, kind, param[: m if kind == "A" else m - 1]))
 
 
 def lifts(sub: CyclicSubmodule, m: int) -> Iterator[CyclicSubmodule]:
@@ -349,7 +357,7 @@ def lifts(sub: CyclicSubmodule, m: int) -> Iterator[CyclicSubmodule]:
     # the tail's digits are the highest of the index; reversed, as in
     # enumerate_maximal, the lowest of them varies fastest
     params = map(add, repeat(param), map(_reversed, product(range(p), repeat=m - level)))
-    yield from map(_form, zip(repeat(p), repeat(m), repeat(kind), params))
+    yield from _forms(p, m, kind, params)
 
 
 @dataclass(frozen=True)

@@ -351,6 +351,46 @@ def test_pushforward_detects_an_extra_form_projecting_outside(monkeypatch):
     assert report == replace(two_pass_report(3, 1, 2), lifts_partition=False)
 
 
+def test_pushforward_counts_a_plain_tuple_image_as_a_stray(monkeypatch):
+    # the fiber table's keys are plain tuples, but only forms are looked up:
+    # an image with a census form's fields and no form's type is a stray
+    real = probability.project
+    stray = next(enumerate_maximal(3, 2))
+    image = tuple(real(stray, 1))
+
+    def patched(high, n):
+        return image if high == stray else real(high, n)
+
+    monkeypatch.setattr(probability, "project", patched)
+    report = pushforward_consistency(3, 1, 2)
+    assert not report.fibers_uniform
+    assert not report.lifts_partition
+    assert report.fiber_counts == {0: 2, 1: 3, 2: 3, 3: 3}
+    assert report.stray_counts == {image: 1}
+    assert type(next(iter(report.stray_counts))) is tuple
+    assert report == two_pass_report(3, 1, 2)
+
+
+def test_pushforward_rejects_a_plain_tuple_lift(monkeypatch):
+    # a lift with the next census form's fields and no form's type does not
+    # match it; the fibers, counted off the census, stay uniform
+    real = probability.lifts
+    first = next(enumerate_maximal(3, 1))
+
+    def patched(low, m):
+        lifted = real(low, m)
+        if low == first:
+            yield tuple(next(lifted))
+        yield from lifted
+
+    monkeypatch.setattr(probability, "lifts", patched)
+    report = pushforward_consistency(3, 1, 2)
+    assert report.fibers_uniform
+    assert not report.lifts_partition
+    assert report.fiber_counts == {0: 3, 1: 3, 2: 3, 3: 3}
+    assert report.stray_counts == {}
+
+
 def test_pushforward_memory_is_flat_in_the_high_level():
     # the lift streams hold O(p^n) state; the two-pass check held all
     # p^(m-1) * (p + 1) lifted forms at once, about 1.6 MB at (3, 1, 8)

@@ -382,6 +382,67 @@ def test_project_truncates_and_preserves_kind():
         project(CyclicSubmodule(3, 2, "A", (0, 0)), 3)
 
 
+@pytest.mark.parametrize(
+    "p, n", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
+)
+def test_project_equals_the_validating_rebuild(p, n):
+    # project builds its image unchecked when sub is a form and m an int in
+    # [1, level]; every such image is the form the checking constructor builds
+    for form in enumerate_maximal(p, n):
+        for m in range(1, n + 1):
+            image = project(form, m)
+            size = m if form.kind == "A" else m - 1
+            rebuilt = CyclicSubmodule(p, m, form.kind, form.param[:size])
+            assert type(image) is CyclicSubmodule
+            assert image == rebuilt and hash(image) == hash(rebuilt)
+            assert is_int_tuple(image.param)
+
+
+LEVEL_ERROR = "level must be an integer in [1, 12], got {!r}"
+
+
+@pytest.mark.parametrize(
+    "sub, m, error, message",
+    [
+        (CyclicSubmodule(3, 2, "A", (1, 2)), True, ValueError, LEVEL_ERROR.format(True)),
+        (CyclicSubmodule(3, 2, "A", (1, 2)), 0, ValueError, LEVEL_ERROR.format(0)),
+        (CyclicSubmodule(3, 2, "A", (1, 2)), 13, ValueError, LEVEL_ERROR.format(13)),
+        (CyclicSubmodule(3, 12, "B", (0,) * 11), 13, ValueError, LEVEL_ERROR.format(13)),
+        (
+            CyclicSubmodule(3, 2, "B", (1,)),
+            3,
+            ValueError,
+            "cannot project level 2 up to level 3",
+        ),
+        (
+            CyclicSubmodule(3, 2, "A", (1, 2)),
+            np.int64(1),
+            ValueError,
+            LEVEL_ERROR.format(np.int64(1)),
+        ),
+        ((3, 2, "A", (1, 2)), 1, TypeError, "expected a CyclicSubmodule, got tuple"),
+        ((3, 2, "A", (1, 2)), 0, ValueError, LEVEL_ERROR.format(0)),
+        ((3, 2, "A", (1, 2)), 3, TypeError, "expected a CyclicSubmodule, got tuple"),
+    ],
+    ids=[
+        "m-True",
+        "m-0",
+        "m-13",
+        "m-13-at-level-12",
+        "m-above-level",
+        "numpy-int64-m",
+        "plain-tuple",
+        "plain-tuple-bad-m",
+        "plain-tuple-m-above-level",
+    ],
+)
+def test_project_errors_keep_their_type_and_message(sub, m, error, message):
+    # checked in the order level, form, direction: a bad m is reported first
+    with pytest.raises(error) as caught:
+        project(sub, m)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_projection_is_the_module_image():
     # the projected canonical form generates exactly the truncated span
     rng = np.random.default_rng(24)

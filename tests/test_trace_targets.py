@@ -2,11 +2,13 @@
 
 perfbench/layers.py names its targets as (module, "Owner.attr") paths;
 renaming or deleting one would otherwise show only as a missing trace
-target in a benchmark run.
+target in a benchmark run. The functions it times as generators must stay
+generator functions, or the amounts it counts per yielded item read 0.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -26,3 +28,14 @@ def test_every_trace_target_resolves():
         if owner is None or vars(owner).get(attr) is None:
             missing.append(f"{module_name}.{path}")
     assert missing == []
+
+
+def test_lifts_and_the_census_are_generator_functions():
+    # the tracer picks its generator span, which counts yielded items, by
+    # inspect.isgeneratorfunction: a lifts that returned an iterator would
+    # still run, but submodules.lifts.forms would read 0. The census builds
+    # its forms through the same pipeline and is held to the same shape.
+    from fpmods import submodules
+
+    assert inspect.isgeneratorfunction(submodules.lifts)
+    assert inspect.isgeneratorfunction(submodules.enumerate_maximal)

@@ -172,7 +172,7 @@ def validated(sub: CyclicSubmodule) -> CyclicSubmodule:
 
 
 def trusted_forms(p: int, n: int) -> list[CyclicSubmodule]:
-    """Forms from each entry point that builds through the unchecked `_form`."""
+    """Forms from each entry point that builds them unchecked."""
     census = list(enumerate_maximal(p, n))
     step = max(1, len(census) // 9)
     out = census[::step] + census[-1:]
