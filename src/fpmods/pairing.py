@@ -35,15 +35,16 @@ children as one array, in one pass; the frontier it holds is at most the
 children of one batch per dimension. The search has one outlet, its
 batches of half dimension: enumerate_maximal_isotropic stores them and
 makes FpSubspace objects only for the results, as they are yielded;
-_search_count counts them and drops them. count_maximal_isotropic runs that
-count only where T acts: at T = 0 (every block of level 1) it counts in
-closed form.
+_search_count sums their sizes and drops them. count_maximal_isotropic runs
+that count only where T acts: at T = 0 (every block of level 1) it counts
+in closed form. It never reads the split criterion: at every shape the
+split Lagrangians number F(n) * N(S), the free T-stable Lagrangians of the
+rank block times the T-stable Lagrangians of the torsion blocks.
 
 The decomposition diagnostics of the Lagrangians found are read off their
 echelon bases in closed form, by duality, with no elimination, for all
-results at once (see _lagrangian_diagnostics, and _decomposition, where
-the count reads the same split criterion; isotropic_diagnostics is their
-one-subspace case).
+results at once (see _lagrangian_diagnostics and _decomposition;
+isotropic_diagnostics is their one-subspace case).
 """
 
 from __future__ import annotations
@@ -415,8 +416,9 @@ def _decomposition(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray):
     """(d, cyclic, splits), three (N,) arrays, for the T-stable Lagrangians
     L with stacked echelon bases B, an (N, dim L, dim) array of any integer
     dtype, and (N, dim L) pivots: d = rank_projection_dim, cyclic whether L
-    meet R is cyclic, and splits. Both outlets of the search read the split
-    criterion here.
+    meet R is cyclic, and splits. _lagrangian_diagnostics reads the
+    enumeration's diagnostics here; count_maximal_isotropic counts the
+    split Lagrangians by a product that this criterion proves.
 
     Let R be the rank block (columns 0..2n-1, u_0 then v_0, n the rank
     level) and S the torsion blocks, so R^perp = S and L^perp = L.
@@ -615,7 +617,7 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
     of one batch, never a whole level (_batches). The search's one outlet is
     its batches of half dimension: here they go to a compact result store,
     in the smallest unsigned dtypes that hold their entries and pivots, and
-    _search_count counts them and drops them.
+    _search_count sums their sizes and drops them.
 
     States of half dimension equal their own complement, hence are maximal.
     The store is sorted once, by its rows' bytes, which orders them as
@@ -653,44 +655,69 @@ def count_maximal_isotropic(shape: SpaceShape) -> tuple[int, int]:
     and of those whose diagnostics split, equal to len(reports) and
     sum(r.splits for r in reports) for the reports of
     enumerate_maximal_isotropic(shape), under the same MAX_SUBSPACE_VECTORS
-    bound (ResourceBoundError above it).
+    bound (ResourceBoundError above it). No result is stored and no
+    FpSubspace is made.
 
-    Where T acts, this is _search_count. At T = 0, when every block has
-    level 1 and dim = 2g for g = shape.num_blocks, it is the closed form
+    results is _lagrangian_count(shape). At every shape, with n the rank
+    level, h = (n + 1) / 2 and S the torsion blocks (a shape whose rank
+    block is the first torsion block),
 
-        results = prod_{i=1..g} (p^i + 1),
-        splits = (p + 1) * prod_{i=1..g-1} (p^i + 1),
+        splits = F(n) * N(S),  F(n) = (p + 1) * p^(h - 1),
 
-    with no search. At T = 0 every subspace is T-stable, so the results are
-    all the Lagrangians of a 2g-dimensional symplectic GF(p)-space, whose
-    number is prod_{i=1..g} (p^i + 1). By _decomposition, with
-    n = 1, a Lagrangian L splits iff d = n = 1 and M = L meet R is cyclic,
-    R the rank block and S the torsion blocks:
-    - d = 0 is impossible: it would put the g-dimensional isotropic L inside
-      the 2(g - 1)-dimensional S.
-    - d = 1 means L meet R is a line l, and then L = l + (L meet S), a
-      direct sum, with L meet S a Lagrangian of S (dimension g - 1).
-    - M = l is cyclic, since L's basis is nonzero on column 0 or column
-      n = 1.
-    So the split Lagrangians are l + L_S for each of the p + 1 lines l of R
-    and each Lagrangian L_S of S, and every such sum is a Lagrangian.
+    where N(S) = _lagrangian_count(S) counts the T-stable Lagrangians of S,
+    and N(S) = 1 when there are no torsion blocks. The full shape is counted
+    first, so its bound is checked before S, which is smaller, is counted.
+
+    Let R be the rank block, so R and S are orthogonal and V = R + S. By
+    _decomposition, a T-stable Lagrangian L splits iff d = n and M = L meet
+    R is cyclic, and then L = M + (L meet S) with M cyclic of dimension n:
+    M is free of rank one over Lambda = F_p[T]/(T^n), isotropic and
+    T-stable in R, of half R's dimension, so a free T-stable Lagrangian of
+    R, and L meet S is isotropic, T-stable and of half S's dimension, so a
+    T-stable Lagrangian of S. Conversely, for a free T-stable Lagrangian M
+    of R and a T-stable Lagrangian N of S, L = M + N is T-stable, isotropic
+    (R is orthogonal to S) and of half dimension, with L meet R = M and
+    L meet S = N, so d = n and L splits. Hence the split Lagrangians are
+    these sums, one for each pair (M, N), and there are F(n) * N(S).
+
+    F(n) counts the free T-stable Lagrangians Lambda w of R, w = (a, b) not
+    in T R. eps(x inv(y)) is a nondegenerate form on Lambda, the group ring
+    of the cyclic group of order n generated by g = 1 + T, so Lambda w is
+    isotropic iff a inv(b) is fixed by inv. If a is a unit, Lambda w =
+    Lambda (1, c) for the one c = b / a, isotropic iff inv(c) = c; inv
+    fixes the span of g^k + g^(-k), k = 0..(n - 1)/2 (n is odd), so there
+    are p^h such c. Otherwise b is a unit, and Lambda w = Lambda (T e, 1)
+    for the one T e = a / b in T Lambda, isotropic iff inv(T e) = T e; the
+    augmentation (the value at T = 0) commutes with inv and maps the fixed
+    elements onto F_p, so p^(h - 1) of them lie in T Lambda. Only a module
+    of the first kind holds a vector whose u coordinate is a unit, so
+    F(n) = p^h + p^(h - 1) = (p + 1) * p^((n - 1)/2). At T = 0, with g
+    blocks of level 1, this reads splits = (p + 1) * prod_{i=1..g-1}
+    (p^i + 1).
     """
+    p, levels = shape.p, shape.torsion_levels
+    results = _lagrangian_count(shape)
+    torsion = _lagrangian_count(SpaceShape(p, levels[0], levels[1:])) if levels else 1
+    return results, (p + 1) * p ** ((shape.rank_level - 1) // 2) * torsion
+
+
+def _lagrangian_count(shape: SpaceShape) -> int:
+    """The number of T-stable Lagrangians, under the MAX_SUBSPACE_VECTORS
+    bound (ResourceBoundError above it). Where T acts, this is
+    _search_count. At T = 0, when every block has level 1 and dim = 2g for
+    g = shape.num_blocks, it is the closed form prod_{i=1..g} (p^i + 1),
+    with no search: every subspace is T-stable, so these are all the
+    Lagrangians of a 2g-dimensional symplectic GF(p)-space."""
     p, g = shape.p, shape.num_blocks
     if shape.dim != 2 * g:
         return _search_count(shape)
     _check_vector_count(p, shape.dim)
-    torsion = prod(p**i + 1 for i in range(1, g))
-    return (p**g + 1) * torsion, (p + 1) * torsion
+    return prod(p**i + 1 for i in range(1, g + 1))
 
 
-def _search_count(shape: SpaceShape) -> tuple[int, int]:
-    """count_maximal_isotropic by the search, at any shape: it runs the
-    search that enumerate_maximal_isotropic runs and counts the Lagrangians
-    of each batch and, by _decomposition, those that split; no result is
-    stored and no FpSubspace is made. It serves the shapes where T acts, and
-    is the oracle of the T = 0 closed form."""
-    results = splits = 0
-    for bases, pivots in _batches(shape):
-        results += len(bases)
-        splits += int(_decomposition(shape, bases, pivots)[2].sum())
-    return results, splits
+def _search_count(shape: SpaceShape) -> int:
+    """The number of T-stable Lagrangians, by the search, at any shape: it
+    runs the search that enumerate_maximal_isotropic runs and sums the sizes
+    of its batches; no result is stored and no FpSubspace is made. It serves
+    the shapes where T acts, and is the oracle of the T = 0 closed form."""
+    return sum(len(bases) for bases, _ in _batches(shape))

@@ -376,9 +376,22 @@ def test_isotropic_rows():
     assert "splits_true=" in row.extra and "splits_false=" in row.extra
 
 
-def test_isotropic_csv_row_equals_one_built_by_enumeration(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "levels, shape, row, splits",
+    [
+        # T = 0: the count is a closed form
+        ("1", "1,1", b",1120,1,1120,", b"splits_true=160;splits_false=960"),
+        # T acts on the rank block, then on the torsion block
+        ("3", "1", b",184,1,184,", b"splits_true=48;splits_false=136"),
+        ("1", "3", b",184,1,184,", b"splits_true=64;splits_false=120"),
+    ],
+    ids=["level-one", "rank-level-3", "torsion-level-3"],
+)
+def test_isotropic_csv_row_equals_one_built_by_enumeration(
+    tmp_path, monkeypatch, levels, shape, row, splits
+):
     # the CLI counts; a row built from the enumeration's reports is the same
-    argv = ["--mode", "isotropic", "--prime", "3", "--levels", "1", "--shape", "1,1"]
+    argv = ["--mode", "isotropic", "--prime", "3", "--levels", levels, "--shape", shape]
     assert cli.main(argv + ["--output", str(tmp_path / "count")]) == EXIT_OK
 
     def enumerated(shape):
@@ -389,7 +402,7 @@ def test_isotropic_csv_row_equals_one_built_by_enumeration(tmp_path, monkeypatch
     assert cli.main(argv + ["--output", str(tmp_path / "enumerated")]) == EXIT_OK
     counted = (tmp_path / "count.csv").read_bytes()
     assert counted == (tmp_path / "enumerated.csv").read_bytes()
-    assert b",1120,1,1120," in counted and b"splits_true=160;splits_false=960" in counted
+    assert row in counted and splits in counted
 
 
 def test_isotropic_bad_shape_is_usage_error():

@@ -419,7 +419,7 @@ def test_level_one_counts_follow_the_closed_forms(shape, results, split):
         splits += report.splits
     assert (count, splits) == (results, split)
     assert count_maximal_isotropic(shape) == (results, split)
-    assert pairing._search_count(shape) == (results, split)
+    assert pairing._search_count(shape) == results
 
 
 def test_count_follows_the_level_one_closed_forms_beyond_enumeration():
@@ -431,7 +431,7 @@ def test_count_follows_the_level_one_closed_forms_beyond_enumeration():
     assert (results, split) == (137_600, 3_200)
     shape = SpaceShape(7, 1, (1, 1))
     assert count_maximal_isotropic(shape) == (results, split)
-    assert pairing._search_count(shape) == (results, split)
+    assert pairing._search_count(shape) == results
 
 
 def test_level_one_counts_run_no_search(monkeypatch):
@@ -444,6 +444,92 @@ def test_level_one_counts_run_no_search(monkeypatch):
     assert count_maximal_isotropic(SpaceShape(3, 1, (1, 1, 1, 1))) == (22_408_960, 367_360)
     with pytest.raises(AssertionError, match="the count searched"):
         count_maximal_isotropic(SpaceShape(3, 3, (1,)))
+
+
+def _split_oracle(shape):
+    """The number of split Lagrangians by the split criterion, read off
+    every batch of the search."""
+    return sum(
+        int(pairing._decomposition(shape, bases, pivots)[2].sum())
+        for bases, pivots in pairing._batches(shape)
+    )
+
+
+@pytest.mark.parametrize(
+    "shape, split",
+    [
+        (SpaceShape(3, 1, (3,)), 64),
+        (SpaceShape(3, 3, (1,)), 48),
+        (SpaceShape(3, 3, (3,)), 192),
+        (SpaceShape(3, 1, (1, 1)), 160),
+        (SpaceShape(5, 1, (1, 1)), 936),
+        (SpaceShape(3, 3, (1, 1)), 480),
+        (SpaceShape(3, 1, (3, 1)), 736),
+        (SpaceShape(3, 1, (1, 3)), 736),
+        (SpaceShape(7, 1, (1, 1)), 3200),
+    ],
+    ids=str,
+)
+def test_split_count_is_the_product_of_rank_and_torsion_counts(shape, split):
+    # splits = F(n) * N(S): the free T-stable Lagrangians of the rank block
+    # times the T-stable Lagrangians of the torsion blocks, against the
+    # split criterion read off every Lagrangian the search builds
+    p, levels = shape.p, shape.torsion_levels
+    free = (p + 1) * p ** ((shape.rank_level - 1) // 2)
+    torsion = count_maximal_isotropic(SpaceShape(p, levels[0], levels[1:]))[0]
+    assert _split_oracle(shape) == split == free * torsion
+    assert count_maximal_isotropic(shape)[1] == split
+
+
+@pytest.mark.parametrize(
+    "shape, results, free",
+    [(SpaceShape(3, 9), 484, 324), (SpaceShape(5, 5), 186, 150)],
+    ids=str,
+)
+def test_split_count_of_a_rank_block_is_its_free_lagrangians(
+    monkeypatch, shape, results, free
+):
+    # with no torsion block the split Lagrangians are the free ones,
+    # F(n) = (p + 1) * p^((n - 1) / 2) of them; p^dim is above the bound,
+    # which is lifted here only
+    monkeypatch.setattr(pairing, "MAX_SUBSPACE_VECTORS", shape.p**shape.dim)
+    n = shape.rank_level
+    assert free == (shape.p + 1) * shape.p ** ((n - 1) // 2)
+    assert _split_oracle(shape) == free
+    assert count_maximal_isotropic(shape) == (results, free)
+
+
+def test_count_reads_no_split_criterion(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the count read the split criterion")
+
+    monkeypatch.setattr(pairing, "_decomposition", refused)
+    assert count_maximal_isotropic(SpaceShape(3, 3, (3,))) == (4720, 192)
+
+
+@pytest.mark.parametrize(
+    "shape, searches",
+    [
+        # S = (3,1,(1,)) is a closed form
+        (SpaceShape(3, 3, (1, 1)), [SpaceShape(3, 3, (1, 1))]),
+        # the full shape, then S = (3,3,(1,)), where T acts
+        (SpaceShape(3, 1, (3, 1)), [SpaceShape(3, 1, (3, 1)), SpaceShape(3, 3, (1,))]),
+        # S = (3,1,(3,)) is searched, but not its own torsion shape (3,3,())
+        (SpaceShape(3, 1, (1, 3)), [SpaceShape(3, 1, (1, 3)), SpaceShape(3, 1, (3,))]),
+    ],
+    ids=str,
+)
+def test_count_searches_the_full_shape_then_its_torsion_shape(monkeypatch, shape, searches):
+    searched = []
+    batches = pairing._batches
+
+    def recording(shape):
+        searched.append(shape)
+        return batches(shape)
+
+    monkeypatch.setattr(pairing, "_batches", recording)
+    count_maximal_isotropic(shape)
+    assert searched == searches
 
 
 @pytest.mark.parametrize(
@@ -694,8 +780,9 @@ def test_children_of_search_batches_match_the_oracle(monkeypatch):
         return children(shape, bases, pivots)
 
     monkeypatch.setattr(pairing, "_children", recording)
-    assert pairing._search_count(shape) == (4720, 192)
+    assert pairing._search_count(shape) == 4720
     monkeypatch.undo()
+    assert count_maximal_isotropic(shape) == (4720, 192)
     assert {pivots.shape[1] for _, pivots in expanded} == set(range(shape.dim // 2))
     built = sum(
         _assert_children_match_the_oracle(
@@ -751,7 +838,8 @@ def test_count_builds_no_subspace(monkeypatch):
         raise AssertionError("the count built a subspace")
 
     monkeypatch.setattr(FpSubspace, "_from_rref", refused)
-    assert pairing._search_count(SpaceShape(3, 1, (1, 1))) == (1120, 160)
+    assert pairing._search_count(SpaceShape(3, 1, (1, 1))) == 1120
+    assert count_maximal_isotropic(SpaceShape(3, 1, (1, 1))) == (1120, 160)
 
 
 def test_orderly_generation_builds_each_state_once(monkeypatch):
@@ -881,9 +969,10 @@ def test_socle_kernels_drop_constraints_that_constrain_nothing(monkeypatch):
         return nullspace_stack(stack, p)
 
     monkeypatch.setattr(pairing.linalg, "nullspace_stack", recording)
-    assert pairing._search_count(shape) == (156, 36)
+    assert pairing._search_count(shape) == 156
     assert {shape.dim - cols for _, _, cols in received} == {0, 1}
     assert all(rows <= shape.dim - cols for _, rows, cols in received)
+    assert count_maximal_isotropic(shape) == (156, 36)
 
 
 @st.composite
@@ -957,10 +1046,13 @@ def test_isotropic_diagnostics_rejects_non_lagrangians(shape, rows, isotropic, t
 
 
 @pytest.mark.parametrize(
-    "shape", [SpaceShape(97, 1, (1,)), SpaceShape(13, 1, (1, 1))], ids=str
+    "shape",
+    [SpaceShape(97, 1, (1,)), SpaceShape(13, 1, (1, 1)), SpaceShape(3, 3, (3, 3))],
+    ids=str,
 )
 def test_enumeration_refuses_more_vectors_than_the_listing_bound(shape):
-    # p^dim above MAX_SUBSPACE_VECTORS, though the dimension is within bound
+    # p^dim above MAX_SUBSPACE_VECTORS, though the dimension is within bound;
+    # (3,3,(3,3)) is refused though its torsion shape (3,3,(3,)) is not
     message = r"p\^dim = \d+ member vectors exceed 2000000"
     with pytest.raises(ResourceBoundError, match=message):
         list(enumerate_maximal_isotropic(shape))
