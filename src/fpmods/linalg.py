@@ -226,14 +226,19 @@ def matmul(a, b, p: int) -> np.ndarray:
     return (_entries(a, p) @ _entries(b, p)) % p
 
 
-def nilpotent_block_sizes(a: np.ndarray, p: int) -> tuple[int, ...]:
-    """Jordan block sizes of a nilpotent matrix over GF(p), descending.
+def nilpotent_block_sizes(a, p: int) -> tuple[int, ...]:
+    """Jordan block sizes of a nilpotent matrix over GF(p), descending;
+    ValueError unless a, read through as_matrix, is square and nilpotent
+    (empty input is the 0 x 0 matrix).
 
     Uses the rank sequence: blocks of size >= k number rank(a^(k-1)) - rank(a^k).
     """
+    a = as_matrix(a, p, width=0)
     dim = a.shape[0]
+    if a.shape[1] != dim:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
     ranks = [dim]
-    power = a % p
+    power = a
     while ranks[-1] > 0:
         ranks.append(rank(power, p))
         if len(ranks) > dim + 1:

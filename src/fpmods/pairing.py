@@ -41,10 +41,10 @@ in closed form. It never reads the split criterion: at every shape the
 split Lagrangians number F(n) * N(S), the free T-stable Lagrangians of the
 rank block times the T-stable Lagrangians of the torsion blocks.
 
-The decomposition diagnostics of the Lagrangians found are read off their
-echelon bases in closed form, by duality, with no elimination, for all
-results at once (see _lagrangian_diagnostics and _decomposition;
-isotropic_diagnostics is their one-subspace case).
+Whether each Lagrangian found splits is read off its echelon basis in
+closed form, by duality, with no elimination, for all results at once;
+_splits is the one split criterion, and isotropic_diagnostics its
+one-subspace case.
 """
 
 from __future__ import annotations
@@ -365,7 +365,7 @@ _set_subspace_shape, _set_subspace_basis, _set_subspace_pivots = slot_setters(Fp
 
 @dataclass(frozen=True)
 class MaximalIsotropic:
-    """A maximal isotropic T-stable subspace with decomposition diagnostics.
+    """A maximal isotropic T-stable subspace and whether it splits.
 
     splits records whether the subspace is the direct sum of its rank-block
     part (which must then be cyclic of full rank-block level, i.e. free of
@@ -374,74 +374,55 @@ class MaximalIsotropic:
     """
 
     subspace: FpSubspace
-    rank_projection_dim: int
-    rank_intersection_dim: int
-    torsion_intersection_dim: int
-    rank_intersection_cyclic: bool
     splits: bool
 
 
 def isotropic_diagnostics(sub: FpSubspace) -> MaximalIsotropic:
-    """Decomposition diagnostics of a T-stable Lagrangian: a subspace of half
-    the dimension that is isotropic and T-stable, else ValueError."""
+    """The report of a T-stable Lagrangian: a subspace of half the dimension
+    that is isotropic and T-stable, else ValueError (TypeError unless sub is
+    an FpSubspace)."""
+    if not isinstance(sub, FpSubspace):
+        raise TypeError(f"expected an FpSubspace, got {type(sub).__name__}")
     if 2 * sub.dim != sub.shape.dim or not sub.is_isotropic() or not sub.is_t_stable():
         raise ValueError(
             f"need an isotropic T-stable subspace of half dimension, got {sub!r}"
         )
-    (report,) = _lagrangian_diagnostics(
-        sub.shape, [sub], sub.basis[None], np.array([sub.pivots], dtype=np.int64)
-    )
-    return report
+    pivots = np.array([sub.pivots], dtype=np.int64)
+    (split,) = _splits(sub.shape, sub.basis[None], pivots).tolist()
+    return MaximalIsotropic(sub, split)
 
 
-def _lagrangian_diagnostics(shape: SpaceShape, subspaces, bases, pivots):
-    """isotropic_diagnostics without the check, for every T-stable Lagrangian
-    of subspaces at once, read off their stacked echelon bases, an
-    (N, dim L, dim) array of any integer dtype, and their (N, dim L) pivots,
-    through _decomposition."""
-    rank_dim, half = shape.rank_dim, pivots.shape[1]
-    columns = (a.tolist() for a in _decomposition(shape, bases, pivots))
-    for sub, d, cyclic, splits in zip(subspaces, *columns):
-        yield MaximalIsotropic(
-            subspace=sub,
-            rank_projection_dim=d,
-            rank_intersection_dim=rank_dim - d,
-            torsion_intersection_dim=half - d,
-            rank_intersection_cyclic=cyclic,
-            splits=splits,
-        )
-
-
-def _decomposition(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray):
-    """(d, cyclic, splits), three (N,) arrays, for the T-stable Lagrangians
-    L with stacked echelon bases B, an (N, dim L, dim) array of any integer
-    dtype, and (N, dim L) pivots: d = rank_projection_dim, cyclic whether L
-    meet R is cyclic, and splits. _lagrangian_diagnostics reads the
-    enumeration's diagnostics here; count_maximal_isotropic counts the
-    split Lagrangians by a product that this criterion proves.
+def _splits(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """Whether each T-stable Lagrangian L splits, as an (N,) bool array, for
+    the stacked echelon bases B, an (N, dim L, dim) array of any integer
+    dtype, and their (N, dim L) pivots. enumerate_maximal_isotropic reads
+    its reports here; count_maximal_isotropic counts the split Lagrangians
+    by a product that this criterion proves.
 
     Let R be the rank block (columns 0..2n-1, u_0 then v_0, n the rank
-    level) and S the torsion blocks, so R^perp = S and L^perp = L.
+    level) and S the torsion blocks, so R^perp = S and L^perp = L; L splits
+    when it is the direct sum of M = L meet R, cyclic of dimension n, and
+    L meet S.
     - The rank columns come first, so the rows of B nonzero on them are the
-      rows led by a rank column: d counts the pivots below 2n.
-    - L meet S is the kernel of the projection of L to R, so
-      torsion_intersection_dim = dim L - d.
-    - (L meet R)^perp = L + S, of dimension dim S + d, so
-      rank_intersection_dim = 2n - d.
-    - M = L meet R is T-stable, so it needs dim ker(T|M) generators, and that
-      kernel is L meet Z for Z = span(T^(n-1) u_0, T^(n-1) v_0) (columns n-1
-      and 2n-1). Since (T x, T^(n-1) y) = (x, inv(T) T^(n-1) y) = 0 and the
+      rows led by a rank column: the projection of L to R has dimension d,
+      the number of pivots below 2n.
+    - L meet S is the kernel of that projection, so it has dimension
+      dim L - d.
+    - M^perp = L + S, of dimension dim S + d, so M has dimension 2n - d.
+    - M is T-stable, so it needs dim ker(T|M) generators, and that kernel
+      is L meet Z for Z = span(T^(n-1) u_0, T^(n-1) v_0) (columns n-1 and
+      2n-1). Since (T x, T^(n-1) y) = (x, inv(T) T^(n-1) y) = 0 and the
       dimensions agree, Z^perp = S + T R: the vectors zero on columns 0 and
       n. Hence dim(L meet Z) = 2 - rank(B[:, [0, n]]), and M is cyclic
       exactly when B is nonzero in column 0 (its first pivot is 0) or n.
     - M and L meet S meet only in 0, so they span L exactly when
       (2n - d) + (dim L - d) = dim L, that is when d = n, which also gives M
-      the dimension n: splits is d = n and M cyclic.
+      the dimension n: L splits iff d = n and M is cyclic.
     """
     n = shape.rank_level
     d = (pivots < shape.rank_dim).sum(axis=1)
     cyclic = (pivots[:, 0] == 0) | bases[:, :, n].any(axis=1)
-    return d, cyclic, (d == n) & cyclic
+    return (d == n) & cyclic
 
 
 def _socle_kernels(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray) -> np.ndarray:
@@ -588,8 +569,8 @@ def _batches(shape: SpaceShape):
 
 
 def enumerate_maximal_isotropic(shape: SpaceShape):
-    """All maximal isotropic T-stable subspaces, with diagnostics, sorted by
-    key.
+    """All maximal isotropic T-stable subspaces, each with whether it splits,
+    sorted by key.
 
     Orderly generation (see the module docstring): each T-stable isotropic
     subspace M is built once, from its parent P, the span of all but the
@@ -623,8 +604,8 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
     The store is sorted once, by its rows' bytes, which orders them as
     FpSubspace.key does (each entry's bytes are those of its int64 key
     padded with the same zero bytes). An FpSubspace with its int64 basis is
-    made only as each result is yielded, with diagnostics read for all
-    results at once (see _lagrangian_diagnostics). Cost is proportional to
+    made only as each result is yielded, with the splits of all results
+    read at once (see _splits). Cost is proportional to
     the number of T-stable isotropic subspaces that can still reach half
     dimension, which is why p^dim is bounded by MAX_SUBSPACE_VECTORS (so
     dim <= 12, as p >= 3); that also bounds the p^m children built for a
@@ -643,16 +624,14 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
     rows = bases.reshape(len(bases), -1)
     order = np.argsort(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0])
     bases, pivots = bases[order], pivots[order]
-    subspaces = (
-        FpSubspace._from_rref(shape, basis.astype(np.int64), tuple(piv.tolist()))
-        for basis, piv in zip(bases, pivots)
-    )
-    yield from _lagrangian_diagnostics(shape, subspaces, bases, pivots)
+    for basis, piv, split in zip(bases, pivots, _splits(shape, bases, pivots).tolist()):
+        sub = FpSubspace._from_rref(shape, basis.astype(np.int64), tuple(piv.tolist()))
+        yield MaximalIsotropic(sub, split)
 
 
 def count_maximal_isotropic(shape: SpaceShape) -> tuple[int, int]:
     """(results, splits): the number of maximal isotropic T-stable subspaces
-    and of those whose diagnostics split, equal to len(reports) and
+    and of those that split, equal to len(reports) and
     sum(r.splits for r in reports) for the reports of
     enumerate_maximal_isotropic(shape), under the same MAX_SUBSPACE_VECTORS
     bound (ResourceBoundError above it). No result is stored and no
@@ -669,8 +648,8 @@ def count_maximal_isotropic(shape: SpaceShape) -> tuple[int, int]:
     first, so its bound is checked before S, which is smaller, is counted.
 
     Let R be the rank block, so R and S are orthogonal and V = R + S. By
-    _decomposition, a T-stable Lagrangian L splits iff d = n and M = L meet
-    R is cyclic, and then L = M + (L meet S) with M cyclic of dimension n:
+    _splits, a T-stable Lagrangian L splits iff d = n and M = L meet R is
+    cyclic, and then L = M + (L meet S) with M cyclic of dimension n:
     M is free of rank one over Lambda = F_p[T]/(T^n), isotropic and
     T-stable in R, of half R's dimension, so a free T-stable Lagrangian of
     R, and L meet S is isotropic, T-stable and of half S's dimension, so a

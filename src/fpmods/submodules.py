@@ -371,6 +371,10 @@ class SubmoduleTower:
     stages: tuple[CyclicSubmodule, ...]
 
     def __post_init__(self):
+        if not isinstance(self.stages, tuple):
+            raise ValueError(f"stages must be a tuple, got {type(self.stages).__name__}")
+        for stage in self.stages:
+            _checked(stage)
         if not self.stages:
             raise ValueError("tower needs at least one stage")
         for low, high in zip(self.stages, self.stages[1:]):
@@ -401,5 +405,5 @@ class SubmoduleTower:
         cls, top: CyclicSubmodule, levels: tuple[int, ...] | None = None
     ) -> "SubmoduleTower":
         if levels is None:
-            levels = tuple(range(1, top.level + 1))
+            levels = tuple(range(1, _checked(top).level + 1))
         return cls(tuple([project(top, m) for m in levels]))

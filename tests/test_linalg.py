@@ -249,6 +249,22 @@ def test_nilpotent_block_sizes_rejects_non_nilpotent():
         linalg.nilpotent_block_sizes(np.eye(2, dtype=np.int64), 3)
 
 
+def test_nilpotent_block_sizes_reads_its_input_through_as_matrix():
+    # nested lists are read as arrays are, and a matrix that is not square
+    # or not of integers raises the library's own ValueError
+    assert linalg.nilpotent_block_sizes([[0, 1, 0], [0, 0, 1], [0, 0, 0]], 3) == (3,)
+    assert linalg.nilpotent_block_sizes([[0, 4], [0, 0]], 3) == (2,)
+    assert linalg.nilpotent_block_sizes([[3, 0], [0, 0]], 3) == (1, 1)
+    with pytest.raises(ValueError, match="matrix is not nilpotent"):
+        linalg.nilpotent_block_sizes([[1, 0], [0, 1]], 3)
+    with pytest.raises(ValueError, match=r"must be square, got shape \(2, 3\)"):
+        linalg.nilpotent_block_sizes(np.zeros((2, 3), dtype=np.int64), 3)
+    with pytest.raises(ValueError, match=r"must be square, got shape \(1, 2\)"):
+        linalg.nilpotent_block_sizes([0, 0], 3)
+    with pytest.raises(ValueError, match="entries must be integers"):
+        linalg.nilpotent_block_sizes([[0.0, 1.0], [0.0, 0.0]], 3)
+
+
 def assert_stack_matches_scalar(stack, p):
     """rref_stack agrees with rref on every matrix, on R and the pivots."""
     stack = np.asarray(stack, dtype=np.int64)

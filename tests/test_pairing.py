@@ -319,7 +319,6 @@ def test_enumeration_matches_brute_force_rank_one():
     assert {r.subspace.key() for r in found} == brute_force_isotropic_halfdim(shape)
     for r in found:
         assert r.subspace.is_isotropic() and 2 * r.subspace.dim == shape.dim
-        assert r.rank_projection_dim == 1
         assert r.splits  # no torsion: every line is its own rank part
 
 
@@ -450,7 +449,7 @@ def _split_oracle(shape):
     """The number of split Lagrangians by the split criterion, read off
     every batch of the search."""
     return sum(
-        int(pairing._decomposition(shape, bases, pivots)[2].sum())
+        int(pairing._splits(shape, bases, pivots).sum())
         for bases, pivots in pairing._batches(shape)
     )
 
@@ -503,7 +502,7 @@ def test_count_reads_no_split_criterion(monkeypatch):
     def refused(*args):
         raise AssertionError("the count read the split criterion")
 
-    monkeypatch.setattr(pairing, "_decomposition", refused)
+    monkeypatch.setattr(pairing, "_splits", refused)
     assert count_maximal_isotropic(SpaceShape(3, 3, (3,))) == (4720, 192)
 
 
@@ -610,23 +609,18 @@ def _coordinate_section(sub, zero_cols):
 
 
 def diagnostics_oracle(sub):
-    """Oracle: the diagnostics from explicit coordinate sections, six
-    eliminations per subspace."""
+    """Oracle: the report, whether sub splits, from explicit coordinate
+    sections, five eliminations per subspace and no call into _splits."""
     shape = sub.shape
     p = shape.p
     rank_cols = slice(0, shape.rank_dim)
     torsion_cols = slice(shape.rank_dim, shape.dim)
-    proj_dim = rank(sub.basis[:, rank_cols], p) if sub.dim else 0
     rank_part = _coordinate_section(sub, torsion_cols)
     torsion_part = _coordinate_section(sub, rank_cols)
     shifted = rank_part @ t_action_matrix(shape) % p
     cyclic = len(rank_part) - rank(shifted, p) <= 1
     return pairing.MaximalIsotropic(
         subspace=sub,
-        rank_projection_dim=proj_dim,
-        rank_intersection_dim=len(rank_part),
-        torsion_intersection_dim=len(torsion_part),
-        rank_intersection_cyclic=cyclic,
         splits=(
             len(rank_part) + len(torsion_part) == sub.dim
             and len(rank_part) == shape.rank_level
@@ -650,7 +644,7 @@ ORACLE_SHAPES = [
 @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
 def test_orderly_generation_matches_socle_bfs(shape):
     # equal reports check both the search and, on every result, the
-    # diagnostics against the six-elimination oracle
+    # split against the five-elimination oracle
     found = list(enumerate_maximal_isotropic(shape))
     expected = [diagnostics_oracle(sub) for sub in socle_bfs_oracle(shape)]
     assert found == expected
@@ -821,10 +815,8 @@ def test_built_children_split_by_column_n(monkeypatch, state, rows, results, spl
     kernel[0, [0, 2]] = rows
     monkeypatch.setattr(pairing, "_socle_kernels", lambda *args: kernel)
     child_bases, child_pivots = pairing._children(shape, bases, pivots)
-    reports = pairing._lagrangian_diagnostics(
-        shape, itertools.repeat(None), child_bases, child_pivots
-    )
-    assert [len(child_bases), sum(r.splits for r in reports)] == [results, split]
+    splits = int(pairing._splits(shape, child_bases, child_pivots).sum())
+    assert [len(child_bases), splits] == [results, split]
 
 
 @pytest.mark.parametrize("shape", ORACLE_SHAPES + [SpaceShape(3, 3, (3,))], ids=str)
@@ -926,7 +918,7 @@ def _reports(shape):
 @pytest.mark.parametrize("chunk", [1, 7])
 @pytest.mark.parametrize("shape", [SpaceShape(3, 1, (1, 1)), SpaceShape(3, 3, (1,))], ids=str)
 def test_search_chunk_size_leaves_the_reports_unchanged(monkeypatch, shape, chunk):
-    # the reports compare all five diagnostics and the subspace, in order
+    # the reports compare the subspace and its split, in order
     expected = _reports(shape)
     monkeypatch.setattr(pairing, "SEARCH_CHUNK", chunk)
     assert _reports(shape) == expected
@@ -1046,6 +1038,14 @@ def test_isotropic_diagnostics_rejects_non_lagrangians(shape, rows, isotropic, t
 
 
 @pytest.mark.parametrize(
+    "sub", ["x", None, np.eye(2, dtype=np.int64)], ids=["str", "none", "array"]
+)
+def test_isotropic_diagnostics_rejects_a_non_subspace(sub):
+    with pytest.raises(TypeError, match="expected an FpSubspace"):
+        isotropic_diagnostics(sub)
+
+
+@pytest.mark.parametrize(
     "shape",
     [SpaceShape(97, 1, (1,)), SpaceShape(13, 1, (1, 1)), SpaceShape(3, 3, (3, 3))],
     ids=str,
@@ -1066,11 +1066,7 @@ def test_diagnostics_split_and_nonsplit_cases():
     split = FpSubspace(shape, [[1, 0, 0, 0], [0, 0, 1, 0]])  # span{u0, e1}
     mixed = FpSubspace(shape, [[1, 0, 1, 0], [0, 1, 0, 2]])  # span{u0+e1, v0-f1}
     assert reports[split.key()].splits
-    assert reports[split.key()].rank_intersection_dim == 1
-    assert reports[split.key()].torsion_intersection_dim == 1
     assert not reports[mixed.key()].splits
-    assert reports[mixed.key()].rank_intersection_dim == 0
-    assert reports[mixed.key()].rank_projection_dim == 2
 
 
 def test_enumeration_resource_guard():

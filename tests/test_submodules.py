@@ -507,6 +507,21 @@ def test_tower_validation_and_from_top():
         SubmoduleTower((top, top))
     partial = SubmoduleTower.from_top(top, (1, 3))
     assert partial.levels == (1, 3)
+    # stages must be a tuple of forms, checked before the checks above, so
+    # every tower built hashes
+    with pytest.raises(ValueError, match="stages must be a tuple, got list"):
+        SubmoduleTower([top])
+    with pytest.raises(ValueError, match="stages must be a tuple, got str"):
+        SubmoduleTower("A")
+    plain = (3, 1, "A", (1,))
+    for stages in [(plain,), (plain, (3, 2, "A", (1, 0))), ("A",), (top, tuple(top))]:
+        with pytest.raises(TypeError, match="expected a CyclicSubmodule"):
+            SubmoduleTower(stages)
+    with pytest.raises(TypeError, match="expected a CyclicSubmodule, got tuple"):
+        SubmoduleTower.from_top((3, 2, "A", (0, 1)))
+    with pytest.raises(TypeError, match="expected a CyclicSubmodule, got tuple"):
+        SubmoduleTower.from_top((3, 2, "A", (0, 1)), (1,))
+    assert hash(tower) == hash(SubmoduleTower.from_top(top))
 
 
 def test_tower_stabilization_exhaustive_level3():
