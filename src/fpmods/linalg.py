@@ -50,10 +50,12 @@ def _entries(rows, p: int) -> np.ndarray:
 
 def as_matrix(rows, p: int, width: int | None = None) -> np.ndarray:
     """Coerce integer entries to a 2-d int64 array reduced mod p; a vector is
-    one row, and empty input needs a width."""
+    one row. Empty 2-d input keeps its own width; other empty input needs one."""
     a = _entries(rows, p)
     if a.size == 0:
-        if width is None:
+        if a.ndim == 2:
+            width = a.shape[1]
+        elif width is None:
             raise ValueError("empty matrix needs an explicit width")
         return np.zeros((0, width), dtype=np.int64)
     if a.ndim == 1:

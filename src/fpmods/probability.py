@@ -29,8 +29,16 @@ case.
 Monte Carlo and tower trials run as one numpy kernel over trial-index
 arrays, in fixed chunks of CHUNK_TRIALS, using the closed forms on canonical
 indices: v is the first differing digit for kind-'A' pairs, min(1 + first
-differing digit, n) for kind-'B' pairs and 0 for mixed pairs. Both modes
-return the same histogram of v, a `SampledExponents`, read two ways: by
+differing digit, n) for kind-'B' pairs and 0 for mixed pairs. So the kernel
+draws only the digits that decide v: both top digits of every trial, then,
+for j = 0, 1, ..., lower digit j of both forms only for the same-kind trials
+whose lower digits below j all agree, stopping once no trial is left. Each
+digit is a pure function of (key, coordinate, position), so the digits it
+skips change no value. A trial draws on average fewer than
+(p^2+1)/(p+1)^2 * p/(p-1) pairs of lower digits (15/16 at p = 3) instead
+of n - 1; `_kernel_indices`, which the chi-square test reads, and
+`_draw_pairs`, which the cross-check decodes, still draw every digit. Both
+modes return the same histogram of v, a `SampledExponents`, read two ways: by
 `monte_carlo` as intersection sizes p^v, with the quotient by the sum cyclic
 of size p^v, and by `tower_experiment` as a tower whose stage k has exponent
 min(v, k). In every call, for both modes, the first trial of each observed
@@ -91,6 +99,11 @@ class RngSpec:
 def _check_count(value: int, name: str) -> None:
     if not is_int(value) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_spec(spec) -> None:
+    if not isinstance(spec, RngSpec):
+        raise TypeError(f"spec must be an RngSpec, got {type(spec).__name__}")
 
 
 # ------------------------------------------------------- counter-based draws
@@ -168,17 +181,25 @@ def _pair_exponents(
     """(kind pair, v) of the pair drawn for each trial key.
 
     kind pair is 2 * [first is kind B] + [second is kind B], and p^v is the
-    size of the intersection.
+    size of the intersection. Lower digits are drawn only where they decide
+    v (see the module docstring).
     """
     top1 = _digit(keys, 0, n - 1, p + 1)
     top2 = _digit(keys, 1, n - 1, p + 1)
-    # first differing lower digit, n - 1 when all n - 1 of them agree;
-    # descending j leaves the smallest differing j in place
-    first = np.full(len(keys), n - 1, dtype=np.int64)
-    for j in range(n - 2, -1, -1):
-        first[_digit(keys, 0, j, p) != _digit(keys, 1, j, p)] = j
     b1 = top1 == p
     b2 = top2 == p
+    # first differing lower digit, n - 1 when all n - 1 of them agree. A
+    # mixed pair has v = 0 whatever its digits, so only same-kind trials are
+    # live, and digit j is drawn only for those tied on every digit below j
+    first = np.full(len(keys), n - 1, dtype=np.int64)
+    live = np.flatnonzero(b1 == b2)
+    for j in range(n - 1):
+        if not len(live):
+            break
+        live_keys = keys[live]
+        tied = _digit(live_keys, 0, j, p) == _digit(live_keys, 1, j, p)
+        first[live[~tied]] = j
+        live = live[tied]
     v_a = np.where((first == n - 1) & (top1 == top2), n, first)
     v_b = np.minimum(first + 1, n)
     v = np.where(b1 != b2, 0, np.where(b1, v_b, v_a))
@@ -233,6 +254,7 @@ def sample_pair(
     check_level(n)
     if not is_int(trial) or not 0 <= trial < 2**64:
         raise ValueError(f"trial must be an integer in [0, 2^64), got {trial!r}")
+    _check_spec(spec)
     return _draw_pairs(p, n, spec.seed, [trial])[0]
 
 
@@ -247,6 +269,7 @@ def chi_square_uniformity(
     allocated.
     """
     _check_count(draws, "draws")
+    _check_spec(spec)
     count = count_maximal(p, n)
     if count > MAX_UNIFORMITY_FORMS:
         raise ResourceBoundError(
@@ -347,6 +370,7 @@ def _sampled_exponents(p: int, n: int, trials: int, spec: RngSpec) -> SampledExp
     check_prime(p)
     check_level(n)
     _check_count(trials, "trials")
+    _check_spec(spec)
     width = n + 1
     counts = np.zeros(_KIND_PAIRS * width, dtype=np.int64)
     for start, keys in _key_chunks(spec.seed, trials):

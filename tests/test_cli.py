@@ -609,37 +609,46 @@ def test_no_mode_builds_a_series(tmp_path, monkeypatch, mode):
     assert csv_bytes("patched") == want
 
 
-# The sha256 of the CSV bytes of one op per mode. A change that alters the
-# draws or any reported figure on purpose updates these digests.
+# The sha256 of the CSV bytes of one op per case, keyed by case; each mode's
+# first case is named after it. A change that alters the draws or any
+# reported figure on purpose updates these digests.
 CSV_DIGESTS = {
     "count": (
-        "--prime 3 --levels 1,2,3,4",
+        "--mode count --prime 3 --levels 1,2,3,4",
         "d815753c64175185e750b9bbb50155f13df987ea6c0d28c871c95e4d5b3720a7",
     ),
     "exhaustive": (
-        "--prime 5 --levels 1,2,3",
+        "--mode exhaustive --prime 5 --levels 1,2,3",
         "1c8cc703a42ca26eb853c1a5227da76d3ef8c9d915ea85d7b1010a7e78d5fef4",
     ),
     "montecarlo": (
-        "--prime 3 --levels 1,3,12 --trials 40000 --seed 42",
+        "--mode montecarlo --prime 3 --levels 1,3,12 --trials 40000 --seed 42",
         "dabfd92a93a7d7102261df34bbcddcd0aaf1c866e0ffce6724c90dcb9cef4ea3",
     ),
+    "montecarlo-p97": (
+        "--mode montecarlo --prime 97 --levels 1,2,12 --trials 20000 --seed 3",
+        "1865168c296c66837b8714a9b724e695437de5edfd5997236ce2062b9638f15c",
+    ),
     "tower": (
-        "--prime 5 --levels 6 --trials 33000 --seed 7",
+        "--mode tower --prime 5 --levels 6 --trials 33000 --seed 7",
         "aceb87d336b1fe13fc82ff6f282d4c9a2444e1faefa409f367810c472ab6e407",
     ),
+    "tower-n12": (
+        "--mode tower --prime 3 --levels 12 --trials 20000 --seed 11",
+        "6c6f0b1b92bbb4aae6571ecfedde71c80abb075f94d915262443297402ea69d9",
+    ),
     "isotropic": (
-        "--prime 3 --levels 3 --shape 1",
+        "--mode isotropic --prime 3 --levels 3 --shape 1",
         "d300d917d4850bab7ebc4891919f041951b935df811c86cc14921a9b6adbc091",
     ),
 }
 
 
-@pytest.mark.parametrize("mode", CSV_DIGESTS)
-def test_csv_bytes_are_pinned(tmp_path, mode):
-    args, digest = CSV_DIGESTS[mode]
+@pytest.mark.parametrize("case", CSV_DIGESTS)
+def test_csv_bytes_are_pinned(tmp_path, case):
+    args, digest = CSV_DIGESTS[case]
     out = tmp_path / "pinned"
-    assert cli.main(["--mode", mode, *args.split(), "--output", str(out)]) == EXIT_OK
+    assert cli.main([*args.split(), "--output", str(out)]) == EXIT_OK
     data = (tmp_path / "pinned.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest, data.decode()
 

@@ -75,10 +75,12 @@ def test_index_space_formula_on_every_ordered_pair(p, n, monkeypatch):
     indices = (index // count, index % count)
 
     def digits(keys, coord, j, bound):
-        assert len(keys) == count * count
+        # each key is a pair index; the kernel hands any subset of them
+        pair = keys.astype(np.int64)
+        form = (pair // count, pair % count)[coord]
         if j == n - 1:
-            return indices[coord] // p ** (n - 1)
-        return indices[coord] // p**j % p
+            return form // p ** (n - 1)
+        return form // p**j % p
 
     monkeypatch.setattr(probability, "_digit", digits)
     kinds, v = _pair_exponents(p, n, index.astype(np.uint64))
@@ -89,6 +91,61 @@ def test_index_space_formula_on_every_ordered_pair(p, n, monkeypatch):
         assert kinds[k] == 2 * (a.kind == "B") + (b.kind == "B")
         assert intersection_exponent_linalg(a, b) == vk
         assert sum_and_quotient(a, b) == QuotientStructure(vk, (vk,) if vk else ())
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 12), (5, 4), (97, 12)])
+def test_lower_digit_j_is_drawn_only_for_same_kind_trials_tied_below_j(
+    p, n, monkeypatch
+):
+    """Top digits are drawn for every trial; lower digit j of both forms
+    only for the same-kind trials whose digits below j all agree, and no
+    digit once none is left."""
+    keys = _trial_keys(8, np.arange(5000, dtype=np.uint64))
+    top = [_digit(keys, coord, n - 1, p + 1) for coord in (0, 1)]
+    lower = [[_digit(keys, coord, j, p) for j in range(n - 1)] for coord in (0, 1)]
+    expected = {(coord, n - 1): keys for coord in (0, 1)}
+    live = (top[0] == p) == (top[1] == p)
+    for j in range(n - 1):
+        if not live.any():
+            break
+        expected.update({(coord, j): keys[live] for coord in (0, 1)})
+        live &= lower[0][j] == lower[1][j]
+    calls, drawn = [], {}
+
+    def recording(keys, coord, j, bound):
+        calls.append((coord, j, len(keys)))
+        drawn[coord, j] = keys.copy()
+        return _digit(keys, coord, j, bound)
+
+    monkeypatch.setattr(probability, "_digit", recording)
+    _pair_exponents(p, n, keys)
+    assert sorted(calls) == sorted((*key, len(k)) for key, k in expected.items())
+    for key, want in expected.items():
+        assert (drawn[key] == want).all(), key
+
+
+def all_digits_pair_exponents(p, n, keys):
+    """The reference kernel: (kind pair, v) from all 2n digits of every trial."""
+    top1 = _digit(keys, 0, n - 1, p + 1)
+    top2 = _digit(keys, 1, n - 1, p + 1)
+    # descending j leaves the smallest differing j in place
+    first = np.full(len(keys), n - 1, dtype=np.int64)
+    for j in range(n - 2, -1, -1):
+        first[_digit(keys, 0, j, p) != _digit(keys, 1, j, p)] = j
+    b1, b2 = top1 == p, top2 == p
+    v_a = np.where((first == n - 1) & (top1 == top2), n, first)
+    v_b = np.minimum(first + 1, n)
+    return 2 * b1 + b2, np.where(b1 != b2, 0, np.where(b1, v_b, v_a))
+
+
+@pytest.mark.parametrize("seed", [0, 404, 2**64 - 1])
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 3), (3, 12), (5, 4), (97, 12)])
+def test_kernel_equals_the_all_digits_reference(p, n, seed):
+    keys = _trial_keys(seed, np.arange(20_000, dtype=np.uint64))
+    kinds, v = _pair_exponents(p, n, keys)
+    want_kinds, want_v = all_digits_pair_exponents(p, n, keys)
+    assert kinds.dtype == want_kinds.dtype and v.dtype == want_v.dtype
+    assert (kinds == want_kinds).all() and (v == want_v).all()
 
 
 def test_kernel_pair_indices_chi_square():

@@ -168,6 +168,9 @@ def test_as_matrix_rejects_non_integers():
     big = np.array([[2**64 - 1, 2**63]], dtype=np.uint64)
     assert (linalg.as_matrix(big, 3) == [[0, 2]]).all()
     assert linalg.as_matrix([], 3, width=2).shape == (0, 2)
+    # an empty 2-d input has a width of its own, which a given width never hides
+    assert linalg.as_matrix(np.zeros((0, 7), dtype=np.int64), 3, width=4).shape == (0, 7)
+    assert linalg.as_matrix(np.zeros((0, 5), dtype=np.int64), 3).shape == (0, 5)
     with pytest.raises(ValueError, match="empty matrix needs an explicit width"):
         linalg.as_matrix([], 3)
     with pytest.raises(ValueError, match="matrix must be 2-dimensional"):
@@ -261,6 +264,8 @@ def test_nilpotent_block_sizes_reads_its_input_through_as_matrix():
         linalg.nilpotent_block_sizes(np.zeros((2, 3), dtype=np.int64), 3)
     with pytest.raises(ValueError, match=r"must be square, got shape \(1, 2\)"):
         linalg.nilpotent_block_sizes([0, 0], 3)
+    with pytest.raises(ValueError, match=r"must be square, got shape \(0, 3\)"):
+        linalg.nilpotent_block_sizes(np.zeros((0, 3), dtype=np.int64), 3)
     with pytest.raises(ValueError, match="entries must be integers"):
         linalg.nilpotent_block_sizes([[0.0, 1.0], [0.0, 0.0]], 3)
 

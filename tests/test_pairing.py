@@ -243,6 +243,16 @@ def test_subspace_canonical_equality():
         FpSubspace(shape, [[1.5, 0, 0, 0, 0, 0]])
 
 
+def test_empty_rows_of_the_wrong_length_are_rejected():
+    shape = SpaceShape(3, 1, (1,))
+    with pytest.raises(ValueError, match="^rows must have length 4$"):
+        FpSubspace(shape, np.zeros((0, 7), dtype=np.int64))
+    zero = FpSubspace(shape)
+    assert zero.dim == 0 and zero.basis.shape == (0, 4)
+    empty = np.zeros((0, 4), dtype=np.int64)
+    assert FpSubspace(shape, []) == FpSubspace(shape, empty) == zero
+
+
 def test_complement_laws_on_random_subspaces():
     rng = np.random.default_rng(34)
     for shape in ACCEPTANCE_SHAPES:

@@ -161,6 +161,27 @@ def test_bool_rejected_where_ints_are_expected(call):
         call()
 
 
+@pytest.mark.parametrize("spec", [7, None], ids=["int", "none"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: sample_pair(3, 2, spec, 0),
+        lambda spec: monte_carlo(3, 2, 10, spec),
+        lambda spec: tower_experiment(3, 2, 10, spec),
+        lambda spec: chi_square_uniformity(3, 2, 10, spec),
+    ],
+    ids=["sample_pair", "monte_carlo", "tower_experiment", "chi_square"],
+)
+def test_a_spec_that_is_not_an_rng_spec_is_a_type_error(call, spec, monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("drew before checking the spec")
+
+    monkeypatch.setattr(probability, "_trial_keys", refuse)
+    name = type(spec).__name__
+    with pytest.raises(TypeError, match=f"^spec must be an RngSpec, got {name}$"):
+        call(spec)
+
+
 def test_pushforward_consistency_grid():
     for p, n, m in [(3, 1, 2), (3, 1, 3), (3, 2, 3), (5, 1, 2)]:
         report = pushforward_consistency(p, n, m)
