@@ -20,7 +20,15 @@ def collision_probability_exact(p: int, n: int) -> Fraction:
 
 
 def intersection_bound(p: int, n: int) -> Fraction:
-    """Lower bound for a nontrivial intersection below the top level."""
+    """Probability 1 - 1/((p+1) p^(n-1)) that two uniform maximal submodules
+    differ, i.e. that the exponent v of their intersection is below n.
+
+    Despite its name it bounds no intersection probability: the pair meets
+    nontrivially (v > 0) with probability 1/(p+1) at every n, and
+    nontrivially below the top level (0 < v < n) with probability only 1/6
+    at (p, n) = (3, 2) and 2/15 at (5, 2). The name is kept, as is the
+    `exhaustive` mode's `bound=` field that reports this value.
+    """
     return 1 - collision_probability_exact(p, n)
 
 

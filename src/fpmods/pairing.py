@@ -61,6 +61,7 @@ from .errors import InvariantError, ResourceBoundError
 from .series import (
     Frozen, TruncatedSeries, check_level, check_prime, is_int, is_power_of, read_ints, slot_setters
 )
+from .submodules import count_maximal
 
 MAX_TOTAL_DIM = 4096
 MAX_SUBSPACE_VECTORS = 2_000_000
@@ -70,6 +71,16 @@ MAX_SUBSPACE_VECTORS = 2_000_000
 # 0.21-0.30 s at 31.8 MB peak RSS against 0.19-0.35 s at 34.9 MB; (3,3,(3,))
 # 0.13-0.28 s at 30.4 MB against 0.13-0.17 s at 36.1 MB. Small keeps RSS down.
 SEARCH_CHUNK = 128
+
+
+def _checked(value, cls):
+    """value, else TypeError naming cls; each entry point calls it once per
+    argument whose fields it reads."""
+    if not isinstance(value, cls):
+        name = cls.__name__
+        article = "an" if name[0] in "AEFIO" else "a"
+        raise TypeError(f"expected {article} {name}, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -128,13 +139,14 @@ class SpaceElement(Frozen):
     __slots__ = ("shape", "coords")
 
     def __init__(self, shape: SpaceShape, coords):
+        _checked(shape, SpaceShape)
         coords = tuple(coords)
         levels = shape.block_levels
         if len(coords) != 2 * shape.num_blocks:
             raise ValueError(f"need {2 * shape.num_blocks} coordinates")
         for b, level in enumerate(levels):
             for side in (0, 1):
-                c = coords[2 * b + side]
+                c = _checked(coords[2 * b + side], TruncatedSeries)
                 if c.p != shape.p or c.level != level:
                     raise ValueError(
                         f"coordinate {2 * b + side} must live in "
@@ -145,12 +157,14 @@ class SpaceElement(Frozen):
 
     @classmethod
     def generator(cls, shape: SpaceShape, block: int, side: int) -> "SpaceElement":
+        _checked(shape, SpaceShape)
         vec = [0] * shape.dim
         vec[shape.generator_slice(block, side).start] = 1
         return cls.from_vector(shape, vec)
 
     @classmethod
     def from_vector(cls, shape: SpaceShape, vec) -> "SpaceElement":
+        _checked(shape, SpaceShape)
         flat = read_ints(vec, "vector entries")
         if len(flat) != shape.dim:
             raise ValueError(f"vector must have length {shape.dim}")
@@ -198,6 +212,7 @@ class SpaceElement(Frozen):
 
     def pair(self, other: "SpaceElement") -> int:
         """The pairing value in [0, p)."""
+        _checked(other, SpaceElement)
         if self.shape != other.shape:
             raise ValueError("elements must share a shape")
         total = 0
@@ -236,6 +251,7 @@ def _block_gram(p: int, m: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def gram_matrix(shape: SpaceShape) -> np.ndarray:
     """Gram matrix of the pairing on the flattened coordinate basis."""
+    _checked(shape, SpaceShape)
     p = shape.p
     g = np.zeros((shape.dim, shape.dim), dtype=np.int64)
     for b, m in enumerate(shape.block_levels):
@@ -250,6 +266,7 @@ def gram_matrix(shape: SpaceShape) -> np.ndarray:
 @lru_cache(maxsize=None)
 def t_action_matrix(shape: SpaceShape) -> np.ndarray:
     """Matrix of multiplication by T on row vectors: (T x) = x @ A."""
+    _checked(shape, SpaceShape)
     a = np.zeros((shape.dim, shape.dim), dtype=np.int64)
     for b, m in enumerate(shape.block_levels):
         for side in (0, 1):
@@ -279,6 +296,7 @@ class FpSubspace(Frozen):
     _ARGS = ("shape", "basis")
 
     def __init__(self, shape: SpaceShape, rows=None):
+        _checked(shape, SpaceShape)
         mat = linalg.as_matrix([] if rows is None else rows, shape.p, width=shape.dim)
         if mat.shape[1] != shape.dim:
             raise ValueError(f"rows must have length {shape.dim}")
@@ -381,8 +399,7 @@ def isotropic_diagnostics(sub: FpSubspace) -> MaximalIsotropic:
     """The report of a T-stable Lagrangian: a subspace of half the dimension
     that is isotropic and T-stable, else ValueError (TypeError unless sub is
     an FpSubspace)."""
-    if not isinstance(sub, FpSubspace):
-        raise TypeError(f"expected an FpSubspace, got {type(sub).__name__}")
+    _checked(sub, FpSubspace)
     if 2 * sub.dim != sub.shape.dim or not sub.is_isotropic() or not sub.is_t_stable():
         raise ValueError(
             f"need an isotropic T-stable subspace of half dimension, got {sub!r}"
@@ -611,6 +628,7 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
     dim <= 12, as p >= 3); that also bounds the p^m children built for a
     kernel row with m rows after it.
     """
+    _checked(shape, SpaceShape)
     entry = np.min_scalar_type(shape.p - 1)
     column = np.min_scalar_type(shape.dim - 1)
     found_bases, found_pivots = [], []
@@ -670,14 +688,19 @@ def count_maximal_isotropic(shape: SpaceShape) -> tuple[int, int]:
     augmentation (the value at T = 0) commutes with inv and maps the fixed
     elements onto F_p, so p^(h - 1) of them lie in T Lambda. Only a module
     of the first kind holds a vector whose u coordinate is a unit, so
-    F(n) = p^h + p^(h - 1) = (p + 1) * p^((n - 1)/2). At T = 0, with g
-    blocks of level 1, this reads splits = (p + 1) * prod_{i=1..g-1}
-    (p^i + 1).
+    F(n) = p^h + p^(h - 1) = (p + 1) * p^((n - 1)/2). That is the census
+    of maximal cyclic submodules at level h, so F(n) is read from
+    submodules.count_maximal(p, h): on an echelon basis of the fixed
+    elements, one of valuation 0 and h - 1 in T Lambda, the h coordinates of
+    c are the digits of a kind-A form at level h, and the h - 1 coordinates
+    of T e those of a kind-B form. At T = 0, with g blocks of level 1, this
+    reads splits = (p + 1) * prod_{i=1..g-1} (p^i + 1).
     """
+    _checked(shape, SpaceShape)
     p, levels = shape.p, shape.torsion_levels
     results = _lagrangian_count(shape)
     torsion = _lagrangian_count(SpaceShape(p, levels[0], levels[1:])) if levels else 1
-    return results, (p + 1) * p ** ((shape.rank_level - 1) // 2) * torsion
+    return results, count_maximal(p, (shape.rank_level + 1) // 2) * torsion
 
 
 def _lagrangian_count(shape: SpaceShape) -> int:

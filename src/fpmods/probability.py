@@ -1,11 +1,12 @@
 """Collision statistics of uniformly random maximal cyclic submodules.
 
 Two independent uniform maximal cyclic submodules at level n coincide with
-probability 1/((p+1)p^(n-1)) (one over the census), so they intersect
-nontrivially below the top with probability at least 1 - 1/((p+1)p^(n-1)),
-a bound increasing in n. The exact values are kept as Fractions end to end;
-floats appear only in summaries. Those exact laws live in `fpmods.laws`,
-which imports no numpy; this module re-exports them by name.
+probability 1/((p+1)p^(n-1)) (one over the census), so they differ with
+probability 1 - 1/((p+1)p^(n-1)) (`intersection_bound`), increasing in n;
+they meet nontrivially with probability 1/(p+1) at every n. The exact
+values are kept as Fractions end to end; floats appear only in summaries.
+Those exact laws live in `fpmods.laws`, which imports no numpy; this module
+re-exports them by name.
 
 Sampling draws each submodule's canonical index as n mixed-radix digits: a
 top digit in [0, p+1), which is param[n-1] of a kind-'A' submodule when it

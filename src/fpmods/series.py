@@ -54,6 +54,10 @@ def check_level(n: int) -> int:
 
 
 def is_power_of(n: int, base: int) -> bool:
+    """Whether n is base^k for some k >= 0 (False for n < 1). ValueError
+    unless n and base are ints, not bools, and base >= 2."""
+    if not (is_int(n) and is_int(base)) or base < 2:
+        raise ValueError(f"need an int n and an int base >= 2, got n={n!r}, base={base!r}")
     while n > 1:
         if n % base:
             return False

@@ -66,6 +66,8 @@ class ModuleVector:
     second: TruncatedSeries
 
     def __post_init__(self):
+        _checked(self.first, TruncatedSeries)
+        _checked(self.second, TruncatedSeries)
         if self.first.p != self.second.p or self.first.level != self.second.level:
             raise ValueError("coordinates must share p and level")
 
@@ -91,7 +93,7 @@ class ModuleVector:
 
 def is_maximal(v: ModuleVector) -> bool:
     """Whether v generates a maximal cyclic submodule (some coordinate a unit)."""
-    return v.first.is_unit() or v.second.is_unit()
+    return _checked(v, ModuleVector).first.is_unit() or v.second.is_unit()
 
 
 class CyclicSubmodule(Frozen, tuple):
@@ -256,11 +258,13 @@ class Intersection:
     size_exponent: int
 
 
-def _checked(sub: CyclicSubmodule) -> CyclicSubmodule:
-    """sub, for unpacking as (p, level, kind, param); a plain tuple raises."""
-    if type(sub) is not CyclicSubmodule:
-        raise TypeError(f"expected a CyclicSubmodule, got {type(sub).__name__}")
-    return sub
+def _checked(value, cls=CyclicSubmodule):
+    """value, else TypeError naming the class expected: by default a
+    CyclicSubmodule, for unpacking as (p, level, kind, param), so that a
+    plain tuple raises."""
+    if type(value) is not cls:
+        raise TypeError(f"expected a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _check_pair(n1: CyclicSubmodule, n2: CyclicSubmodule) -> None:

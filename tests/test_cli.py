@@ -283,10 +283,11 @@ def test_bad_value_same_usage_error_from_flag_and_file(
 
 
 def test_count_rows():
-    report = run(config(mode="count", levels=(1, 2)))
-    assert [row.exact for row in report.rows] == [Fraction(4), Fraction(12)]
+    report = run(config(mode="count", levels=(1, 2, 3)))
+    assert [row.exact for row in report.rows] == [Fraction(4), Fraction(12), Fraction(36)]
     assert report.rows[0].extra == "generators=8;enumerated=4"
     assert report.rows[1].extra == "generators=72;enumerated=12"
+    assert report.rows[2].extra == "generators=648;enumerated=36"
     assert all(row.empirical is None for row in report.rows)
     # 9,506 forms at (97, 2) are within the enumeration bound, 922,082 at
     # (97, 3) are not
@@ -384,8 +385,12 @@ def test_isotropic_rows():
         # T acts on the rank block, then on the torsion block
         ("3", "1", b",184,1,184,", b"splits_true=48;splits_false=136"),
         ("1", "3", b",184,1,184,", b"splits_true=64;splits_false=120"),
+        # T acts on both blocks
+        ("3", "3", b",4720,1,4720,", b"splits_true=192;splits_false=4528"),
+        # the split count also searches the torsion shape (3, 3, (1,))
+        ("1", "3,1", b",5440,1,5440,", b"splits_true=736;splits_false=4704"),
     ],
-    ids=["level-one", "rank-level-3", "torsion-level-3"],
+    ids=["level-one", "rank-level-3", "torsion-level-3", "both-level-3", "torsion-3-1"],
 )
 def test_isotropic_csv_row_equals_one_built_by_enumeration(
     tmp_path, monkeypatch, levels, shape, row, splits
@@ -510,30 +515,18 @@ def test_provenance_leaves_csv_bytes_unchanged():
 
 
 def test_main_csv_identical_for_thread_counts(tmp_path):
-    outputs = []
-    for threads, name in ((1, "a"), (8, "b")):
-        out = str(tmp_path / name)
-        code = run_main(
-            tmp_path,
-            "--mode",
-            "montecarlo",
-            "--prime",
-            "3",
-            "--levels",
-            "1,2",
-            "--trials",
-            "500",
-            "--seed",
-            "12",
-            "--threads",
-            str(threads),
-            "--output",
-            out,
-        )
-        assert code == EXIT_OK
-        with open(out + ".csv", "rb") as fh:
-            outputs.append(fh.read())
-    assert outputs[0] == outputs[1]
+    # both sampled modes; --threads changes no CSV byte
+    for args in (
+        "--mode montecarlo --prime 3 --levels 1,2 --trials 500 --seed 12",
+        "--mode tower --prime 3 --levels 4 --trials 20000 --seed 42",
+    ):
+        outputs = []
+        for threads in (1, 2, 8):
+            out = tmp_path / f"t{threads}"
+            argv = [*args.split(), "--threads", str(threads), "--output", str(out)]
+            assert run_main(tmp_path, *argv) == EXIT_OK
+            outputs.append((tmp_path / f"t{threads}.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2], args
 
 
 def test_main_usage_error_exit(tmp_path, capsys):

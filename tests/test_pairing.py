@@ -22,6 +22,7 @@ from fpmods import (
 from fpmods import linalg, pairing
 from fpmods.errors import InvariantError, ResourceBoundError
 from fpmods.linalg import nullspace, rank, reduce_rows, rref
+from fpmods.submodules import ModuleVector, is_maximal
 
 ACCEPTANCE_SHAPES = [
     SpaceShape(3, 1),
@@ -1053,6 +1054,36 @@ def test_isotropic_diagnostics_rejects_non_lagrangians(shape, rows, isotropic, t
 def test_isotropic_diagnostics_rejects_a_non_subspace(sub):
     with pytest.raises(TypeError, match="expected an FpSubspace"):
         isotropic_diagnostics(sub)
+
+
+SHAPE = SpaceShape(3, 1, (1,))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: count_maximal_isotropic("x"), "expected a SpaceShape, got str"),
+        (lambda: next(enumerate_maximal_isotropic("x")), "expected a SpaceShape, got str"),
+        (lambda: gram_matrix("x"), "expected a SpaceShape, got str"),
+        (lambda: t_action_matrix("x"), "expected a SpaceShape, got str"),
+        (lambda: FpSubspace("x"), "expected a SpaceShape, got str"),
+        (lambda: SpaceElement("x", []), "expected a SpaceShape, got str"),
+        (lambda: SpaceElement(SHAPE, [1, 2, 3, 4]), "expected a TruncatedSeries, got int"),
+        (lambda: SpaceElement.from_vector("x", [0]), "expected a SpaceShape, got str"),
+        (lambda: SpaceElement.generator("x", 0, 0), "expected a SpaceShape, got str"),
+        (lambda: SpaceElement.generator(SHAPE, 0, 0).pair(3), "expected a SpaceElement, got int"),
+        (lambda: ModuleVector(1, 2), "expected a TruncatedSeries, got int"),
+        (lambda: is_maximal("x"), "expected a ModuleVector, got str"),
+    ],
+    ids=[
+        "count", "enumerate", "gram", "t-action", "subspace", "element-shape",
+        "element-coords", "from-vector", "generator", "pair", "module-vector",
+        "is-maximal",
+    ],
+)
+def test_entry_points_reject_an_argument_of_the_wrong_type(call, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
 
 
 @pytest.mark.parametrize(

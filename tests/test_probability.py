@@ -60,6 +60,18 @@ def test_intersection_bound_values_and_monotonicity():
         assert all(0 < b < 1 for b in bounds)
 
 
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+def test_intersection_bound_is_the_share_of_distinct_pairs(p, n):
+    # over every ordered pair of the census: the bound is P(v < n), while a
+    # nontrivial meet has probability 1/(p+1) at every level
+    forms = list(enumerate_maximal(p, n))
+    exponents = Counter(intersect(a, b).size_exponent for a in forms for b in forms)
+    pairs = len(forms) ** 2
+    below = sum(count for v, count in exponents.items() if v < n)
+    assert intersection_bound(p, n) == Fraction(below, pairs)
+    assert Fraction(pairs - exponents[0], pairs) == Fraction(1, p + 1)
+
+
 def test_rng_spec_validation():
     with pytest.raises(ValueError):
         RngSpec(-1)

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,8 +243,43 @@ def test_group_basis_multiplication_is_cyclic_convolution():
 
 def test_group_basis_rejects_non_power_levels():
     assert is_power_of(9, 3) and is_power_of(1, 5) and not is_power_of(6, 3)
+    assert not is_power_of(0, 3) and not is_power_of(-9, 3)
     with pytest.raises(ValueError):
         TruncatedSeries.one(3, 4).group_basis()
+
+
+@pytest.mark.parametrize(
+    "n, base",
+    [(9, 0), (9, -3), (True, 3), (9.0, 3), ("9", 3), (9, 3.0), (np.int64(9), 3)],
+    ids=["base-0", "negative-base", "bool-n", "float-n", "str-n", "float-base", "numpy-n"],
+)
+def test_is_power_of_rejects_a_bad_argument(n, base):
+    with pytest.raises(ValueError, match=r"^need an int n and an int base >= 2, got n="):
+        is_power_of(n, base)
+
+
+def test_is_power_of_base_one_is_an_error_not_a_hang():
+    # base 1 (or True) never shrinks n; run in a subprocess with a timeout,
+    # so that a regression fails instead of hanging the suite
+    script = (
+        "from fpmods import is_power_of\n"
+        "for base in (1, True):\n"
+        "    try:\n"
+        "        is_power_of(9, base)\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.stdout.splitlines() == [
+        "need an int n and an int base >= 2, got n=9, base=1",
+        "need an int n and an int base >= 2, got n=9, base=True",
+    ], result.stderr
 
 
 def test_power_and_scalar_ops():
