@@ -42,7 +42,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import MISSING, Field, asdict, dataclass, field, fields
+from dataclasses import MISSING, Field, dataclass, field, fields
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
@@ -168,7 +168,7 @@ class ExperimentConfig:
                 raise UsageError(f"shape: {e}") from None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = {setting.name: getattr(self, setting.name) for setting in fields(self)}
         d["levels"] = list(self.levels)
         d["shape"] = list(self.shape)
         return d
@@ -320,30 +320,30 @@ def run(
     )
 
 
-def _row_cells(row: ReportRow, include_runtime: bool) -> dict:
-    return {
-        "mode": row.mode,
-        "p": row.p,
-        "n": row.n,
-        "exact_num": row.exact.numerator,
-        "exact_den": row.exact.denominator,
-        "exact_decimal": fraction_decimal(row.exact),
-        "empirical": "" if row.empirical is None else fraction_decimal(row.empirical),
-        "stderr": "" if row.stderr is None else float_sci(row.stderr),
-        "trials": "" if row.trials is None else row.trials,
-        "seed": row.seed,
-        "runtime_ms": row.runtime_ms if include_runtime else "",
-        "extra": row.extra,
-    }
+def _row_cells(row: ReportRow, include_runtime: bool) -> tuple:
+    """The row's cells, in CSV_COLUMNS order."""
+    return (
+        row.mode,
+        row.p,
+        row.n,
+        row.exact.numerator,
+        row.exact.denominator,
+        fraction_decimal(row.exact),
+        "" if row.empirical is None else fraction_decimal(row.empirical),
+        "" if row.stderr is None else float_sci(row.stderr),
+        "" if row.trials is None else row.trials,
+        row.seed,
+        row.runtime_ms if include_runtime else "",
+        row.extra,
+    )
 
 
 def render_csv(report: ExperimentReport) -> str:
     """CSV text; deterministic for fixed (config, seed), so no wall-clock."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in report.rows:
-        writer.writerow(_row_cells(row, include_runtime=False))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(_row_cells(row, include_runtime=False) for row in report.rows)
     return buf.getvalue()
 
 
@@ -367,7 +367,10 @@ def _numpy_version() -> str:
 def report_to_dict(report: ExperimentReport) -> dict:
     return {
         "config": report.config.to_dict(),
-        "rows": [_row_cells(row, include_runtime=True) for row in report.rows],
+        "rows": [
+            dict(zip(CSV_COLUMNS, _row_cells(row, include_runtime=True)))
+            for row in report.rows
+        ],
         "metadata": {
             "library": "fpmods",
             "version": report.version,

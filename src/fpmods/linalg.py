@@ -23,10 +23,11 @@ elimination, in its reduced row echelon form; the isotropic search reads
 the socle kernels of a batch of states off it, and `nullspace`, its
 one-matrix case, serves `FpSubspace.orthogonal_complement` and the tests.
 Both eliminations invert pivots with one inverse table per modulus built by
-Fermat's little theorem, the library's only modular inverse. The table is
-checked once per modulus, so a modulus that is not prime raises
-`ValueError` instead of eliminating with wrong inverses; it has p entries,
-so p should be one of the library's small primes. `reduce_rows` is
+Fermat's little theorem, the library's only modular inverse. The modulus
+is checked before its table is built: one that is not a prime up to
+`series.MAX_PRIME`, the range the int64 bound covers, raises `ValueError`
+instead of eliminating with wrong inverses or overflowing, or of building
+a table of p entries for a large p. `reduce_rows` is
 the one reduction against an rref basis, which it takes as given: exactly
 the nonzero rows of an rref with the given pivot columns. It is also the one
 membership test: a row lies in the span exactly when its residual is zero.
@@ -37,6 +38,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from .series import MAX_PRIME
 
 
 def _entries(rows, p: int) -> np.ndarray:
@@ -65,13 +68,18 @@ def as_matrix(rows, p: int, width: int | None = None) -> np.ndarray:
     return a
 
 
+# The moduli an elimination accepts: the primes up to MAX_PRIME, the range
+# that rref_stack's int64 bound covers.
+_PRIMES = frozenset(q for q in range(2, MAX_PRIME + 1) if all(q % d for d in range(2, q)))
+
+
 @lru_cache(maxsize=None)
 def _inverse_table(p: int) -> np.ndarray:
-    """inv[a] = a^(-1) mod p for a in [1, p), and inv[0] = 0; ValueError
-    unless p is prime, the one case where every a in [1, p) is inverted."""
-    table = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
-    if p < 2 or (np.arange(1, p) * table[1:] % p != 1).any():
+    """inv[a] = a^(-1) mod p for a in [1, p), and inv[0] = 0; ValueError,
+    before any table is built, unless p is a prime no larger than MAX_PRIME."""
+    if p not in _PRIMES:
         raise ValueError(f"elimination needs a prime modulus, got {p}")
+    table = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
     table.setflags(write=False)
     return table
 

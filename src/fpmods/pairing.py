@@ -27,17 +27,19 @@ members of M vanishing on every column up to r_1's pivot, is T-stable and
 isotropic, and T r_1 lies in P. P is M's parent, and M is the span of P and
 a vector w that is orthogonal to P, has T w in P, vanishes on P's pivots and
 leads with a 1 before them; all such w come from one kernel per state.
-The search holds its states as arrays, not as FpSubspace objects: a batch
-of at most SEARCH_CHUNK states, all of one dimension, is one array of
-echelon bases and one of pivots. It reads the kernels of a whole batch off
-one stacked elimination (linalg.rref_stack) and builds all the batch's
-children as one array, in one pass; the frontier it holds is at most the
-children of one batch per dimension. The search has one outlet, its
-batches of half dimension: enumerate_maximal_isotropic stores them and
-makes FpSubspace objects only for the results, as they are yielded;
-_search_count sums their sizes and drops them. count_maximal_isotropic runs
-that count only where T acts: at T = 0 (every block of level 1) it counts
-in closed form. It never reads the split criterion: at every shape the
+The zero state's kernel is ker T, spanned by the unit vectors at the last
+coordinate of each generator slice, so the states of dimension 1 are built
+in closed form and the search starts from them. It holds its states as
+arrays, not as FpSubspace objects: a batch of states, all of one dimension,
+is one array of echelon bases and one of pivots, of at most SEARCH_CELLS
+cells. It reads the kernels of a whole batch off one stacked elimination
+(linalg.rref_stack) and builds all the batch's children as one array, in
+one pass; the frontier it holds is at most the children of one batch per
+dimension. The search has one outlet, its batches of half dimension:
+enumerate_maximal_isotropic stores them and makes FpSubspace objects only
+for the results, as they are yielded; _search_count sums their sizes and
+drops them. count_maximal_isotropic runs that count only where T acts: at
+T = 0 (every block of level 1) it counts in closed form. It never reads the split criterion: at every shape the
 split Lagrangians number F(n) * N(S), the free T-stable Lagrangians of the
 rank block times the T-stable Lagrangians of the torsion blocks.
 
@@ -65,12 +67,15 @@ from .submodules import count_maximal
 
 MAX_TOTAL_DIM = 4096
 MAX_SUBSPACE_VECTORS = 2_000_000
-# States per batch of the isotropic search, whose socle kernels come from one
-# stacked elimination; bounds its arrays and the frontier held at once. Against
-# 1,024, counting in three fresh processes each on a 2-vCPU host: (3,3,(1,1))
-# 0.21-0.30 s at 31.8 MB peak RSS against 0.19-0.35 s at 34.9 MB; (3,3,(3,))
-# 0.13-0.28 s at 30.4 MB against 0.13-0.17 s at 36.1 MB. Small keeps RSS down.
-SEARCH_CHUNK = 128
+# Cells (states x rows x dim) per batch of the isotropic search, whose socle
+# kernels come from one stacked elimination; bounds its arrays and the
+# frontier held at once. At dim 8 a whole level of up to 341 states of
+# dimension 3 is one batch; at dim 12, 227 to 113 states of dimension 3 to 6.
+# Counting in three fresh processes each on a 2-vCPU host, against batches of
+# 128 states: (3,3,(1,1)) 0.15-0.19 s at 32.2 MB peak RSS against 0.15-0.24 s
+# at 31.9-32.0 MB; (3,3,(3,)) 0.10-0.11 s at 31.0-31.2 MB against
+# 0.10-0.15 s at 30.8-30.9 MB.
+SEARCH_CELLS = 8192
 
 
 def _checked(value, cls):
@@ -460,8 +465,7 @@ def _socle_kernels(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray) -> 
     Only the columns of C that are nonzero mod p for some state of the batch
     are passed on: a column that is zero for every state constrains no z,
     so every kernel is unchanged. At T = 0 (every block of level 1) that
-    drops the whole T part, leaving the k pairing constraints. k = 0 takes
-    the same steps with empty bases.
+    drops the whole T part, leaving the k pairing constraints.
     """
     p = shape.p
     action = t_action_matrix(shape)
@@ -494,10 +498,11 @@ def _children(
     [w; state's basis], in state order (see enumerate_maximal_isotropic).
 
     Read per kernel row of _socle_kernels, a state's run is its nonzero rows
-    that lead in [half - k - 1, first pivot) (the first pivot of the empty
-    state is dim). The children of a state are the spans [w; state's basis]
-    for w = row i of the run plus any combination sum_{j=1..m} c_j row_{i+j}
-    of the m nonzero rows after it, so row i has p^m children, by run row
+    that lead in [half - k - 1, first pivot), for k >= 1 (the children of
+    the zero state are _first_level). The children of a state are the spans
+    [w; state's basis] for w = row i of the run plus any combination
+    sum_{j=1..m} c_j row_{i+j} of the m nonzero rows after it, so row i has
+    p^m children, by run row
     and then with c in itertools.product order: child t of row i's block
     has c_j = digit j of t in base p, most significant first, that is
     t // p^(m-j) % p. Each state's nonzero rows are stable-sorted to the
@@ -530,7 +535,7 @@ def _children(
     kernels = _socle_kernels(shape, bases, pivots)
     kept = kernels.any(axis=2)
     leads = np.argmax(kernels != 0, axis=2)
-    firsts = pivots[:, :1] if k else np.full((count, 1), dim)
+    firsts = pivots[:, :1]
     run = kept & (leads >= dim // 2 - k - 1) & (leads < firsts)
     every = np.arange(count)[:, None]
     leading = kernels[every, np.arange(kernels.shape[1]), leads]
@@ -565,24 +570,69 @@ def _children(
     return child_bases, child_pivots
 
 
+def _first_level(shape: SpaceShape) -> tuple[np.ndarray, np.ndarray]:
+    """The search's states of dimension 1, the children of the zero state,
+    as bases (M, 1, dim) and pivots (M, 1) in _children's order, built in
+    closed form with no elimination.
+
+    The zero state's socle kernel is ker T, as its pairing and pivot
+    conditions are empty. T x = x @ A, and each row of A is zero or a unit
+    vector, distinct from every other: T shifts each generator slice by one
+    coordinate. So x @ A = 0 exactly when x vanishes on every column whose
+    row of A is nonzero, and ker T is spanned by the unit vectors e_c at the
+    columns c whose row of A is zero, the last coordinate of each slice.
+    Those unit vectors, in increasing column order, are its reduced row
+    echelon basis. The zero state has no pivots, so each e_c leads with a 1
+    before its first pivot and vanishes on its pivots, which is the check
+    _children makes, and a run row is any e_c with c >= half - 1 (k = 0).
+    For the m kernel columns c_1 < ... < c_m after c, _children gives e_c
+    the p^m children e_c + sum_j d_j e_(c_j), with d in itertools.product
+    order, each with the pivot c; those are built here, in that order.
+    """
+    p, dim = shape.p, shape.dim
+    (units,) = np.nonzero(~t_action_matrix(shape).any(axis=1))
+    bases, pivots = [], []
+    for i, c in enumerate(units.tolist()):
+        if c < dim // 2 - 1:
+            continue
+        later = units[i + 1 :]
+        digits = np.array(
+            list(itertools.product(range(p), repeat=len(later))), dtype=np.int64
+        )
+        w = np.zeros((len(digits), dim), dtype=np.int64)
+        w[:, c] = 1
+        w[:, later] = digits
+        bases.append(w)
+        pivots.append(np.full(len(w), c, dtype=np.int64))
+    return np.concatenate(bases)[:, None, :], np.concatenate(pivots)[:, None]
+
+
 def _batches(shape: SpaceShape):
     """The search's states of half dimension, its T-stable Lagrangians, as
-    batches (bases, pivots) of at most SEARCH_CHUNK states, in depth-first
-    order; ResourceBoundError unless p^dim is at most MAX_SUBSPACE_VECTORS
-    (see enumerate_maximal_isotropic)."""
+    batches (bases, pivots) in depth-first order; ResourceBoundError unless
+    p^dim is at most MAX_SUBSPACE_VECTORS (see enumerate_maximal_isotropic).
+    The search starts from the states of dimension 1, built in closed form
+    (_first_level), and pushes them and every batch's children in batches
+    of SEARCH_CELLS // (k * dim) states of dimension k, one at least, so
+    that no pushed batch holds more than SEARCH_CELLS cells unless it is a
+    single state."""
     _check_vector_count(shape.p, shape.dim)
     half = shape.dim // 2
-    stack = [(np.zeros((1, 0, shape.dim), dtype=np.int64), np.zeros((1, 0), dtype=np.int64))]
+
+    def split(bases, pivots):
+        step = max(1, SEARCH_CELLS // (pivots.shape[1] * shape.dim))
+        return [
+            (bases[start : start + step], pivots[start : start + step])
+            for start in range(0, len(bases), step)
+        ]
+
+    stack = split(*_first_level(shape))
     while stack:
         bases, pivots = stack.pop()
         if pivots.shape[1] == half:
             yield bases, pivots
-            continue
-        bases, pivots = _children(shape, bases, pivots)
-        stack.extend(
-            (bases[start : start + SEARCH_CHUNK], pivots[start : start + SEARCH_CHUNK])
-            for start in range(0, len(bases), SEARCH_CHUNK)
-        )
+        else:
+            stack.extend(split(*_children(shape, bases, pivots)))
 
 
 def enumerate_maximal_isotropic(shape: SpaceShape):
@@ -608,14 +658,18 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
 
     States are held as arrays, never as FpSubspace objects: a batch is an
     (N, k, dim) int64 array of echelon bases and an (N, k) array of their
-    pivots, all of one dimension k. A popped batch gets its kernels from one
-    stacked elimination (_socle_kernels), its children are built as one
-    array of [w; P's basis] rows (_children) and pushed in batches of at most
-    SEARCH_CHUNK, so at each dimension the stack holds at most the children
-    of one batch, never a whole level (_batches). The search's one outlet is
-    its batches of half dimension: here they go to a compact result store,
-    in the smallest unsigned dtypes that hold their entries and pivots, and
-    _search_count sums their sizes and drops them.
+    pivots, all of one dimension k. The zero state's children, the states of
+    dimension 1, need no kernel: the zero state's is ker T, whose echelon
+    basis is the unit vectors at the last coordinate of each generator
+    slice, and they are built from it in closed form (_first_level). From
+    there a popped batch gets its kernels from one stacked elimination
+    (_socle_kernels), its children are built as one array of [w; P's basis]
+    rows (_children) and pushed in batches of at most SEARCH_CELLS cells
+    (states x rows x dim), so at each dimension the stack holds at most the
+    children of one batch, never a whole level (_batches). The search's one
+    outlet is its batches of half dimension: here they go to a compact
+    result store, in the smallest unsigned dtypes that hold their entries
+    and pivots, and _search_count sums their sizes and drops them.
 
     States of half dimension equal their own complement, hence are maximal.
     The store is sorted once, by its rows' bytes, which orders them as

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -459,6 +460,48 @@ def test_json_round_trip():
         row.runtime_ms for row in report.rows
     ]
     assert all(isinstance(row["runtime_ms"], int) for row in data["rows"])
+
+
+def _reference_json(report) -> str:
+    """The JSON text built from dataclasses.asdict and one dict per row, key
+    by key, as render_json built it before it shared the CSV's cells."""
+    settings = dataclasses.asdict(report.config)
+    settings["levels"], settings["shape"] = list(report.config.levels), list(report.config.shape)
+    rows = [
+        {
+            "mode": row.mode,
+            "p": row.p,
+            "n": row.n,
+            "exact_num": row.exact.numerator,
+            "exact_den": row.exact.denominator,
+            "exact_decimal": fraction_decimal(row.exact),
+            "empirical": "" if row.empirical is None else fraction_decimal(row.empirical),
+            "stderr": "" if row.stderr is None else float_sci(row.stderr),
+            "trials": "" if row.trials is None else row.trials,
+            "seed": row.seed,
+            "runtime_ms": row.runtime_ms,
+            "extra": row.extra,
+        }
+        for row in report.rows
+    ]
+    metadata = report_to_dict(report)["metadata"]
+    return json.dumps({"config": settings, "rows": rows, "metadata": metadata}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(mode="count", levels=(1, 2, 3)),
+        dict(mode="exhaustive", levels=(1, 2)),
+        dict(mode="montecarlo", levels=(1, 3), trials=500, seed=42),
+        dict(mode="tower", levels=(2,), trials=400, seed=7),
+        dict(mode="isotropic", levels=(3,), shape=(1,)),
+    ],
+    ids=lambda overrides: overrides["mode"],
+)
+def test_render_json_equals_the_asdict_reference(overrides):
+    report = run(config(format="json", **overrides), ("--mode", overrides["mode"]))
+    assert render_json(report) == _reference_json(report)
 
 
 def run_main(tmp_path, *argv):

@@ -228,6 +228,26 @@ def test_eliminations_refuse_a_modulus_that_is_not_prime(call, p):
         call(p)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: linalg.rref([[2, 1], [1, 1]], p),
+        lambda p: linalg.rref_stack([[[3, 1]]], p),
+        lambda p: linalg.nullspace([[1, 2]], p),
+        lambda p: linalg.nullspace_stack([[[1, 2]]], p),
+    ],
+    ids=["rref", "rref_stack", "nullspace", "nullspace_stack"],
+)
+def test_eliminations_check_a_large_prime_before_building_its_table(call):
+    # 10^9 + 7 is prime but above MAX_PRIME, where rref_stack's int64 bound
+    # fails; its table would take about 10^9 pow calls, so the modulus is
+    # refused before any is made, and nothing is cached
+    cached = linalg._inverse_table.cache_info().currsize
+    with pytest.raises(ValueError, match=f"prime modulus, got {10**9 + 7}"):
+        call(10**9 + 7)
+    assert linalg._inverse_table.cache_info().currsize == cached
+
+
 def test_nilpotent_block_sizes_known_forms():
     p = 3
 

@@ -704,10 +704,11 @@ def _random_padded_kernels(shape, rng, count):
     """count random (pivots, padded kernel) pairs for states of shape:
     kernels whose nonzero rows lead at strictly increasing columns (the
     kernels' contract), with leading entries and entries on the state's
-    pivots that are mostly, not always, right."""
+    pivots that are mostly, not always, right. States have dimension k >= 1,
+    as the search expands no zero state (see test_first_level_*)."""
     dim = shape.dim
     for _ in range(count):
-        k = int(rng.integers(0, shape.dim // 2))
+        k = int(rng.integers(1, shape.dim // 2))
         pivots = np.sort(rng.choice(dim, k, replace=False))
         kernel = np.zeros((dim - k, dim), dtype=np.int64)
         slots = np.sort(rng.choice(dim - k, int(rng.integers(0, dim - k + 1)), replace=False))
@@ -758,7 +759,7 @@ def test_children_are_built_in_the_per_state_order(monkeypatch, p):
     shape = SpaceShape(p, 1, (1, 1))
     rng = np.random.default_rng(34)
     by_dim = collections.defaultdict(list)
-    for pivots, kernel in _random_padded_kernels(shape, rng, 900):
+    for pivots, kernel in _random_padded_kernels(shape, rng, 1800):
         if not _children_oracle_rejects(shape, pivots, kernel):
             by_dim[len(pivots)].append((pivots, kernel))
     assert sum(map(len, by_dim.values())) >= 300
@@ -774,8 +775,47 @@ def test_children_are_built_in_the_per_state_order(monkeypatch, p):
     assert built > 1000
 
 
+def _zero_state(shape):
+    return np.zeros((1, 0, shape.dim), dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
+
+
+def _assert_first_level_matches_the_oracle(shape):
+    # the zero state's children by the oracle, from its kernel as
+    # _socle_kernels computes it, against the closed form
+    bases, pivots = _zero_state(shape)
+    kernels = pairing._socle_kernels(shape, bases, pivots)
+    expected_bases, expected_pivots = _children_oracle(shape, bases[0], (), kernels[0])
+    first_bases, first_pivots = pairing._first_level(shape)
+    assert first_bases.dtype == first_pivots.dtype == np.int64
+    assert first_bases.shape == (len(expected_bases), 1, shape.dim)
+    assert first_pivots.tolist() == expected_pivots
+    assert all((first_bases[i] == b).all() for i, b in enumerate(expected_bases))
+    return len(expected_bases)
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES + [SpaceShape(3, 3, (3,))], ids=str)
+def test_first_level_is_the_children_of_the_zero_state(shape):
+    assert _assert_first_level_matches_the_oracle(shape) > 0
+
+
+def test_first_level_reads_ker_t_off_the_generator_slices():
+    # ker T is spanned by the last coordinate of each generator slice
+    shape = SpaceShape(3, 3, (1,))
+    ends = [shape.generator_slice(b, side).stop - 1 for b in range(2) for side in (0, 1)]
+    assert ends == [2, 5, 6, 7]
+    bases, pivots = pairing._first_level(shape)
+    # 9 children of e_5, 3 of e_6 and 1 of e_7; e_2 leads before half - 1
+    assert pivots[:, 0].tolist() == [5] * 9 + [6] * 3 + [7]
+    assert not bases[:, 0, [0, 1, 2, 3, 4]].any()
+    assert bases[:, 0, [5, 6, 7]].tolist() == [
+        [1, a, b] for a in range(3) for b in range(3)
+    ] + [[0, 1, b] for b in range(3)] + [[0, 0, 1]]
+
+
 def test_children_of_search_batches_match_the_oracle(monkeypatch):
     # every batch that the search at (3,3,(3,)) expands, at every dimension
+    # from 1, and the first level, built in closed form, against the same
+    # oracle
     shape = SpaceShape(3, 3, (3,))
     expanded = []
     children = pairing._children
@@ -788,8 +828,8 @@ def test_children_of_search_batches_match_the_oracle(monkeypatch):
     assert pairing._search_count(shape) == 4720
     monkeypatch.undo()
     assert count_maximal_isotropic(shape) == (4720, 192)
-    assert {pivots.shape[1] for _, pivots in expanded} == set(range(shape.dim // 2))
-    built = sum(
+    assert {pivots.shape[1] for _, pivots in expanded} == set(range(1, shape.dim // 2))
+    built = _assert_first_level_matches_the_oracle(shape) + sum(
         _assert_children_match_the_oracle(
             shape, bases, pivots, pairing._socle_kernels(shape, bases, pivots)
         )
@@ -855,10 +895,15 @@ def test_orderly_generation_builds_each_state_once(monkeypatch):
         built.extend(basis.tobytes() for basis in bases)
         return socle_kernels(shape, bases, pivots)
 
+    shape = SpaceShape(3, 1, (1, 1))
     monkeypatch.setattr(pairing, "_socle_kernels", recording)
-    found = list(enumerate_maximal_isotropic(SpaceShape(3, 1, (1, 1))))
+    found = list(enumerate_maximal_isotropic(shape))
     assert len(found) == 1120
-    assert b"" in built
+    # the search expands every state of dimension 1, and no other state of
+    # that length, and never the zero state
+    first = [basis.tobytes() for basis in pairing._first_level(shape)[0]]
+    assert sorted(key for key in built if len(key) == 8 * shape.dim) == sorted(first)
+    assert b"" not in built
     built.extend(r.subspace.key() for r in found)
     assert len(built) == len(set(built))
 
@@ -926,13 +971,50 @@ def _reports(shape):
     ]
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("cells", [lambda dim: 1, lambda dim: 7 * dim], ids=["1", "7-dim"])
 @pytest.mark.parametrize("shape", [SpaceShape(3, 1, (1, 1)), SpaceShape(3, 3, (1,))], ids=str)
-def test_search_chunk_size_leaves_the_reports_unchanged(monkeypatch, shape, chunk):
-    # the reports compare the subspace and its split, in order
+def test_search_cell_bound_leaves_the_reports_unchanged(monkeypatch, shape, cells):
+    # the reports compare the subspace and its split, in order; a bound of 1
+    # cell makes every batch one state, and 7 * dim cells 7 // k states
     expected = _reports(shape)
-    monkeypatch.setattr(pairing, "SEARCH_CHUNK", chunk)
+    monkeypatch.setattr(pairing, "SEARCH_CELLS", cells(shape.dim))
     assert _reports(shape) == expected
+
+
+def test_search_makes_one_elimination_per_dimension_at_a_small_shape(monkeypatch):
+    # (3,3,(1,)): 13 states of dimension 1 from the closed form, then 76 of
+    # dimension 2 and 211 of dimension 3, each level one batch under the
+    # cell bound, so one stacked elimination each
+    stacks = []
+    rref_stack = pairing.linalg.rref_stack
+
+    def counting_stack(stack, p):
+        stacks.append(len(stack))
+        return rref_stack(stack, p)
+
+    monkeypatch.setattr(pairing.linalg, "rref_stack", counting_stack)
+    assert pairing._search_count(SpaceShape(3, 3, (1,))) == 184
+    assert stacks == [13, 76, 211]
+
+
+def test_search_batches_fill_the_cell_bound_at_dim_12(monkeypatch):
+    # (3,3,(3,)): every batch of dimension k, expanded or yielded, holds at
+    # most 8192 // (12 k) states, and from k = 3 on the largest holds
+    # exactly that many: 227, 170, 136 and 113
+    shape = SpaceShape(3, 3, (3,))
+    sizes = collections.defaultdict(list)
+    children = pairing._children
+
+    def recording(shape, bases, pivots):
+        sizes[pivots.shape[1]].append(len(bases))
+        return children(shape, bases, pivots)
+
+    monkeypatch.setattr(pairing, "_children", recording)
+    for _, pivots in pairing._batches(shape):
+        sizes[pivots.shape[1]].append(len(pivots))
+    assert sum(sizes[6]) == 4720
+    assert {k: max(sizes[k]) for k in range(3, 7)} == {3: 227, 4: 170, 5: 136, 6: 113}
+    assert all(n <= 8192 // (12 * k) for k, counts in sizes.items() for n in counts)
 
 
 def test_search_reads_kernels_off_stacked_eliminations(monkeypatch):
@@ -962,7 +1044,9 @@ def test_search_reads_kernels_off_stacked_eliminations(monkeypatch):
 
 def test_socle_kernels_drop_constraints_that_constrain_nothing(monkeypatch):
     # at T = 0 the T part of the constraints is zero, so a state of
-    # dimension k leaves at most its k pairing constraints to eliminate
+    # dimension k leaves at most its k pairing constraints to eliminate:
+    # at k = 1 in the search, and at k = 0 for the zero state, which the
+    # search does not expand
     shape = SpaceShape(5, 1, (1,))
     received = []
     nullspace_stack = pairing.linalg.nullspace_stack
@@ -973,6 +1057,8 @@ def test_socle_kernels_drop_constraints_that_constrain_nothing(monkeypatch):
 
     monkeypatch.setattr(pairing.linalg, "nullspace_stack", recording)
     assert pairing._search_count(shape) == 156
+    assert {shape.dim - cols for _, _, cols in received} == {1}
+    pairing._socle_kernels(shape, *_zero_state(shape))
     assert {shape.dim - cols for _, _, cols in received} == {0, 1}
     assert all(rows <= shape.dim - cols for _, rows, cols in received)
     assert count_maximal_isotropic(shape) == (156, 36)
