@@ -24,8 +24,8 @@ the socle kernels of a batch of states off it, and `nullspace`, its
 one-matrix case, serves `FpSubspace.orthogonal_complement` and the tests.
 Both eliminations invert pivots with one inverse table per modulus built by
 Fermat's little theorem, the library's only modular inverse. The modulus
-is checked before its table is built: one that is not a prime up to
-`series.MAX_PRIME`, the range the int64 bound covers, raises `ValueError`
+is checked before its table is built: one that is not an odd prime up to
+`series.MAX_PRIME`, the library's primes, raises `ValueError`
 instead of eliminating with wrong inverses or overflowing, or of building
 a table of p entries for a large p. `reduce_rows` is
 the one reduction against an rref basis, which it takes as given: exactly
@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import MAX_PRIME
+from .series import _ODD_PRIMES
 
 
 def _entries(rows, p: int) -> np.ndarray:
@@ -68,16 +68,13 @@ def as_matrix(rows, p: int, width: int | None = None) -> np.ndarray:
     return a
 
 
-# The moduli an elimination accepts: the primes up to MAX_PRIME, the range
-# that rref_stack's int64 bound covers.
-_PRIMES = frozenset(q for q in range(2, MAX_PRIME + 1) if all(q % d for d in range(2, q)))
-
-
 @lru_cache(maxsize=None)
 def _inverse_table(p: int) -> np.ndarray:
     """inv[a] = a^(-1) mod p for a in [1, p), and inv[0] = 0; ValueError,
-    before any table is built, unless p is a prime no larger than MAX_PRIME."""
-    if p not in _PRIMES:
+    before any table is built, unless p is one of the library's primes, the
+    odd primes up to series.MAX_PRIME, a range that rref_stack's int64 bound
+    covers."""
+    if p not in _ODD_PRIMES:
         raise ValueError(f"elimination needs a prime modulus, got {p}")
     table = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
     table.setflags(write=False)

@@ -27,21 +27,22 @@ members of M vanishing on every column up to r_1's pivot, is T-stable and
 isotropic, and T r_1 lies in P. P is M's parent, and M is the span of P and
 a vector w that is orthogonal to P, has T w in P, vanishes on P's pivots and
 leads with a 1 before them; all such w come from one kernel per state.
-The zero state's kernel is ker T, spanned by the unit vectors at the last
-coordinate of each generator slice, so the states of dimension 1 are built
-in closed form and the search starts from them. It holds its states as
-arrays, not as FpSubspace objects: a batch of states, all of one dimension,
-is one array of echelon bases and one of pivots, of at most SEARCH_CELLS
-cells. It reads the kernels of a whole batch off one stacked elimination
-(linalg.rref_stack) and builds all the batch's children as one array, in
+The search starts from the zero state. It holds its states as arrays, not
+as FpSubspace objects: a batch of states, all of one dimension, is one
+array of echelon bases and one of pivots, of at most SEARCH_CELLS cells.
+It reads the kernels of a whole batch off one stacked elimination
+(linalg.rref_stack), except the zero state's, which is ker T, spanned by
+the unit vectors at the last coordinate of each generator slice and read
+in closed form, and it builds all the batch's children as one array, in
 one pass; the frontier it holds is at most the children of one batch per
 dimension. The search has one outlet, its batches of half dimension:
 enumerate_maximal_isotropic stores them and makes FpSubspace objects only
 for the results, as they are yielded; _search_count sums their sizes and
 drops them. count_maximal_isotropic runs that count only where T acts: at
-T = 0 (every block of level 1) it counts in closed form. It never reads the split criterion: at every shape the
-split Lagrangians number F(n) * N(S), the free T-stable Lagrangians of the
-rank block times the T-stable Lagrangians of the torsion blocks.
+T = 0 (every block of level 1) it counts in closed form. It never reads the
+split criterion: at every shape the split Lagrangians number F(n) * N(S),
+the free T-stable Lagrangians of the rank block times the T-stable
+Lagrangians of the torsion blocks.
 
 Whether each Lagrangian found splits is read off its echelon basis in
 closed form, by duality, with no elimination, for all results at once;
@@ -61,7 +62,8 @@ import numpy as np
 from . import linalg
 from .errors import InvariantError, ResourceBoundError
 from .series import (
-    Frozen, TruncatedSeries, check_level, check_prime, is_int, is_power_of, read_ints, slot_setters
+    Frozen, TruncatedSeries, check_level, check_prime, check_type, is_int, is_power_of, read_ints,
+    slot_setters,
 )
 from .submodules import count_maximal
 
@@ -76,16 +78,6 @@ MAX_SUBSPACE_VECTORS = 2_000_000
 # at 31.9-32.0 MB; (3,3,(3,)) 0.10-0.11 s at 31.0-31.2 MB against
 # 0.10-0.15 s at 30.8-30.9 MB.
 SEARCH_CELLS = 8192
-
-
-def _checked(value, cls):
-    """value, else TypeError naming cls; each entry point calls it once per
-    argument whose fields it reads."""
-    if not isinstance(value, cls):
-        name = cls.__name__
-        article = "an" if name[0] in "AEFIO" else "a"
-        raise TypeError(f"expected {article} {name}, got {type(value).__name__}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -144,14 +136,14 @@ class SpaceElement(Frozen):
     __slots__ = ("shape", "coords")
 
     def __init__(self, shape: SpaceShape, coords):
-        _checked(shape, SpaceShape)
+        check_type(shape, SpaceShape)
         coords = tuple(coords)
         levels = shape.block_levels
         if len(coords) != 2 * shape.num_blocks:
             raise ValueError(f"need {2 * shape.num_blocks} coordinates")
         for b, level in enumerate(levels):
             for side in (0, 1):
-                c = _checked(coords[2 * b + side], TruncatedSeries)
+                c = check_type(coords[2 * b + side], TruncatedSeries)
                 if c.p != shape.p or c.level != level:
                     raise ValueError(
                         f"coordinate {2 * b + side} must live in "
@@ -162,14 +154,14 @@ class SpaceElement(Frozen):
 
     @classmethod
     def generator(cls, shape: SpaceShape, block: int, side: int) -> "SpaceElement":
-        _checked(shape, SpaceShape)
+        check_type(shape, SpaceShape)
         vec = [0] * shape.dim
         vec[shape.generator_slice(block, side).start] = 1
         return cls.from_vector(shape, vec)
 
     @classmethod
     def from_vector(cls, shape: SpaceShape, vec) -> "SpaceElement":
-        _checked(shape, SpaceShape)
+        check_type(shape, SpaceShape)
         flat = read_ints(vec, "vector entries")
         if len(flat) != shape.dim:
             raise ValueError(f"vector must have length {shape.dim}")
@@ -217,7 +209,7 @@ class SpaceElement(Frozen):
 
     def pair(self, other: "SpaceElement") -> int:
         """The pairing value in [0, p)."""
-        _checked(other, SpaceElement)
+        check_type(other, SpaceElement)
         if self.shape != other.shape:
             raise ValueError("elements must share a shape")
         total = 0
@@ -256,7 +248,7 @@ def _block_gram(p: int, m: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def gram_matrix(shape: SpaceShape) -> np.ndarray:
     """Gram matrix of the pairing on the flattened coordinate basis."""
-    _checked(shape, SpaceShape)
+    check_type(shape, SpaceShape)
     p = shape.p
     g = np.zeros((shape.dim, shape.dim), dtype=np.int64)
     for b, m in enumerate(shape.block_levels):
@@ -271,7 +263,7 @@ def gram_matrix(shape: SpaceShape) -> np.ndarray:
 @lru_cache(maxsize=None)
 def t_action_matrix(shape: SpaceShape) -> np.ndarray:
     """Matrix of multiplication by T on row vectors: (T x) = x @ A."""
-    _checked(shape, SpaceShape)
+    check_type(shape, SpaceShape)
     a = np.zeros((shape.dim, shape.dim), dtype=np.int64)
     for b, m in enumerate(shape.block_levels):
         for side in (0, 1):
@@ -301,7 +293,7 @@ class FpSubspace(Frozen):
     _ARGS = ("shape", "basis")
 
     def __init__(self, shape: SpaceShape, rows=None):
-        _checked(shape, SpaceShape)
+        check_type(shape, SpaceShape)
         mat = linalg.as_matrix([] if rows is None else rows, shape.p, width=shape.dim)
         if mat.shape[1] != shape.dim:
             raise ValueError(f"rows must have length {shape.dim}")
@@ -404,7 +396,7 @@ def isotropic_diagnostics(sub: FpSubspace) -> MaximalIsotropic:
     """The report of a T-stable Lagrangian: a subspace of half the dimension
     that is isotropic and T-stable, else ValueError (TypeError unless sub is
     an FpSubspace)."""
-    _checked(sub, FpSubspace)
+    check_type(sub, FpSubspace)
     if 2 * sub.dim != sub.shape.dim or not sub.is_isotropic() or not sub.is_t_stable():
         raise ValueError(
             f"need an isotropic T-stable subspace of half dimension, got {sub!r}"
@@ -466,10 +458,25 @@ def _socle_kernels(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray) -> 
     are passed on: a column that is zero for every state constrains no z,
     so every kernel is unchanged. At T = 0 (every block of level 1) that
     drops the whole T part, leaving the k pairing constraints.
+
+    The zero state (k = 0) has no pivots and no pairing conditions, so its
+    kernel is ker T, which is read in closed form, with no elimination.
+    T x = x A, and each row of A is zero or a unit vector, distinct from
+    every other: T shifts each generator slice by one coordinate. So x A = 0
+    exactly when x vanishes on every column whose row of A is nonzero, and
+    ker T is spanned by the unit vectors e_c at the columns c whose row of A
+    is zero, the last coordinate of each slice. Those unit vectors, in
+    increasing column order, are its reduced row echelon basis; e_c is
+    placed in row c, so the nonzero rows are that basis, in order.
     """
     p = shape.p
     action = t_action_matrix(shape)
     count, k, dim = bases.shape
+    if k == 0:
+        out = np.zeros((count, dim, dim), dtype=np.int64)
+        units = np.flatnonzero(~action.any(axis=1))
+        out[:, units, units] = 1
+        return out
     every = np.arange(count)[:, None]
     is_free = np.ones((count, dim), dtype=bool)
     is_free[every, pivots] = False
@@ -498,11 +505,10 @@ def _children(
     [w; state's basis], in state order (see enumerate_maximal_isotropic).
 
     Read per kernel row of _socle_kernels, a state's run is its nonzero rows
-    that lead in [half - k - 1, first pivot), for k >= 1 (the children of
-    the zero state are _first_level). The children of a state are the spans
-    [w; state's basis] for w = row i of the run plus any combination
-    sum_{j=1..m} c_j row_{i+j} of the m nonzero rows after it, so row i has
-    p^m children, by run row
+    that lead in [half - k - 1, first pivot) (the first pivot of the zero
+    state is dim). The children of a state are the spans [w; state's basis]
+    for w = row i of the run plus any combination sum_{j=1..m} c_j row_{i+j}
+    of the m nonzero rows after it, so row i has p^m children, by run row
     and then with c in itertools.product order: child t of row i's block
     has c_j = digit j of t in base p, most significant first, that is
     t // p^(m-j) % p. Each state's nonzero rows are stable-sorted to the
@@ -535,7 +541,7 @@ def _children(
     kernels = _socle_kernels(shape, bases, pivots)
     kept = kernels.any(axis=2)
     leads = np.argmax(kernels != 0, axis=2)
-    firsts = pivots[:, :1]
+    firsts = pivots[:, :1] if k else np.full((count, 1), dim)
     run = kept & (leads >= dim // 2 - k - 1) & (leads < firsts)
     every = np.arange(count)[:, None]
     leading = kernels[every, np.arange(kernels.shape[1]), leads]
@@ -570,52 +576,14 @@ def _children(
     return child_bases, child_pivots
 
 
-def _first_level(shape: SpaceShape) -> tuple[np.ndarray, np.ndarray]:
-    """The search's states of dimension 1, the children of the zero state,
-    as bases (M, 1, dim) and pivots (M, 1) in _children's order, built in
-    closed form with no elimination.
-
-    The zero state's socle kernel is ker T, as its pairing and pivot
-    conditions are empty. T x = x @ A, and each row of A is zero or a unit
-    vector, distinct from every other: T shifts each generator slice by one
-    coordinate. So x @ A = 0 exactly when x vanishes on every column whose
-    row of A is nonzero, and ker T is spanned by the unit vectors e_c at the
-    columns c whose row of A is zero, the last coordinate of each slice.
-    Those unit vectors, in increasing column order, are its reduced row
-    echelon basis. The zero state has no pivots, so each e_c leads with a 1
-    before its first pivot and vanishes on its pivots, which is the check
-    _children makes, and a run row is any e_c with c >= half - 1 (k = 0).
-    For the m kernel columns c_1 < ... < c_m after c, _children gives e_c
-    the p^m children e_c + sum_j d_j e_(c_j), with d in itertools.product
-    order, each with the pivot c; those are built here, in that order.
-    """
-    p, dim = shape.p, shape.dim
-    (units,) = np.nonzero(~t_action_matrix(shape).any(axis=1))
-    bases, pivots = [], []
-    for i, c in enumerate(units.tolist()):
-        if c < dim // 2 - 1:
-            continue
-        later = units[i + 1 :]
-        digits = np.array(
-            list(itertools.product(range(p), repeat=len(later))), dtype=np.int64
-        )
-        w = np.zeros((len(digits), dim), dtype=np.int64)
-        w[:, c] = 1
-        w[:, later] = digits
-        bases.append(w)
-        pivots.append(np.full(len(w), c, dtype=np.int64))
-    return np.concatenate(bases)[:, None, :], np.concatenate(pivots)[:, None]
-
-
 def _batches(shape: SpaceShape):
     """The search's states of half dimension, its T-stable Lagrangians, as
     batches (bases, pivots) in depth-first order; ResourceBoundError unless
     p^dim is at most MAX_SUBSPACE_VECTORS (see enumerate_maximal_isotropic).
-    The search starts from the states of dimension 1, built in closed form
-    (_first_level), and pushes them and every batch's children in batches
-    of SEARCH_CELLS // (k * dim) states of dimension k, one at least, so
-    that no pushed batch holds more than SEARCH_CELLS cells unless it is a
-    single state."""
+    The search starts from the zero state and pushes every batch's children
+    in batches of SEARCH_CELLS // (k * dim) states of dimension k, one at
+    least, so that no pushed batch holds more than SEARCH_CELLS cells unless
+    it is a single state."""
     _check_vector_count(shape.p, shape.dim)
     half = shape.dim // 2
 
@@ -626,7 +594,7 @@ def _batches(shape: SpaceShape):
             for start in range(0, len(bases), step)
         ]
 
-    stack = split(*_first_level(shape))
+    stack = [(np.zeros((1, 0, shape.dim), dtype=np.int64), np.zeros((1, 0), dtype=np.int64))]
     while stack:
         bases, pivots = stack.pop()
         if pivots.shape[1] == half:
@@ -658,18 +626,16 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
 
     States are held as arrays, never as FpSubspace objects: a batch is an
     (N, k, dim) int64 array of echelon bases and an (N, k) array of their
-    pivots, all of one dimension k. The zero state's children, the states of
-    dimension 1, need no kernel: the zero state's is ker T, whose echelon
-    basis is the unit vectors at the last coordinate of each generator
-    slice, and they are built from it in closed form (_first_level). From
-    there a popped batch gets its kernels from one stacked elimination
-    (_socle_kernels), its children are built as one array of [w; P's basis]
-    rows (_children) and pushed in batches of at most SEARCH_CELLS cells
-    (states x rows x dim), so at each dimension the stack holds at most the
-    children of one batch, never a whole level (_batches). The search's one
-    outlet is its batches of half dimension: here they go to a compact
-    result store, in the smallest unsigned dtypes that hold their entries
-    and pivots, and _search_count sums their sizes and drops them.
+    pivots, all of one dimension k. A popped batch gets its kernels from one
+    stacked elimination (_socle_kernels), except the zero state, whose
+    kernel is ker T, read in closed form, with no elimination; its children
+    are built as one array of [w; P's basis] rows (_children) and pushed in
+    batches of at most SEARCH_CELLS cells (states x rows x dim), so at each
+    dimension the stack holds at most the children of one batch, never a
+    whole level (_batches). The search's one outlet is its batches of half
+    dimension: here they go to a compact result store, in the smallest
+    unsigned dtypes that hold their entries and pivots, and _search_count
+    sums their sizes and drops them.
 
     States of half dimension equal their own complement, hence are maximal.
     The store is sorted once, by its rows' bytes, which orders them as
@@ -682,7 +648,7 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
     dim <= 12, as p >= 3); that also bounds the p^m children built for a
     kernel row with m rows after it.
     """
-    _checked(shape, SpaceShape)
+    check_type(shape, SpaceShape)
     entry = np.min_scalar_type(shape.p - 1)
     column = np.min_scalar_type(shape.dim - 1)
     found_bases, found_pivots = [], []
@@ -750,7 +716,7 @@ def count_maximal_isotropic(shape: SpaceShape) -> tuple[int, int]:
     of T e those of a kind-B form. At T = 0, with g blocks of level 1, this
     reads splits = (p + 1) * prod_{i=1..g-1} (p^i + 1).
     """
-    _checked(shape, SpaceShape)
+    check_type(shape, SpaceShape)
     p, levels = shape.p, shape.torsion_levels
     results = _lagrangian_count(shape)
     torsion = _lagrangian_count(SpaceShape(p, levels[0], levels[1:])) if levels else 1

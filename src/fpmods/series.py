@@ -53,6 +53,17 @@ def check_level(n: int) -> int:
     return n
 
 
+def check_type(value, cls):
+    """value, else TypeError naming cls, with "an" before a name that starts
+    with A, E, F, I or O; entry points call it once per argument whose
+    fields they read."""
+    if not isinstance(value, cls):
+        name = cls.__name__
+        article = "an" if name[0] in "AEFIO" else "a"
+        raise TypeError(f"expected {article} {name}, got {type(value).__name__}")
+    return value
+
+
 def is_power_of(n: int, base: int) -> bool:
     """Whether n is base^k for some k >= 0 (False for n < 1). ValueError
     unless n and base are ints, not bools, and base >= 2."""

@@ -49,7 +49,7 @@ from operator import add, itemgetter
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import ResourceBoundError
-from .series import Frozen, TruncatedSeries, check_level, check_prime, is_int
+from .series import Frozen, TruncatedSeries, check_level, check_prime, check_type, is_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,8 +66,8 @@ class ModuleVector:
     second: TruncatedSeries
 
     def __post_init__(self):
-        _checked(self.first, TruncatedSeries)
-        _checked(self.second, TruncatedSeries)
+        check_type(self.first, TruncatedSeries)
+        check_type(self.second, TruncatedSeries)
         if self.first.p != self.second.p or self.first.level != self.second.level:
             raise ValueError("coordinates must share p and level")
 
@@ -93,7 +93,7 @@ class ModuleVector:
 
 def is_maximal(v: ModuleVector) -> bool:
     """Whether v generates a maximal cyclic submodule (some coordinate a unit)."""
-    return _checked(v, ModuleVector).first.is_unit() or v.second.is_unit()
+    return check_type(v, ModuleVector).first.is_unit() or v.second.is_unit()
 
 
 class CyclicSubmodule(Frozen, tuple):
@@ -258,17 +258,8 @@ class Intersection:
     size_exponent: int
 
 
-def _checked(value, cls=CyclicSubmodule):
-    """value, else TypeError naming the class expected: by default a
-    CyclicSubmodule, for unpacking as (p, level, kind, param), so that a
-    plain tuple raises."""
-    if type(value) is not cls:
-        raise TypeError(f"expected a {cls.__name__}, got {type(value).__name__}")
-    return value
-
-
 def _check_pair(n1: CyclicSubmodule, n2: CyclicSubmodule) -> None:
-    if _checked(n1)[:2] != _checked(n2)[:2]:
+    if check_type(n1, CyclicSubmodule)[:2] != check_type(n2, CyclicSubmodule)[:2]:
         raise ValueError("submodules must share p and level")
 
 
@@ -341,7 +332,7 @@ def project(sub: CyclicSubmodule, m: int) -> CyclicSubmodule:
     """Image under the truncation map to level m <= level; kind is preserved."""
     if type(sub) is not CyclicSubmodule or type(m) is not int or not 1 <= m <= sub[1]:
         check_level(m)
-        level = _checked(sub)[1]
+        level = check_type(sub, CyclicSubmodule)[1]
         if m > level:
             raise ValueError(f"cannot project level {level} up to level {m}")
     p, _, kind, param = sub
@@ -355,7 +346,7 @@ def lifts(sub: CyclicSubmodule, m: int) -> Iterator[CyclicSubmodule]:
     form's lifts are its fiber in the level-m census, in census order.
     """
     check_level(m)
-    p, level, kind, param = _checked(sub)
+    p, level, kind, param = check_type(sub, CyclicSubmodule)
     if m < level:
         raise ValueError(f"cannot lift level {level} down to level {m}")
     # the tail's digits are the highest of the index; reversed, as in
@@ -378,7 +369,7 @@ class SubmoduleTower:
         if not isinstance(self.stages, tuple):
             raise ValueError(f"stages must be a tuple, got {type(self.stages).__name__}")
         for stage in self.stages:
-            _checked(stage)
+            check_type(stage, CyclicSubmodule)
         if not self.stages:
             raise ValueError("tower needs at least one stage")
         for low, high in zip(self.stages, self.stages[1:]):
@@ -409,5 +400,5 @@ class SubmoduleTower:
         cls, top: CyclicSubmodule, levels: tuple[int, ...] | None = None
     ) -> "SubmoduleTower":
         if levels is None:
-            levels = tuple(range(1, _checked(top).level + 1))
+            levels = tuple(range(1, check_type(top, CyclicSubmodule).level + 1))
         return cls(tuple([project(top, m) for m in levels]))

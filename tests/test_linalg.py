@@ -210,7 +210,7 @@ def test_inverse_table():
             inv[1] = 0
 
 
-@pytest.mark.parametrize("p", [1, 4, 9])
+@pytest.mark.parametrize("p", [1, 2, 4, 9])
 @pytest.mark.parametrize(
     "call",
     [
@@ -223,7 +223,8 @@ def test_inverse_table():
 )
 def test_eliminations_refuse_a_modulus_that_is_not_prime(call, p):
     # mod 4 the Fermat "inverse" of 2 is 0, so an elimination would scale a
-    # pivot row to zero and report a wrong rank instead of failing
+    # pivot row to zero and report a wrong rank instead of failing; 2 is
+    # prime, but not one of the library's primes, which check_prime admits
     with pytest.raises(ValueError, match=f"prime modulus, got {p}"):
         call(p)
 

@@ -704,11 +704,11 @@ def _random_padded_kernels(shape, rng, count):
     """count random (pivots, padded kernel) pairs for states of shape:
     kernels whose nonzero rows lead at strictly increasing columns (the
     kernels' contract), with leading entries and entries on the state's
-    pivots that are mostly, not always, right. States have dimension k >= 1,
-    as the search expands no zero state (see test_first_level_*)."""
+    pivots that are mostly, not always, right. States have any dimension
+    k < half, the zero state included, as the search expands it too."""
     dim = shape.dim
     for _ in range(count):
-        k = int(rng.integers(1, shape.dim // 2))
+        k = int(rng.integers(0, shape.dim // 2))
         pivots = np.sort(rng.choice(dim, k, replace=False))
         kernel = np.zeros((dim - k, dim), dtype=np.int64)
         slots = np.sort(rng.choice(dim - k, int(rng.integers(0, dim - k + 1)), replace=False))
@@ -779,31 +779,22 @@ def _zero_state(shape):
     return np.zeros((1, 0, shape.dim), dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
 
 
-def _assert_first_level_matches_the_oracle(shape):
-    # the zero state's children by the oracle, from its kernel as
-    # _socle_kernels computes it, against the closed form
-    bases, pivots = _zero_state(shape)
-    kernels = pairing._socle_kernels(shape, bases, pivots)
-    expected_bases, expected_pivots = _children_oracle(shape, bases[0], (), kernels[0])
-    first_bases, first_pivots = pairing._first_level(shape)
-    assert first_bases.dtype == first_pivots.dtype == np.int64
-    assert first_bases.shape == (len(expected_bases), 1, shape.dim)
-    assert first_pivots.tolist() == expected_pivots
-    assert all((first_bases[i] == b).all() for i, b in enumerate(expected_bases))
-    return len(expected_bases)
+def test_zero_state_kernel_reads_ker_t_off_the_generator_slices(monkeypatch):
+    # ker T is spanned by the last coordinate of each generator slice, read
+    # with no elimination; each unit vector e_c is row c of the kernel
+    def refused(*args):
+        raise AssertionError("the zero state's kernel called linalg.nullspace_stack")
 
-
-@pytest.mark.parametrize("shape", ORACLE_SHAPES + [SpaceShape(3, 3, (3,))], ids=str)
-def test_first_level_is_the_children_of_the_zero_state(shape):
-    assert _assert_first_level_matches_the_oracle(shape) > 0
-
-
-def test_first_level_reads_ker_t_off_the_generator_slices():
-    # ker T is spanned by the last coordinate of each generator slice
+    monkeypatch.setattr(pairing.linalg, "nullspace_stack", refused)
     shape = SpaceShape(3, 3, (1,))
     ends = [shape.generator_slice(b, side).stop - 1 for b in range(2) for side in (0, 1)]
     assert ends == [2, 5, 6, 7]
-    bases, pivots = pairing._first_level(shape)
+    kernels = pairing._socle_kernels(shape, *_zero_state(shape))
+    assert kernels.dtype == np.int64
+    expected = np.zeros((1, 8, 8), dtype=np.int64)
+    expected[0, ends, ends] = 1
+    assert (kernels == expected).all()
+    bases, pivots = pairing._children(shape, *_zero_state(shape))
     # 9 children of e_5, 3 of e_6 and 1 of e_7; e_2 leads before half - 1
     assert pivots[:, 0].tolist() == [5] * 9 + [6] * 3 + [7]
     assert not bases[:, 0, [0, 1, 2, 3, 4]].any()
@@ -812,10 +803,36 @@ def test_first_level_reads_ker_t_off_the_generator_slices():
     ] + [[0, 1, b] for b in range(3)] + [[0, 0, 1]]
 
 
+@pytest.mark.parametrize("shape", ORACLE_SHAPES + [SpaceShape(3, 3, (3,))], ids=str)
+def test_zero_state_kernel_is_the_eliminated_kernel_of_t(shape):
+    # the closed form against linalg.nullspace of A^T, whose kernel is the
+    # x with x A = 0, that is ker T
+    kernels = pairing._socle_kernels(shape, *_zero_state(shape))
+    assert kernels.shape == (1, shape.dim, shape.dim)
+    kernel = kernels[0][kernels[0].any(axis=1)]
+    expected = nullspace(t_action_matrix(shape).T, shape.p)
+    assert kernel.shape == expected.shape
+    assert (kernel == expected).all()
+
+
+def test_search_checks_the_zero_state_kernel(monkeypatch):
+    # the closed-form kernel goes through _children's check like every
+    # other: a unit row that leads with 2 stops the search
+    socle_kernels = pairing._socle_kernels
+
+    def corrupted(shape, bases, pivots):
+        kernels = socle_kernels(shape, bases, pivots)
+        if pivots.shape[1] == 0:
+            kernels[:, shape.dim - 1, shape.dim - 1] = 2
+        return kernels
+
+    monkeypatch.setattr(pairing, "_socle_kernels", corrupted)
+    with pytest.raises(InvariantError, match="dimension-0 state .* first pivot 8 "):
+        pairing._search_count(SpaceShape(3, 3, (1,)))
+
+
 def test_children_of_search_batches_match_the_oracle(monkeypatch):
     # every batch that the search at (3,3,(3,)) expands, at every dimension
-    # from 1, and the first level, built in closed form, against the same
-    # oracle
     shape = SpaceShape(3, 3, (3,))
     expanded = []
     children = pairing._children
@@ -828,8 +845,8 @@ def test_children_of_search_batches_match_the_oracle(monkeypatch):
     assert pairing._search_count(shape) == 4720
     monkeypatch.undo()
     assert count_maximal_isotropic(shape) == (4720, 192)
-    assert {pivots.shape[1] for _, pivots in expanded} == set(range(1, shape.dim // 2))
-    built = _assert_first_level_matches_the_oracle(shape) + sum(
+    assert {pivots.shape[1] for _, pivots in expanded} == set(range(shape.dim // 2))
+    built = sum(
         _assert_children_match_the_oracle(
             shape, bases, pivots, pairing._socle_kernels(shape, bases, pivots)
         )
@@ -895,15 +912,10 @@ def test_orderly_generation_builds_each_state_once(monkeypatch):
         built.extend(basis.tobytes() for basis in bases)
         return socle_kernels(shape, bases, pivots)
 
-    shape = SpaceShape(3, 1, (1, 1))
     monkeypatch.setattr(pairing, "_socle_kernels", recording)
-    found = list(enumerate_maximal_isotropic(shape))
+    found = list(enumerate_maximal_isotropic(SpaceShape(3, 1, (1, 1))))
     assert len(found) == 1120
-    # the search expands every state of dimension 1, and no other state of
-    # that length, and never the zero state
-    first = [basis.tobytes() for basis in pairing._first_level(shape)[0]]
-    assert sorted(key for key in built if len(key) == 8 * shape.dim) == sorted(first)
-    assert b"" not in built
+    assert b"" in built
     built.extend(r.subspace.key() for r in found)
     assert len(built) == len(set(built))
 
@@ -998,9 +1010,10 @@ def test_search_makes_one_elimination_per_dimension_at_a_small_shape(monkeypatch
 
 
 def test_search_batches_fill_the_cell_bound_at_dim_12(monkeypatch):
-    # (3,3,(3,)): every batch of dimension k, expanded or yielded, holds at
-    # most 8192 // (12 k) states, and from k = 3 on the largest holds
-    # exactly that many: 227, 170, 136 and 113
+    # (3,3,(3,)): every batch of dimension k >= 1, expanded or yielded,
+    # holds at most 8192 // (12 k) states, and from k = 3 on the largest
+    # holds exactly that many: 227, 170, 136 and 113; the zero state is a
+    # batch of its own
     shape = SpaceShape(3, 3, (3,))
     sizes = collections.defaultdict(list)
     children = pairing._children
@@ -1014,17 +1027,20 @@ def test_search_batches_fill_the_cell_bound_at_dim_12(monkeypatch):
         sizes[pivots.shape[1]].append(len(pivots))
     assert sum(sizes[6]) == 4720
     assert {k: max(sizes[k]) for k in range(3, 7)} == {3: 227, 4: 170, 5: 136, 6: 113}
-    assert all(n <= 8192 // (12 * k) for k, counts in sizes.items() for n in counts)
+    assert sizes[0] == [1]
+    assert all(n <= 8192 // (12 * k) for k, counts in sizes.items() if k for n in counts)
 
 
 def test_search_reads_kernels_off_stacked_eliminations(monkeypatch):
+    # one stacked elimination per expanded batch of dimension k >= 1, and
+    # none for the zero state, whose kernel is read in closed form
     expanded = []
     stacks = []
     socle_kernels = pairing._socle_kernels
     rref_stack = pairing.linalg.rref_stack
 
     def counting_kernels(shape, bases, pivots):
-        expanded.append(len(bases))
+        expanded.append(pivots.shape)
         return socle_kernels(shape, bases, pivots)
 
     def counting_stack(stack, p):
@@ -1038,15 +1054,16 @@ def test_search_reads_kernels_off_stacked_eliminations(monkeypatch):
     monkeypatch.setattr(pairing.linalg, "rref_stack", counting_stack)
     monkeypatch.setattr(pairing.linalg, "nullspace", refused)
     assert len(list(enumerate_maximal_isotropic(SpaceShape(3, 1, (1, 1))))) == 1120
-    assert stacks == expanded
-    assert len(stacks) < sum(expanded)
+    assert expanded[0] == (1, 0)
+    assert stacks == [count for count, k in expanded if k]
+    assert len(stacks) < sum(stacks)
 
 
 def test_socle_kernels_drop_constraints_that_constrain_nothing(monkeypatch):
     # at T = 0 the T part of the constraints is zero, so a state of
-    # dimension k leaves at most its k pairing constraints to eliminate:
-    # at k = 1 in the search, and at k = 0 for the zero state, which the
-    # search does not expand
+    # dimension k leaves at most its k pairing constraints to eliminate, at
+    # k = 1 in the search; the zero state's kernel, ker T, needs no
+    # elimination at all
     shape = SpaceShape(5, 1, (1,))
     received = []
     nullspace_stack = pairing.linalg.nullspace_stack
@@ -1058,8 +1075,9 @@ def test_socle_kernels_drop_constraints_that_constrain_nothing(monkeypatch):
     monkeypatch.setattr(pairing.linalg, "nullspace_stack", recording)
     assert pairing._search_count(shape) == 156
     assert {shape.dim - cols for _, _, cols in received} == {1}
+    eliminations = len(received)
     pairing._socle_kernels(shape, *_zero_state(shape))
-    assert {shape.dim - cols for _, _, cols in received} == {0, 1}
+    assert len(received) == eliminations
     assert all(rows <= shape.dim - cols for _, rows, cols in received)
     assert count_maximal_isotropic(shape) == (156, 36)
 
