@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import _ODD_PRIMES
+from .series import _ODD_PRIMES, MAX_PRIME
 
 
 def _entries(rows, p: int) -> np.ndarray:
@@ -75,7 +75,9 @@ def _inverse_table(p: int) -> np.ndarray:
     odd primes up to series.MAX_PRIME, a range that rref_stack's int64 bound
     covers."""
     if p not in _ODD_PRIMES:
-        raise ValueError(f"elimination needs a prime modulus, got {p}")
+        raise ValueError(
+            f"elimination needs an odd prime modulus in [3, {MAX_PRIME}], got {p!r}"
+        )
     table = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
     table.setflags(write=False)
     return table

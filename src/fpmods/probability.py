@@ -33,9 +33,10 @@ indices: v is the first differing digit for kind-'A' pairs, min(1 + first
 differing digit, n) for kind-'B' pairs and 0 for mixed pairs. So the kernel
 draws only the digits that decide v: both top digits of every trial, then,
 for j = 0, 1, ..., lower digit j of both forms only for the same-kind trials
-whose lower digits below j all agree, stopping once no trial is left. Each
-digit is a pure function of (key, coordinate, position), so the digits it
-skips change no value. A trial draws on average fewer than
+whose lower digits below j all agree, stopping once no trial is left. One
+`_digits` call draws digit j of both forms, from one `_uniform` call. Each
+digit is a pure function of (key, coordinate, position, attempt), so the
+digits it skips change no value. A trial draws on average fewer than
 (p^2+1)/(p+1)^2 * p/(p-1) pairs of lower digits (15/16 at p = 3) instead
 of n - 1; `_kernel_indices`, which the chi-square test reads, and
 `_draw_pairs`, which the cross-check decodes, still draw every digit. Both
@@ -46,8 +47,10 @@ min(v, k). In every call, for both modes, the first trial of each observed
 (kind pair, v) class is recomputed through the scalar path. The pairs of
 all classes new in a chunk come from one stacked draw; they are then
 re-checked one by one, in ascending class order: `intersect` of the two
-forms, each projected to level k, must give min(v, k) at every level k; the
-first disagreement raises InvariantError naming (p, n, seed, trial), which
+forms, each projected to level k, must give min(v, k) at every level k. A
+class's stage exponents are computed once and compared first, and the report
+naming what disagrees is built only on a mismatch; the first disagreement
+raises InvariantError naming (p, n, seed, trial), which
 `sample_pair(p, n, RngSpec(seed), trial)` reproduces.
 """
 
@@ -56,7 +59,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import sqrt
+from operator import mul
 
 import numpy as np
 
@@ -168,12 +173,26 @@ def _uniform(stream: np.ndarray, bound) -> np.ndarray:
         step = np.uint64(attempt * _ATTEMPT_STEP % 2**64)
         x[rejected] = _mix64(stream[rejected] + step)
         rejected = x > last
-    return (x % bound).astype(np.int64)
+    # x mod bound by floor division, which numpy runs through libdivide; the
+    # digits are below 2^63, so their bits read the same as int64
+    x -= x // bound * bound
+    return x.view(np.int64)
+
+
+def _digits(
+    keys: np.ndarray, coords: tuple[int, ...], j: int, bound: int
+) -> np.ndarray:
+    """Digit j of each submodule in `coords` for each trial key, uniform in
+    [0, bound): row i holds coordinate coords[i], all from one `_uniform`
+    call."""
+    offsets = np.array([_stream_offset(c, j) for c in coords], dtype=np.uint64)
+    streams = keys + offsets[:, None]
+    return _uniform(streams.reshape(-1), bound).reshape(len(coords), len(keys))
 
 
 def _digit(keys: np.ndarray, coord: int, j: int, bound: int) -> np.ndarray:
     """Digit j of submodule `coord` for each trial key, uniform in [0, bound)."""
-    return _uniform(keys + np.uint64(_stream_offset(coord, j)), bound)
+    return _digits(keys, (coord,), j, bound)[0]
 
 
 def _pair_exponents(
@@ -183,28 +202,28 @@ def _pair_exponents(
 
     kind pair is 2 * [first is kind B] + [second is kind B], and p^v is the
     size of the intersection. Lower digits are drawn only where they decide
-    v (see the module docstring).
+    v (see the module docstring); one call draws digit j of both forms.
     """
-    top1 = _digit(keys, 0, n - 1, p + 1)
-    top2 = _digit(keys, 1, n - 1, p + 1)
+    top1, top2 = _digits(keys, (0, 1), n - 1, p + 1)
     b1 = top1 == p
     b2 = top2 == p
-    # first differing lower digit, n - 1 when all n - 1 of them agree. A
-    # mixed pair has v = 0 whatever its digits, so only same-kind trials are
-    # live, and digit j is drawn only for those tied on every digit below j
-    first = np.full(len(keys), n - 1, dtype=np.int64)
-    live = np.flatnonzero(b1 == b2)
+    same = b1 == b2
+    # first differing lower digit, n - 1 when all n - 1 of them agree: the
+    # number of digits a trial is tied on. A mixed pair has v = 0 whatever
+    # its digits, so only same-kind trials are live, and digit j is drawn
+    # only for those tied on every digit below j
+    first = np.zeros(len(keys), dtype=np.int64)
+    live = np.flatnonzero(same)
     for j in range(n - 1):
         if not len(live):
             break
-        live_keys = keys[live]
-        tied = _digit(live_keys, 0, j, p) == _digit(live_keys, 1, j, p)
-        first[live[~tied]] = j
-        live = live[tied]
-    v_a = np.where((first == n - 1) & (top1 == top2), n, first)
-    v_b = np.minimum(first + 1, n)
-    v = np.where(b1 != b2, 0, np.where(b1, v_b, v_a))
-    return 2 * b1 + b2, v
+        lower1, lower2 = _digits(keys[live], (0, 1), j, p)
+        live = live[lower1 == lower2]
+        first[live] = j + 1
+    # kind B: v = first + 1; kind A: v = first, plus 1 if the top digits
+    # agree too, when all lower digits do
+    v = first + (b1 | ((first == n - 1) & (top1 == top2)))
+    return 2 * b1 + b2, np.where(same, v, 0)
 
 
 def _kernel_indices(p: int, n: int, keys: np.ndarray, coord: int) -> np.ndarray:
@@ -234,7 +253,7 @@ def _draw_pairs(
     # digit j has weight p^j, so a top digit p gives index p^n + lower, kind B
     weights = [p**j for j in range(n)]
     forms = [
-        CyclicSubmodule.from_index(p, n, sum(d * w for d, w in zip(row, weights)))
+        CyclicSubmodule.from_index(p, n, sum(map(mul, row, weights)))
         for row in digits.transpose(2, 0, 1).reshape(-1, n).tolist()
     ]
     return list(zip(forms[::2], forms[1::2]))
@@ -294,28 +313,27 @@ def _check_trials(
     pairs come from one stacked draw, then each is checked in turn, so the
     first failing class is the one reported. Level k intersects both forms
     projected to k; level n is the top, and its v is the quotient's exponent.
+    Each class's (kind pair, collision, stage exponents) is computed once and
+    compared with the kernel's as one tuple; the message naming what
+    disagrees is built only on a mismatch.
     """
     pairs = _draw_pairs(p, n, spec.seed, [trial for trial, _, _ in checks])
     levels = range(1, n + 1)
     for (trial, kinds, v), (n1, n2) in zip(checks, pairs):
-        got = {
-            "kind pair": 2 * (n1.kind == "B") + (n2.kind == "B"),
-            "collision": n1 == n2,
-            "stage exponents": [
-                intersect(project(n1, k), project(n2, k)).size_exponent
-                for k in levels
-            ],
-        }
-        want = {
-            "kind pair": kinds,
-            "collision": v == n,
-            "stage exponents": [min(v, k) for k in levels],
-        }
-        for key in want:
-            if got[key] != want[key]:
+        # `intersect` and `project` are looked up here, at call time, so
+        # that patched faults reach the check
+        lows = map(project, repeat(n1), levels), map(project, repeat(n2), levels)
+        stages = [meet.size_exponent for meet in map(intersect, *lows)]
+        got = (2 * (n1.kind == "B") + (n2.kind == "B"), n1 == n2, stages)
+        want = (kinds, v == n, [min(v, k) for k in levels])
+        if got == want:
+            continue
+        names = ("kind pair", "collision", "stage exponents")
+        for key, kernel, scalar in zip(names, want, got):
+            if kernel != scalar:
                 raise InvariantError(
                     f"sampling kernel disagrees with the scalar path on the "
-                    f"{key}: kernel {want[key]}, scalar {got[key]}",
+                    f"{key}: kernel {kernel}, scalar {scalar}",
                     p=p, n=n, seed=spec.seed, trial=trial,
                 )
 

@@ -14,9 +14,10 @@ choice of canonical form: `CyclicSubmodule.from_index` and
 forms between levels. Intersections of two maximal submodules are again
 cyclic, of size p^v where the exponent v has a closed form in the canonical
 parameters (0 for mixed-kind pairs), and the quotient by their sum is cyclic
-of the same size p^v. The rank-based
-`intersection_exponent_linalg` is kept as a test oracle, and is this
-module's only use of linear algebra. It and `CyclicSubmodule.basis_rows`
+of the same size p^v. `intersect` returns one shared, immutable
+`Intersection` per exponent v, from a table sized by series.MAX_LEVEL. The
+rank-based `intersection_exponent_linalg` is kept as a test oracle, and is
+this module's only use of linear algebra. It and `CyclicSubmodule.basis_rows`
 are the module's only numpy calls, and each imports numpy when called:
 the exact CLI modes import this module and must not load numpy.
 Projections to lower levels truncate the canonical parameter and lifting
@@ -44,12 +45,20 @@ in [1, sub.level]. A form equals only forms, and forms have no order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product, repeat
-from operator import add, itemgetter
+from itertools import compress, count, product, repeat
+from operator import add, itemgetter, ne
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import ResourceBoundError
-from .series import Frozen, TruncatedSeries, check_level, check_prime, check_type, is_int
+from .series import (
+    MAX_LEVEL,
+    Frozen,
+    TruncatedSeries,
+    check_level,
+    check_prime,
+    check_type,
+    is_int,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -188,8 +197,10 @@ class CyclicSubmodule(Frozen, tuple):
         else:
             kind, size = "B", level - 1
             i -= p**level
-        param = tuple([i // p**j % p for j in range(size)])
-        return tuple.__new__(CyclicSubmodule, (p, level, kind, param))
+        param = [0] * size
+        for j in range(size):
+            i, param[j] = divmod(i, p)
+        return tuple.__new__(CyclicSubmodule, (p, level, kind, tuple(param)))
 
 
 def _forms(p: int, level: int, kind: str, params: Iterator) -> Iterator[CyclicSubmodule]:
@@ -258,16 +269,13 @@ class Intersection:
     size_exponent: int
 
 
+# intersect's one shared value for each exponent v in [0, MAX_LEVEL]
+_INTERSECTIONS = tuple(map(Intersection, range(MAX_LEVEL + 1)))
+
+
 def _check_pair(n1: CyclicSubmodule, n2: CyclicSubmodule) -> None:
     if check_type(n1, CyclicSubmodule)[:2] != check_type(n2, CyclicSubmodule)[:2]:
         raise ValueError("submodules must share p and level")
-
-
-def _diff_valuation(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return i
-    return len(a)
 
 
 def intersection_exponent_linalg(n1: CyclicSubmodule, n2: CyclicSubmodule) -> int:
@@ -295,12 +303,15 @@ def intersect(n1: CyclicSubmodule, n2: CyclicSubmodule) -> Intersection:
     unique size-p^v submodule T^(n-v) * N1 of N1, so a generator of it is
     n1.generator.scaled(TruncatedSeries.monomial(p, n, n - v)) for v > 0.
     """
-    _check_pair(n1, n2)
+    # two forms of one (p, level) pass; anything else gets the full check
+    if not (type(n1) is type(n2) is CyclicSubmodule and n1[0] == n2[0] and n1[1] == n2[1]):
+        _check_pair(n1, n2)
     _, n, kind, a = n1
     if kind != n2[2]:
-        return Intersection(0)
-    v = _diff_valuation(a, n2[3])
-    return Intersection(v if kind == "A" else min(1 + v, n))
+        return _INTERSECTIONS[0]
+    # the first differing digit, len(a) when all agree
+    v = next(compress(count(), map(ne, a, n2[3])), len(a))
+    return _INTERSECTIONS[v if kind == "A" else min(1 + v, n)]
 
 
 @dataclass(frozen=True)

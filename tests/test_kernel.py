@@ -25,13 +25,16 @@ from fpmods import (
     tower_experiment,
 )
 from fpmods import probability
+from fpmods.series import _ODD_PRIMES
 from fpmods.probability import (
     CHUNK_TRIALS,
     _digit,
+    _digits,
     _draw_pairs,
     _kernel_indices,
     _pair_exponents,
     _trial_keys,
+    _uniform,
 )
 
 
@@ -74,7 +77,7 @@ def test_index_space_formula_on_every_ordered_pair(p, n, monkeypatch):
     index = np.arange(count * count, dtype=np.int64)
     indices = (index // count, index % count)
 
-    def digits(keys, coord, j, bound):
+    def digit(keys, coord, j):
         # each key is a pair index; the kernel hands any subset of them
         pair = keys.astype(np.int64)
         form = (pair // count, pair % count)[coord]
@@ -82,7 +85,12 @@ def test_index_space_formula_on_every_ordered_pair(p, n, monkeypatch):
             return form // p ** (n - 1)
         return form // p**j % p
 
-    monkeypatch.setattr(probability, "_digit", digits)
+    def digits(keys, coords, j, bound):
+        return np.array([digit(keys, coord, j) for coord in coords]).reshape(
+            len(coords), len(keys)
+        )
+
+    monkeypatch.setattr(probability, "_digits", digits)
     kinds, v = _pair_exponents(p, n, index.astype(np.uint64))
     forms = list(enumerate_maximal(p, n))
     for k, (i, j) in enumerate(zip(*indices)):
@@ -99,7 +107,7 @@ def test_lower_digit_j_is_drawn_only_for_same_kind_trials_tied_below_j(
 ):
     """Top digits are drawn for every trial; lower digit j of both forms
     only for the same-kind trials whose digits below j all agree, and no
-    digit once none is left."""
+    digit once none is left; one call draws digit j of both forms."""
     keys = _trial_keys(8, np.arange(5000, dtype=np.uint64))
     top = [_digit(keys, coord, n - 1, p + 1) for coord in (0, 1)]
     lower = [[_digit(keys, coord, j, p) for j in range(n - 1)] for coord in (0, 1)]
@@ -110,15 +118,18 @@ def test_lower_digit_j_is_drawn_only_for_same_kind_trials_tied_below_j(
             break
         expected.update({(coord, j): keys[live] for coord in (0, 1)})
         live &= lower[0][j] == lower[1][j]
-    calls, drawn = [], {}
+    calls, drawn, coord_sets = [], {}, []
 
-    def recording(keys, coord, j, bound):
-        calls.append((coord, j, len(keys)))
-        drawn[coord, j] = keys.copy()
-        return _digit(keys, coord, j, bound)
+    def recording(keys, coords, j, bound):
+        coord_sets.append(coords)
+        for coord in coords:
+            calls.append((coord, j, len(keys)))
+            drawn[coord, j] = keys.copy()
+        return _digits(keys, coords, j, bound)
 
-    monkeypatch.setattr(probability, "_digit", recording)
+    monkeypatch.setattr(probability, "_digits", recording)
     _pair_exponents(p, n, keys)
+    assert coord_sets == [(0, 1)] * (len(expected) // 2)
     assert sorted(calls) == sorted((*key, len(k)) for key, k in expected.items())
     for key, want in expected.items():
         assert (drawn[key] == want).all(), key
@@ -178,6 +189,84 @@ def test_rejected_words_are_redrawn(monkeypatch):
     for t in range(200):
         assert sample_pair(p, n, spec, t)[0].index() == first[t]
     assert (first == _kernel_indices(p, n, keys, 0)).all()
+
+
+M64 = 2**64 - 1
+
+
+def _mix64_int(z):
+    """The SplitMix64 finalizer on one Python int."""
+    z ^= z >> 30
+    z = z * 0xBF58476D1CE4E5B9 & M64
+    z ^= z >> 27
+    z = z * 0x94D049BB133111EB & M64
+    return z ^ z >> 31
+
+
+def _unmix64_int(w):
+    """The stream whose SplitMix64 word is w: the finalizer is a bijection."""
+
+    def unshift(y, s):
+        z = y
+        for _ in range(64 // s + 1):
+            z = y ^ z >> s
+        return z
+
+    w = unshift(w, 31)
+    w = w * pow(0x94D049BB133111EB, -1, 2**64) & M64
+    w = unshift(w, 27)
+    w = w * pow(0xBF58476D1CE4E5B9, -1, 2**64) & M64
+    return unshift(w, 30)
+
+
+def uniform_by_remainder(stream, bound, half):
+    """`_uniform` for one stream in Python ints, reduced with %: the word of
+    the first accepted attempt, modulo bound."""
+    last = (2**63 // bound * bound if half else 2**64 - 2**64 % bound) - 1
+    attempt = 0
+    while True:
+        word = _mix64_int(stream + attempt * (1 << 9) * 0x9E3779B97F4A7C15 & M64)
+        if word <= last:
+            return word % bound
+        attempt += 1
+
+
+# words at both ends of the range and its middle, then a few mixed ones
+EDGE_WORDS = [0, 2**63, 2**64 - 1, 1, 2**63 - 1, 2**64 - 2]
+
+
+@pytest.mark.parametrize("redraw", [False, True], ids=["plain", "half-rejected"])
+def test_floor_division_reduction_equals_remainder(redraw, monkeypatch):
+    """`_uniform` reduces accepted words by floor division; that equals the
+    % reference on edge words, for the bounds p and p + 1 of every library
+    prime and for per-element bounds laid out as `_draw_pairs` lays them."""
+    if redraw:  # the patch of test_rejected_words_are_redrawn
+        monkeypatch.setattr(
+            probability,
+            "_accept_max",
+            lambda bound: np.uint64(2**63) // bound * bound - 1,
+        )
+    streams = [_unmix64_int(w) for w in EDGE_WORDS]
+    streams += [s * 0x9E3779B97F4A7C15 & M64 for s in range(1, 11)]
+    assert [_mix64_int(s) for s in streams[: len(EDGE_WORDS)]] == EDGE_WORDS
+    stream_array = np.array(streams, dtype=np.uint64)
+    for p in sorted(_ODD_PRIMES):
+        for bound in (p, p + 1):
+            got = _uniform(stream_array, bound)
+            assert got.dtype == np.int64
+            assert got.tolist() == [
+                uniform_by_remainder(s, bound, redraw) for s in streams
+            ], bound
+        # every stream under each of a draw's bounds: p for the lower
+        # digits and p + 1 for the top one, per element
+        n = 3
+        bounds = np.repeat(([p] * (n - 1) + [p + 1]) * 2, len(streams))
+        tiled = np.tile(stream_array, 2 * n)
+        got = _uniform(tiled, bounds)
+        assert got.tolist() == [
+            uniform_by_remainder(s, int(b), redraw)
+            for s, b in zip(tiled.tolist(), bounds.tolist())
+        ], p
 
 
 def test_chunking_does_not_change_results(monkeypatch):

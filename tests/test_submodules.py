@@ -1,4 +1,6 @@
 import itertools
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from fpmods import (
 from fpmods.errors import ResourceBoundError
 from fpmods.linalg import reduce_rows, rref
 from fpmods.series import _ODD_PRIMES, MAX_LEVEL
-from fpmods.submodules import MAX_ENUM_SUBMODULES
+from fpmods.submodules import MAX_ENUM_SUBMODULES, Intersection
 
 ODD_PRIMES = sorted(_ODD_PRIMES)
 
@@ -297,6 +299,53 @@ def test_intersect_requires_matching_parameters():
         intersect(CyclicSubmodule(3, 2, "A", (0, 0)), CyclicSubmodule(3, 3, "A", (0, 0, 0)))
     with pytest.raises(ValueError):
         intersect(CyclicSubmodule(3, 2, "A", (0, 0)), CyclicSubmodule(5, 2, "A", (0, 0)))
+
+
+FORM = CyclicSubmodule(3, 2, "A", (1, 2))
+# (other argument, exception, its exact message), each met in both orders
+INTERSECT_REFUSALS = {
+    "plain-tuple": (tuple(FORM), TypeError, "expected a CyclicSubmodule, got tuple"),
+    "non-tuple": ([3, 2, "A", (1, 2)], TypeError, "expected a CyclicSubmodule, got list"),
+    "other-p": (CyclicSubmodule(5, 2, "A", (1, 2)), ValueError, "submodules must share p and level"),
+    "other-level": (CyclicSubmodule(3, 3, "A", (1, 2, 0)), ValueError, "submodules must share p and level"),
+}
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+@pytest.mark.parametrize("case", list(INTERSECT_REFUSALS))
+def test_intersect_refuses_what_the_checked_path_refuses(case, first):
+    other, error, message = INTERSECT_REFUSALS[case]
+    args = (other, FORM) if first else (FORM, other)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        intersect(*args)
+
+
+def test_intersect_returns_equal_shared_replaceable_values():
+    for p, n in [(3, 1), (3, 3), (5, 2)]:
+        forms = list(enumerate_maximal(p, n))
+        for n1 in forms:
+            for n2 in forms:
+                meet = intersect(n1, n2)
+                v = intersection_exponent_linalg(n1, n2)
+                assert type(meet) is Intersection and meet == Intersection(v)
+                assert meet is intersect(n2, n1)  # one value per exponent
+                assert replace(meet, size_exponent=v + 1) == Intersection(v + 1)
+                assert meet == Intersection(v)
+    top = CyclicSubmodule.from_index(3, MAX_LEVEL, 0)
+    assert intersect(top, top) == Intersection(MAX_LEVEL)
+
+
+@pytest.mark.parametrize(
+    "p, levels", [(3, range(1, 7)), (5, range(1, 5)), (97, range(1, 3))]
+)
+def test_from_index_decodes_in_census_order(p, levels):
+    for n in levels:
+        forms = [CyclicSubmodule.from_index(p, n, i) for i in range(count_maximal(p, n))]
+        assert forms == list(enumerate_maximal(p, n))
+        assert all(is_int_tuple(f.param) for f in forms)
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=re.escape(f"index {flag!r} out of range")):
+                CyclicSubmodule.from_index(p, n, flag)
 
 
 def quotient_kernel_profile(n1, n2):
