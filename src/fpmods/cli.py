@@ -47,6 +47,7 @@ from datetime import datetime, timezone
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -384,19 +385,54 @@ def report_to_dict(report: ExperimentReport) -> dict:
     }
 
 
+def _json_text(value, indent: str) -> str:
+    """value as json.dumps(value, indent=2) renders it at the given
+    indentation. That indent makes json.dumps use its pure-Python encoder,
+    so the report's containers are joined here, around the C string
+    encoder: a report holds only dicts with string keys, lists, strings,
+    ints and None (bool and float go to json.dumps, which renders a scalar
+    alike at any indent)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def render_json(report: ExperimentReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    """The text of json.dumps(report_to_dict(report), indent=2), newline
+    ended, built by _json_text."""
+    return _json_text(report_to_dict(report), "") + "\n"
 
 
 def _stage(path: str, text: str) -> str:
-    """Write text to a new temp file beside path and return its name."""
+    """Write text, as UTF-8 bytes (every report is ASCII), to a new temp
+    file beside path and return its name; the descriptor is closed on every
+    path, and a short write is continued."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".fpmods-{os.urandom(8).hex()}")
     # 0666 less the umask, applied by the kernel: the mode open() would give
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        try:
+            data = memoryview(text.encode())
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
     except BaseException:
         _discard(tmp)
         raise

@@ -33,16 +33,19 @@ array of echelon bases and one of pivots, of at most SEARCH_CELLS cells.
 It reads the kernels of a whole batch off one stacked elimination
 (linalg.rref_stack), except the zero state's, which is ker T, spanned by
 the unit vectors at the last coordinate of each generator slice and read
-in closed form, and it builds all the batch's children as one array, in
-one pass; the frontier it holds is at most the children of one batch per
-dimension. The search has one outlet, its batches of half dimension:
-enumerate_maximal_isotropic stores them and makes FpSubspace objects only
-for the results, as they are yielded; _search_count sums their sizes and
-drops them. count_maximal_isotropic runs that count only where T acts: at
-T = 0 (every block of level 1) it counts in closed form. It never reads the
-split criterion: at every shape the split Lagrangians number F(n) * N(S),
-the free T-stable Lagrangians of the rank block times the T-stable
-Lagrangians of the torsion blocks.
+in closed form, and it builds the batch's children in slices of at most
+SEARCH_CELLS cells, which are the next dimension's batches; the frontier
+it holds is at most one slice per dimension. A child below half dimension
+that provably has no children is never built (_children has the rule and
+its proof). The search has one outlet, its batches of dimension half - 1:
+enumerate_maximal_isotropic builds their children, the results, stores
+them and makes FpSubspace objects only for the results, as they are
+yielded; _search_count adds up the sizes of those children off the
+batches' kernels and never builds them. count_maximal_isotropic runs that
+count only where T acts: at T = 0 (every block of level 1) it counts in
+closed form. It never reads the split criterion: at every shape the split
+Lagrangians number F(n) * N(S), the free T-stable Lagrangians of the rank
+block times the T-stable Lagrangians of the torsion blocks.
 
 Whether each Lagrangian found splits is read off its echelon basis in
 closed form, by duality, with no elimination, for all results at once;
@@ -70,8 +73,9 @@ from .submodules import count_maximal
 MAX_TOTAL_DIM = 4096
 MAX_SUBSPACE_VECTORS = 2_000_000
 # Cells (states x rows x dim) per batch of the isotropic search, whose socle
-# kernels come from one stacked elimination; bounds its arrays and the
-# frontier held at once. At dim 8 a whole level of up to 341 states of
+# kernels come from one stacked elimination, and per slice of children that
+# one expansion builds and tests; bounds its arrays and the frontier held at
+# once. At dim 8 a whole level of up to 341 states of
 # dimension 3 is one batch; at dim 12, 227 to 113 states of dimension 3 to 6.
 # Counting in three fresh processes each on a 2-vCPU host, against batches of
 # 128 states: (3,3,(1,1)) 0.15-0.19 s at 32.2 MB peak RSS against 0.15-0.24 s
@@ -497,27 +501,25 @@ def _socle_kernels(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray) -> 
     return out
 
 
-def _children(
-    shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The children of a batch of states of one dimension k, as the bases
-    (M, k + 1, dim) and pivots (M, k + 1) of their echelon bases
-    [w; state's basis], in state order (see enumerate_maximal_isotropic).
+def _runs(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray):
+    """The extension data of a batch of states of one dimension k, given as
+    (N, k, dim) echelon bases and (N, k) pivots: (rows, state, row, last,
+    lead). rows is the batch's _socle_kernels with each state's nonzero
+    rows stable-sorted to the front, cut to the largest number r of nonzero
+    rows of a state, (N, r, dim); the other four
+    arrays hold one entry per run row, in state order: its state, its
+    index among the state's nonzero rows, the index of the state's last
+    nonzero row, and its leading column.
 
-    Read per kernel row of _socle_kernels, a state's run is its nonzero rows
-    that lead in [half - k - 1, first pivot) (the first pivot of the zero
-    state is dim). The children of a state are the spans [w; state's basis]
-    for w = row i of the run plus any combination sum_{j=1..m} c_j row_{i+j}
-    of the m nonzero rows after it, so row i has p^m children, by run row
-    and then with c in itertools.product order: child t of row i's block
-    has c_j = digit j of t in base p, most significant first, that is
-    t // p^(m-j) % p. Each state's nonzero rows are stable-sorted to the
-    front, so row i + j is the j-th nonzero row after row i, and the
-    children of the whole batch are built at once, one pass per digit
-    position (at most dim). _batches admits only p^dim <=
-    MAX_SUBSPACE_VECTORS, so p^m and t fit in int64.
+    A state's run is its nonzero kernel rows that lead in
+    [half - k - 1, first pivot) (the first pivot of the zero state is dim).
+    The children of a state are the spans [w; state's basis] for w = run
+    row i plus any combination sum_{j=1..m} c_j row_{i+j} of the nonzero
+    rows after it, m = last - i of them, so run row i has p^m children (see
+    _children); _batches admits only p^dim <= MAX_SUBSPACE_VECTORS, so p^m
+    fits in int64.
 
-    Before they are used the kernels are checked, else InvariantError:
+    Before they are returned the kernels are checked, else InvariantError:
     every row of a run must lead with a 1, and every nonzero row from a
     run's first row on must vanish on its state's pivots. By _socle_kernels'
     contract the nonzero rows lead at strictly increasing columns, and under
@@ -536,7 +538,7 @@ def _children(
     A state with an empty run has no children, and none of its rows is
     checked.
     """
-    p, dim = shape.p, shape.dim
+    dim = shape.dim
     count, k = pivots.shape
     kernels = _socle_kernels(shape, bases, pivots)
     kept = kernels.any(axis=2)
@@ -556,51 +558,126 @@ def _children(
             f"1 before its first pivot {first} or zeros on its pivots",
             p=shape.p, n=shape.rank_level,
         )
-    order = np.argsort(~kept, axis=1, kind="stable")
-    rows = kernels[every, order]
+    nonzero = kept.sum(axis=1)
+    order = np.argsort(~kept, axis=1, kind="stable")[:, : nonzero.max(initial=0)]
     state, row = np.nonzero(run[every, order])
-    last = kept.sum(axis=1)[state] - 1
-    sizes = p ** (last - row)
-    block = np.repeat(np.arange(len(row)), sizes)
-    t = np.arange(len(block)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    state, row, last = state[block], row[block], last[block]
-    w = rows[state, row]
-    # digit j of t, most significant first, is digit e = m - j, least
-    # significant first, and weighs row i + j = last - e; for e >= m the
-    # digit of t < p^m is 0, whatever row last - e names
+    return kernels[every, order], state, row, nonzero[state] - 1, leads[run]
+
+
+def _combine(table: np.ndarray, p: int, state, row, last, t) -> np.ndarray:
+    """For each child, given by its state, run row i, last nonzero row and
+    number t: table row i of its state plus sum_{j=1..m} c_j table row
+    i + j, mod p, with c_j = digit j of t in base p, most significant first,
+    that is t // p^(m-j) % p (so child t of a run row is the t-th in
+    itertools.product order). One pass per digit position: digit j is digit
+    e = m - j, least significant first, and weighs row i + j = last - e;
+    for e >= m the digit of t < p^m is 0, whatever row last - e names."""
+    out = table[state, row]
     for e in range(int((last - row).max(initial=0))):
-        w += (t // p**e % p)[:, None] * rows[state, last - e]
-    w %= p
-    child_bases = np.concatenate([w[:, None, :], bases[state]], axis=1)
-    child_pivots = np.concatenate([leads[run][block][:, None], pivots[state]], axis=1)
-    return child_bases, child_pivots
+        out += (t // p**e % p)[:, None] * table[state, last - e]
+    out %= p
+    return out
+
+
+def _children(shape: SpaceShape, bases: np.ndarray, pivots: np.ndarray):
+    """The children of a batch of states of one dimension k, as slices
+    (bases, pivots) of their echelon bases [w; state's basis], (M, k + 1,
+    dim) and (M, k + 1), in state order (see enumerate_maximal_isotropic):
+    by run row of _runs, and then with c in itertools.product order (see
+    _combine). Each slice holds SEARCH_CELLS // ((k + 1) * dim) children,
+    one at least, except the last, which may hold fewer; the children are
+    numbered, built and tested in such slices, so no array of one expansion
+    grows with the number of its children.
+
+    A child below half dimension (k + 1 < half) that provably has no
+    children is dropped: it is never built. Let K be the state P's nonzero
+    kernel rows, M = P + <w> a child whose w leads at column q, f_r =
+    (w, K_r), and U the rows of K that lead before q (the rows before w's
+    run row). M is dropped when
+    - U is empty and some f_r != 0, or
+    - U is a single row r, f_r != 0, and f vanishes on every other row.
+    Proof: a child of M needs x orthogonal to M with T x in M, leading
+    before q (M's first pivot).
+    - If T x lies in P, then x lies in S(P) = {x orthogonal to P, T x in P}
+      = P + span K (reduce x by P's rows on P's pivots). P's rows lead
+      after q, so x = y + s with y in P and s in span K leading where x
+      does, before q; s is orthogonal to w, as x and y are. s leads before
+      q, so its first nonzero coefficient in K is on a row of U: there is
+      none if U is empty, and if U = {r}, (s, w) = a_r f_r != 0 for that
+      coefficient a_r != 0. Either way a contradiction.
+    - Otherwise T x = y + c w with y in P and c != 0. For every s in span
+      K, T s lies in P and inv(T) = T g(T) (inv(T) = -T (1 + T)^(-1)), so
+      inv(T) s lies in P, in M, and by equivariance c (w, s) = (T x, s) =
+      (x, inv(T) s) = 0: f vanishes on K, which both cases exclude.
+    f = (w, K_r) is the same combination of the rows of H = K G K^T as w is
+    of the rows of K, so with H taken once per expanded state, the digit
+    loop that builds w (_combine) builds f beside it, from [K | H]. A
+    state's kernel rows are sorted, so U is the rows before the run row:
+    only children of run rows 0 and 1 can be dropped."""
+    p, dim = shape.p, shape.dim
+    k = pivots.shape[1]
+    table, state, row, last, lead = _runs(shape, bases, pivots)
+    sizes = p ** (last - row)
+    ends = np.cumsum(sizes)
+    total = int(sizes.sum())
+    step = max(1, SEARCH_CELLS // ((k + 1) * dim))
+    rule = k + 1 < dim // 2
+    if rule:
+        # H = K G K^T in float64, which is exact: p^dim <= 2 * 10^6 gives
+        # dim^2 (p - 1)^3 < 2^53, and it is about twice as fast as in int64.
+        # This frame lives while its slices are expanded, so it keeps only
+        # the table [K | H], not its temporaries.
+        real = table.astype(np.float64)
+        pairs = real @ gram_matrix(shape).astype(np.float64) @ real.transpose(0, 2, 1)
+        table = np.concatenate([table, pairs.astype(np.int64) % p], axis=2)
+        del real, pairs
+    held = None
+    for start in range(0, total, step):
+        numbers = np.arange(start, min(start + step, total))
+        block = np.searchsorted(ends, numbers, side="right")
+        w = _combine(table, p, state[block], row[block], last[block],
+                     numbers - ends[block] + sizes[block])
+        if rule:
+            f, i = w[:, dim:], row[block]
+            dropped = np.where(
+                i == 0, f.any(axis=1), (i == 1) & (f[:, 0] != 0) & ~f[:, 1:].any(axis=1)
+            )
+            block, w = block[~dropped], w[~dropped, :dim]
+        built = (
+            np.concatenate([w[:, None, :], bases[state[block]]], axis=1),
+            np.concatenate([lead[block][:, None], pivots[state[block]]], axis=1),
+        )
+        held = built if held is None else [np.concatenate(pair) for pair in zip(held, built)]
+        while len(held[0]) >= step:
+            yield held[0][:step], held[1][:step]
+            held = held[0][step:], held[1][step:]
+    if held is not None and len(held[0]):
+        yield held[0], held[1]
 
 
 def _batches(shape: SpaceShape):
-    """The search's states of half dimension, its T-stable Lagrangians, as
-    batches (bases, pivots) in depth-first order; ResourceBoundError unless
-    p^dim is at most MAX_SUBSPACE_VECTORS (see enumerate_maximal_isotropic).
-    The search starts from the zero state and pushes every batch's children
-    in batches of SEARCH_CELLS // (k * dim) states of dimension k, one at
-    least, so that no pushed batch holds more than SEARCH_CELLS cells unless
-    it is a single state."""
+    """The search's states of dimension half - 1, the parents of its T-stable
+    Lagrangians, as batches (bases, pivots) in depth-first order;
+    ResourceBoundError unless p^dim is at most MAX_SUBSPACE_VECTORS (see
+    enumerate_maximal_isotropic). The search starts from the zero state and
+    expands every batch of lower dimension k by _children, whose slices of
+    SEARCH_CELLS // ((k + 1) * dim) states, one at least, are its batches of
+    dimension k + 1: no batch holds more than SEARCH_CELLS cells unless it
+    is a single state. The stack holds one _children generator per
+    dimension, so the frontier is at most one slice per dimension, never
+    the children of a whole batch."""
     _check_vector_count(shape.p, shape.dim)
-    half = shape.dim // 2
-
-    def split(bases, pivots):
-        step = max(1, SEARCH_CELLS // (pivots.shape[1] * shape.dim))
-        return [
-            (bases[start : start + step], pivots[start : start + step])
-            for start in range(0, len(bases), step)
-        ]
-
-    stack = [(np.zeros((1, 0, shape.dim), dtype=np.int64), np.zeros((1, 0), dtype=np.int64))]
+    top = shape.dim // 2 - 1
+    root = (np.zeros((1, 0, shape.dim), dtype=np.int64), np.zeros((1, 0), dtype=np.int64))
+    stack = [iter([root])]
     while stack:
-        bases, pivots = stack.pop()
-        if pivots.shape[1] == half:
-            yield bases, pivots
+        batch = next(stack[-1], None)
+        if batch is None:
+            stack.pop()
+        elif batch[1].shape[1] == top:
+            yield batch
         else:
-            stack.extend(split(*_children(shape, bases, pivots)))
+            stack.append(_children(shape, *batch))
 
 
 def enumerate_maximal_isotropic(shape: SpaceShape):
@@ -626,16 +703,18 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
 
     States are held as arrays, never as FpSubspace objects: a batch is an
     (N, k, dim) int64 array of echelon bases and an (N, k) array of their
-    pivots, all of one dimension k. A popped batch gets its kernels from one
-    stacked elimination (_socle_kernels), except the zero state, whose
+    pivots, all of one dimension k. An expanded batch gets its kernels from
+    one stacked elimination (_socle_kernels), except the zero state, whose
     kernel is ker T, read in closed form, with no elimination; its children
-    are built as one array of [w; P's basis] rows (_children) and pushed in
-    batches of at most SEARCH_CELLS cells (states x rows x dim), so at each
-    dimension the stack holds at most the children of one batch, never a
-    whole level (_batches). The search's one outlet is its batches of half
-    dimension: here they go to a compact result store, in the smallest
-    unsigned dtypes that hold their entries and pivots, and _search_count
-    sums their sizes and drops them.
+    are built as arrays of [w; P's basis] rows (_children) in slices of at
+    most SEARCH_CELLS cells (states x rows x dim), each the next batch, so
+    at each dimension the search holds at most one slice, never a whole
+    level (_batches). Children below half dimension that provably have no
+    children are dropped unbuilt (see _children). The search's one outlet
+    is its batches of dimension half - 1: here their children, built by
+    _children, go to a compact result store, in the smallest unsigned
+    dtypes that hold their entries and pivots, and _search_count adds up
+    their number off the kernels without building them.
 
     States of half dimension equal their own complement, hence are maximal.
     The store is sorted once, by its rows' bytes, which orders them as
@@ -652,9 +731,10 @@ def enumerate_maximal_isotropic(shape: SpaceShape):
     entry = np.min_scalar_type(shape.p - 1)
     column = np.min_scalar_type(shape.dim - 1)
     found_bases, found_pivots = [], []
-    for bases, pivots in _batches(shape):
-        found_bases.append(bases.astype(entry))
-        found_pivots.append(pivots.astype(column))
+    for batch in _batches(shape):
+        for bases, pivots in _children(shape, *batch):
+            found_bases.append(bases.astype(entry))
+            found_pivots.append(pivots.astype(column))
     # the span of the u coordinates is a T-stable Lagrangian, so found_* are
     # never empty
     bases, pivots = np.concatenate(found_bases), np.concatenate(found_pivots)
@@ -739,7 +819,14 @@ def _lagrangian_count(shape: SpaceShape) -> int:
 
 def _search_count(shape: SpaceShape) -> int:
     """The number of T-stable Lagrangians, by the search, at any shape: it
-    runs the search that enumerate_maximal_isotropic runs and sums the sizes
-    of its batches; no result is stored and no FpSubspace is made. It serves
-    the shapes where T acts, and is the oracle of the T = 0 closed form."""
-    return sum(len(bases) for bases, _ in _batches(shape))
+    runs the search that enumerate_maximal_isotropic runs and, for each
+    state of dimension half - 1 that it yields, adds the number of the
+    state's children, sum p^m over its run rows with m nonzero kernel rows
+    after them (see _runs), after the same kernel check; no Lagrangian is
+    built, no result stored and no FpSubspace made. It serves the shapes
+    where T acts, and is the oracle of the T = 0 closed form."""
+    total = 0
+    for bases, pivots in _batches(shape):
+        _, _, row, last, _ = _runs(shape, bases, pivots)
+        total += int((shape.p ** (last - row)).sum())
+    return total

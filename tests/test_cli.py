@@ -496,12 +496,34 @@ def _reference_json(report) -> str:
         dict(mode="montecarlo", levels=(1, 3), trials=500, seed=42),
         dict(mode="tower", levels=(2,), trials=400, seed=7),
         dict(mode="isotropic", levels=(3,), shape=(1,)),
+        dict(mode="isotropic", levels=(1, 3), shape=(1, 1)),
     ],
-    ids=lambda overrides: overrides["mode"],
+    ids=lambda overrides: "-".join(map(str, [overrides["mode"], *overrides["levels"]])),
 )
-def test_render_json_equals_the_asdict_reference(overrides):
-    report = run(config(format="json", **overrides), ("--mode", overrides["mode"]))
+@pytest.mark.parametrize("argv", [("--mode", "x", "\u00e9\n\"\\"), None], ids=["argv", "no-argv"])
+def test_render_json_equals_the_asdict_reference(overrides, argv):
+    # the count cases have an empty shape and the first one three rows;
+    # argv None is what run() records, and is rendered null
+    report = run(config(format="json", **overrides), argv)
     assert render_json(report) == _reference_json(report)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[]], "d": [{}]},
+        {"x": [1, -2, 10**30, None, "", "t\u00e9\x00\t\"/\\\U0001f600"]},
+        [True, False, 1.5, float("inf"), {"nested": [[1], [2, [3]]]}],
+        "plain",
+        None,
+        0,
+    ],
+    ids=str,
+)
+def test_json_text_equals_the_indented_encoder(value):
+    assert cli._json_text(value, "") == json.dumps(value, indent=2)
 
 
 def run_main(tmp_path, *argv):
@@ -945,20 +967,28 @@ def test_emit_both_writes_nothing_when_a_render_fails(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
+def _failing_write(opened):
+    """An os.write that fails with ENOSPC on the second file it writes,
+    recording each file's inode in opened (a closed descriptor's number is
+    reused by the next file)."""
+    real_write = os.write
+
+    def write(fd, data):
+        inode = os.fstat(fd).st_ino
+        if inode not in opened:
+            opened.append(inode)
+        if len(opened) == 2:
+            raise OSError(28, "No space left on device")
+        return real_write(fd, data)
+
+    return write
+
+
 def test_emit_both_writes_nothing_when_staging_the_second_fails(
     tmp_path, monkeypatch, capsys
 ):
-    real_fdopen = os.fdopen
     opened = []
-
-    def fdopen_failing_second(fd, *args, **kwargs):
-        opened.append(fd)
-        if len(opened) == 2:
-            os.close(fd)
-            raise OSError(28, "No space left on device")
-        return real_fdopen(fd, *args, **kwargs)
-
-    monkeypatch.setattr(cli.os, "fdopen", fdopen_failing_second)
+    monkeypatch.setattr(cli.os, "write", _failing_write(opened))
     code = run_main(
         tmp_path, "--mode", "count", "--prime", "3", "--levels", "1",
         "--output", str(tmp_path / "rep"), "--format", "both",
@@ -968,6 +998,53 @@ def test_emit_both_writes_nothing_when_staging_the_second_fails(
     assert os.listdir(tmp_path) == []
     err = capsys.readouterr().err
     assert "No space left on device" in err and "rep.json" in err
+
+
+def test_stage_finishes_a_short_write(tmp_path, monkeypatch):
+    # os.write may write less than it is given; the rest is written next
+    real_write = os.write
+    sizes = []
+
+    def short_write(fd, data):
+        sizes.append(real_write(fd, bytes(data[:7])))
+        return sizes[-1]
+
+    monkeypatch.setattr(cli.os, "write", short_write)
+    report = run(config(format="both", output=str(tmp_path / "rep")))
+    emit(report)
+    assert (tmp_path / "rep.csv").read_text() == render_csv(report)
+    assert (tmp_path / "rep.json").read_bytes() == render_json(report).encode()
+    assert len(sizes) > 20 and set(sizes) == {7} | {len(render_csv(report)) % 7 or 7,
+                                                    len(render_json(report)) % 7 or 7}
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_emit_leaves_no_descriptor_open(tmp_path, monkeypatch):
+    # a leaked raw descriptor raises no ResourceWarning, so count them: after
+    # a success, a failed write and a failed rename, as many are open as before
+    report = run(config(format="both", output=str(tmp_path / "rep")))
+    before = _open_descriptors()
+    emit(report)
+    assert _open_descriptors() == before
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.os, "write", _failing_write([]))
+        with pytest.raises(OSError, match="No space left"):
+            emit(report)
+    assert _open_descriptors() == before
+
+    def failing_replace(src, dst):
+        raise OSError(18, "Invalid cross-device link")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="cross-device"):
+            emit(report)
+    assert _open_descriptors() == before
+    assert sorted(os.listdir(tmp_path)) == ["rep.csv", "rep.json"]
 
 
 def test_emit_both_writes_nothing_when_the_second_rename_fails(
@@ -1013,6 +1090,30 @@ def test_main_isotropic_child_out_of_echelon_form_exit(
     assert code == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert "internal invariant violated" in err and "socle extension" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_main_isotropic_last_level_kernel_exit(tmp_path, capsys, monkeypatch):
+    # the count sizes the children of the states of dimension half - 1
+    # without building them, after the same kernel check: a run row led by
+    # 2 at that dimension only is an invariant violation
+    socle_kernels = pairing._socle_kernels
+
+    def corrupted(shape, bases, pivots):
+        kernels = socle_kernels(shape, bases, pivots)
+        if pivots.shape[1] == shape.dim // 2 - 1:
+            leads = np.argmax(kernels != 0, axis=2)
+            kernels[kernels.any(axis=2) & (leads < pivots[:, :1])] *= 2
+        return kernels
+
+    monkeypatch.setattr(pairing, "_socle_kernels", corrupted)
+    code = run_main(
+        tmp_path, "--mode", "isotropic", "--prime", "3", "--levels", "3",
+        "--shape", "1", "--output", str(tmp_path / "iso"), "--format", "both",
+    )
+    assert code == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "internal invariant violated" in err and "dimension-3 state" in err
     assert os.listdir(tmp_path) == []
 
 

@@ -456,12 +456,18 @@ def test_level_one_counts_run_no_search(monkeypatch):
         count_maximal_isotropic(SpaceShape(3, 3, (1,)))
 
 
+def _lagrangian_batches(shape):
+    """The search's T-stable Lagrangians, as the children of its batches."""
+    for batch in pairing._batches(shape):
+        yield from pairing._children(shape, *batch)
+
+
 def _split_oracle(shape):
     """The number of split Lagrangians by the split criterion, read off
-    every batch of the search."""
+    every Lagrangian the search builds."""
     return sum(
         int(pairing._splits(shape, bases, pivots).sum())
-        for bases, pivots in pairing._batches(shape)
+        for bases, pivots in _lagrangian_batches(shape)
     )
 
 
@@ -690,14 +696,44 @@ def _children_oracle_rejects(shape, pivots, kernel):
     return False
 
 
-def _children_oracle(shape, basis, pivots, kernel):
+def _dropped_oracle(shape, pivots, kernel, lead, w):
+    """Oracle: whether the search drops the child [w; state] of a state with
+    the given pivots and padded kernel, w leading at lead, by the rule as
+    stated: below half dimension, with f_r = (w, K_r) over the nonzero
+    kernel rows K and U the rows of K that lead before lead, U is empty and
+    f is not, or U is one row r, f_r != 0 and f vanishes on every other
+    row."""
+    if len(pivots) + 1 >= shape.dim // 2:
+        return False
+    rows = kernel[kernel.any(axis=1)]
+    f = rows @ gram_matrix(shape) @ w % shape.p
+    before = np.argmax(rows != 0, axis=1) < lead
+    if not before.any():
+        return bool(f.any())
+    return before.sum() == 1 and f[before][0] != 0 and not f[~before].any()
+
+
+def _children_oracle(shape, basis, pivots, kernel, rule=True):
     """Oracle: one state's children as lists of echelon bases [w; basis]
-    and of their pivots, in the search's order."""
+    and of their pivots, in the search's order, without the children that
+    the rule drops unless rule is False."""
     bases, child_pivots = [], []
     for lead, w in _extensions_oracle(shape, pivots, kernel):
+        if rule and _dropped_oracle(shape, pivots, kernel, lead, w):
+            continue
         bases.append(np.vstack([w[None], basis]))
         child_pivots.append([lead, *pivots])
     return bases, child_pivots
+
+
+def _built(shape, bases, pivots):
+    """All children that _children builds for a batch, its slices joined."""
+    built = list(pairing._children(shape, bases, pivots))
+    assert all(len(b) for b, _ in built)
+    if not built:
+        k = pivots.shape[1]
+        return np.zeros((0, k + 1, shape.dim), dtype=np.int64), np.zeros((0, k + 1), dtype=np.int64)
+    return np.concatenate([b for b, _ in built]), np.concatenate([p for _, p in built])
 
 
 def _random_padded_kernels(shape, rng, count):
@@ -730,9 +766,9 @@ def test_kernel_row_check_fails_exactly_when_a_child_check_would(monkeypatch):
         expected = _children_oracle_rejects(shape, pivots, kernel)
         if expected:
             with pytest.raises(InvariantError, match="socle extension"):
-                pairing._children(shape, bases, pivots[None])
+                _built(shape, bases, pivots[None])
         else:
-            pairing._children(shape, bases, pivots[None])
+            _built(shape, bases, pivots[None])
         outcomes[expected] += 1
     assert min(outcomes[True], outcomes[False]) > 30
 
@@ -743,7 +779,7 @@ def _assert_children_match_the_oracle(shape, bases, pivots, kernels):
         state_bases, state_child_pivots = _children_oracle(shape, basis, state_pivots, kernel)
         expected_bases += state_bases
         expected_pivots += state_child_pivots
-    child_bases, child_pivots = pairing._children(shape, bases, pivots)
+    child_bases, child_pivots = _built(shape, bases, pivots)
     assert child_bases.dtype == child_pivots.dtype == np.int64
     assert child_bases.shape == (len(expected_bases), pivots.shape[1] + 1, shape.dim)
     assert child_pivots.tolist() == expected_pivots
@@ -794,7 +830,7 @@ def test_zero_state_kernel_reads_ker_t_off_the_generator_slices(monkeypatch):
     expected = np.zeros((1, 8, 8), dtype=np.int64)
     expected[0, ends, ends] = 1
     assert (kernels == expected).all()
-    bases, pivots = pairing._children(shape, *_zero_state(shape))
+    bases, pivots = _built(shape, *_zero_state(shape))
     # 9 children of e_5, 3 of e_6 and 1 of e_7; e_2 leads before half - 1
     assert pivots[:, 0].tolist() == [5] * 9 + [6] * 3 + [7]
     assert not bases[:, 0, [0, 1, 2, 3, 4]].any()
@@ -832,7 +868,9 @@ def test_search_checks_the_zero_state_kernel(monkeypatch):
 
 
 def test_children_of_search_batches_match_the_oracle(monkeypatch):
-    # every batch that the search at (3,3,(3,)) expands, at every dimension
+    # every batch that the search at (3,3,(3,)) expands, at every dimension:
+    # the count expands those below half - 1 and counts the children of the
+    # rest, which the enumeration builds
     shape = SpaceShape(3, 3, (3,))
     expanded = []
     children = pairing._children
@@ -843,6 +881,8 @@ def test_children_of_search_batches_match_the_oracle(monkeypatch):
 
     monkeypatch.setattr(pairing, "_children", recording)
     assert pairing._search_count(shape) == 4720
+    assert {pivots.shape[1] for _, pivots in expanded} == set(range(shape.dim // 2 - 1))
+    assert len(list(enumerate_maximal_isotropic(shape))) == 4720
     monkeypatch.undo()
     assert count_maximal_isotropic(shape) == (4720, 192)
     assert {pivots.shape[1] for _, pivots in expanded} == set(range(shape.dim // 2))
@@ -853,6 +893,81 @@ def test_children_of_search_batches_match_the_oracle(monkeypatch):
         for bases, pivots in expanded
     )
     assert built >= 4720
+
+
+# the children the rule drops at each shape, by their dimension
+DROPPED = {
+    SpaceShape(3, 1): {},
+    SpaceShape(3, 3): {},
+    SpaceShape(3, 1, (1,)): {1: 1},
+    SpaceShape(5, 1, (1,)): {1: 1},
+    SpaceShape(7, 1, (1,)): {1: 1},
+    SpaceShape(3, 3, (1,)): {2: 24, 3: 55},
+    SpaceShape(3, 1, (3,)): {3: 29},
+    SpaceShape(3, 1, (1, 1)): {2: 40},
+    SpaceShape(3, 3, (3,)): {3: 81, 4: 648, 5: 1451},
+    SpaceShape(3, 3, (1, 1)): {3: 3124, 4: 6520},
+}
+
+
+@pytest.mark.parametrize(
+    "shape", ORACLE_SHAPES + [SpaceShape(3, 3, (3,)), SpaceShape(3, 3, (1, 1))], ids=str
+)
+def test_dropped_children_have_no_children(monkeypatch, shape):
+    # every child that the rule drops, against the rule-free oracle of every
+    # state the count expands: its own socle kernel has no nonzero row that
+    # leads before its first pivot, so the rule-free oracle gives it no
+    # child, and no state of half dimension is dropped
+    expanded = []
+    children = pairing._children
+
+    def recording(shape, bases, pivots):
+        expanded.append((bases, pivots))
+        return children(shape, bases, pivots)
+
+    monkeypatch.setattr(pairing, "_children", recording)
+    results = pairing._search_count(shape)
+    monkeypatch.undo()
+    assert results == count_maximal_isotropic(shape)[0]
+    lost = collections.defaultdict(list)
+    for bases, pivots in expanded:
+        built = {b.tobytes() for b in _built(shape, bases, pivots)[0]}
+        kernels = pairing._socle_kernels(shape, bases, pivots)
+        for basis, state_pivots, kernel in zip(bases, pivots, kernels):
+            every = zip(*_children_oracle(shape, basis, state_pivots, kernel, rule=False))
+            for child, child_pivots in every:
+                if child.tobytes() not in built:
+                    lost[len(child_pivots)].append((child, child_pivots))
+    assert {k: len(c) for k, c in lost.items()} == DROPPED[shape]
+    assert shape.dim // 2 not in lost
+    for children_of_k in lost.values():
+        bases = np.array([child for child, _ in children_of_k])
+        pivots = np.array([child_pivots for _, child_pivots in children_of_k])
+        kernels = pairing._socle_kernels(shape, bases, pivots)
+        leads = np.where(kernels.any(axis=2), np.argmax(kernels != 0, axis=2), shape.dim)
+        assert (leads >= pivots[:, :1]).all()
+        for basis, child_pivots, kernel in zip(bases, pivots, kernels):
+            assert _children_oracle(shape, basis, child_pivots, kernel, rule=False) == ([], [])
+
+
+@pytest.mark.parametrize("shape", [SpaceShape(3, 3, (1,)), SpaceShape(3, 1, (3,))], ids=str)
+def test_count_checks_the_kernels_of_the_last_level(monkeypatch, shape):
+    # a kernel corrupted only at dimension half - 1, whose children the
+    # count sizes without building them: a run row led by 2 still raises
+    socle_kernels = pairing._socle_kernels
+    top = shape.dim // 2 - 1
+
+    def corrupted(shape, bases, pivots):
+        kernels = socle_kernels(shape, bases, pivots)
+        if pivots.shape[1] == top:
+            kernels[kernels.any(axis=2) & (np.argmax(kernels != 0, axis=2) < pivots[:, :1])] *= 2
+        return kernels
+
+    monkeypatch.setattr(pairing, "_socle_kernels", corrupted)
+    with pytest.raises(InvariantError, match=f"dimension-{top} state"):
+        count_maximal_isotropic(shape)
+    with pytest.raises(InvariantError, match=f"dimension-{top} state"):
+        list(enumerate_maximal_isotropic(shape))
 
 
 @pytest.mark.parametrize(
@@ -882,7 +997,7 @@ def test_built_children_split_by_column_n(monkeypatch, state, rows, results, spl
     kernel = np.zeros((1, 4, 6), dtype=np.int64)
     kernel[0, [0, 2]] = rows
     monkeypatch.setattr(pairing, "_socle_kernels", lambda *args: kernel)
-    child_bases, child_pivots = pairing._children(shape, bases, pivots)
+    child_bases, child_pivots = _built(shape, bases, pivots)
     splits = int(pairing._splits(shape, child_bases, child_pivots).sum())
     assert [len(child_bases), splits] == [results, split]
 
@@ -904,7 +1019,8 @@ def test_count_builds_no_subspace(monkeypatch):
 
 def test_orderly_generation_builds_each_state_once(monkeypatch):
     # every expanded state (the bases handed to _socle_kernels) and every
-    # result is distinct; states of different dimensions differ in length
+    # result is distinct; states of different dimensions differ in length.
+    # The count expands the same states, each once, and builds no result.
     built = []
     socle_kernels = pairing._socle_kernels
 
@@ -916,8 +1032,12 @@ def test_orderly_generation_builds_each_state_once(monkeypatch):
     found = list(enumerate_maximal_isotropic(SpaceShape(3, 1, (1, 1))))
     assert len(found) == 1120
     assert b"" in built
+    expanded = list(built)
     built.extend(r.subspace.key() for r in found)
     assert len(built) == len(set(built))
+    built.clear()
+    assert pairing._search_count(SpaceShape(3, 1, (1, 1))) == 1120
+    assert built == expanded
 
 
 def test_search_builds_subspaces_only_for_results(monkeypatch):
@@ -994,9 +1114,11 @@ def test_search_cell_bound_leaves_the_reports_unchanged(monkeypatch, shape, cell
 
 
 def test_search_makes_one_elimination_per_dimension_at_a_small_shape(monkeypatch):
-    # (3,3,(1,)): 13 states of dimension 1 from the closed form, then 76 of
-    # dimension 2 and 211 of dimension 3, each level one batch under the
-    # cell bound, so one stacked elimination each
+    # (3,3,(1,)): 13 states of dimension 1 from the closed form, then 52 of
+    # dimension 2 and 156 of dimension 3, each level one batch under the
+    # cell bound, so one stacked elimination each; without the rule that
+    # drops children with no children they were 76 and 211 (24 and 55
+    # childless states dropped)
     stacks = []
     rref_stack = pairing.linalg.rref_stack
 
@@ -1006,29 +1128,73 @@ def test_search_makes_one_elimination_per_dimension_at_a_small_shape(monkeypatch
 
     monkeypatch.setattr(pairing.linalg, "rref_stack", counting_stack)
     assert pairing._search_count(SpaceShape(3, 3, (1,))) == 184
-    assert stacks == [13, 76, 211]
+    assert stacks == [13, 52, 156]
 
 
 def test_search_batches_fill_the_cell_bound_at_dim_12(monkeypatch):
-    # (3,3,(3,)): every batch of dimension k >= 1, expanded or yielded,
-    # holds at most 8192 // (12 k) states, and from k = 3 on the largest
-    # holds exactly that many: 227, 170, 136 and 113; the zero state is a
-    # batch of its own
+    # (3,3,(3,)): every batch of dimension k >= 1, expanded, yielded or
+    # built as a result, holds at most 8192 // (12 k) states, and from k = 3
+    # on the largest holds exactly that many: 227, 170, 136 and 113; the
+    # zero state is a batch of its own. The enumeration expands every batch
+    # that _batches yields, so each expanded batch is a built one.
     shape = SpaceShape(3, 3, (3,))
     sizes = collections.defaultdict(list)
+    built = collections.defaultdict(list)
     children = pairing._children
 
     def recording(shape, bases, pivots):
         sizes[pivots.shape[1]].append(len(bases))
-        return children(shape, bases, pivots)
+        for child_bases, child_pivots in children(shape, bases, pivots):
+            built[child_pivots.shape[1]].append(len(child_bases))
+            yield child_bases, child_pivots
 
     monkeypatch.setattr(pairing, "_children", recording)
-    for _, pivots in pairing._batches(shape):
-        sizes[pivots.shape[1]].append(len(pivots))
-    assert sum(sizes[6]) == 4720
-    assert {k: max(sizes[k]) for k in range(3, 7)} == {3: 227, 4: 170, 5: 136, 6: 113}
+    assert len(list(enumerate_maximal_isotropic(shape))) == 4720
+    monkeypatch.undo()
+    yielded = [len(pivots) for _, pivots in pairing._batches(shape)]
+    assert sum(built[6]) == 4720
+    assert {k: max(built[k]) for k in range(3, 7)} == {3: 227, 4: 170, 5: 136, 6: 113}
     assert sizes[0] == [1]
-    assert all(n <= 8192 // (12 * k) for k, counts in sizes.items() if k for n in counts)
+    assert all(sorted(sizes[k]) == sorted(built[k]) for k in range(1, 6))
+    assert sorted(yielded) == sorted(built[5])
+    assert all(n <= 8192 // (12 * k) for k, counts in built.items() for n in counts)
+
+
+def test_children_are_built_and_tested_in_bounded_slices(monkeypatch):
+    # with the cell bound patched small, every slice that _children yields
+    # holds at most SEARCH_CELLS // ((k + 1) * dim) children of a batch of
+    # dimension k, one at least, and so does every _combine call that
+    # builds or tests them; the reports are unchanged
+    shape = SpaceShape(3, 3, (1,))
+    expected = _reports(shape)
+    monkeypatch.setattr(pairing, "SEARCH_CELLS", 5 * shape.dim)
+    bounds, slices = [], collections.Counter()
+    children, combine = pairing._children, pairing._combine
+
+    def recording(shape, bases, pivots):
+        bound = max(1, pairing.SEARCH_CELLS // ((pivots.shape[1] + 1) * shape.dim))
+        inner = children(shape, bases, pivots)
+        while True:
+            bounds.append(bound)
+            try:
+                child_bases, child_pivots = next(inner)
+            except StopIteration:
+                return
+            finally:
+                bounds.pop()
+            assert 1 <= len(child_bases) <= bound
+            slices[len(child_bases) == bound] += 1
+            yield child_bases, child_pivots
+
+    def bounded(table, p, state, *args):
+        assert len(state) <= bounds[-1]
+        return combine(table, p, state, *args)
+
+    monkeypatch.setattr(pairing, "_children", recording)
+    monkeypatch.setattr(pairing, "_combine", bounded)
+    assert _reports(shape) == expected
+    assert pairing._search_count(shape) == 184
+    assert slices[True] > 10 and slices[False]
 
 
 def test_search_reads_kernels_off_stacked_eliminations(monkeypatch):
